@@ -146,16 +146,11 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
 }
 
-// BenchmarkSchedulerCycleParallel measures the parallel sharded core on a
-// federation big enough to cross its gates: 20 clouds (the single-cloud
-// scan fans across the scoring pool), 70 tenants (the fair-share pick and
-// Shares aggregate by shard), and head-plan speculation with optimistic
-// commit each cycle. ScoreWorkers -1 sizes the pool to GOMAXPROCS, so
-// -cpu 1 runs the sequential core and -cpu N the pooled one — decisions
-// are byte-identical at every setting (internal/sched's determinism oracle
-// pins that), so this benchmark isolates pure orchestration cost vs
-// scaling. Run with -cpu 1,4 to record both.
-func BenchmarkSchedulerCycleParallel(b *testing.B) {
+// BenchmarkSchedulerCycleWide measures the cycle on a wide federation:
+// 20 clouds make every single-cloud scan long, 70 tenants make every
+// fair-share pick and Shares walk long, and every 17th job is wider than
+// any cloud, so spanning gang plans are assembled throughout the drain.
+func BenchmarkSchedulerCycleWide(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel(42)
@@ -163,7 +158,7 @@ func BenchmarkSchedulerCycleParallel(b *testing.B) {
 		for c := 0; c < 20; c++ {
 			sb.AddCloud(fmt.Sprintf("cloud%02d", c), 32, 1.0+0.25*float64(c%4), 0.08)
 		}
-		s := sched.New(sb, sched.Config{ScoreWorkers: -1})
+		s := sched.New(sb, sched.Config{})
 		for t := 0; t < 70; t++ {
 			s.AddTenant(fmt.Sprintf("tenant%02d", t), float64(t%4+1))
 		}
@@ -185,20 +180,16 @@ func BenchmarkSchedulerCycleParallel(b *testing.B) {
 		if s.Completed() != 1000 {
 			b.Fatalf("completed %d of 1000 jobs", s.Completed())
 		}
-		s.Close()
 	}
 }
 
 // BenchmarkSchedulerEvictionStorm measures the backfill- and
-// preemption-heavy cycle mix the parallel phases cover: a 220-core head
-// blocks behind two long holders and reserves, 160 short jobs backfill the
-// slack and overrun 4x, and the scheduler reclaims them through both the
-// elastic forced-preempt pass and head-driven eviction (pricing plus the
-// what-if prefix fit over a ~28-candidate set). ScoreWorkers -1 sizes the
-// pool to GOMAXPROCS, so -cpu 1 runs the sequential phases and -cpu N the
-// pooled ones over the lock-free ledger view — decisions byte-identical
-// either way (internal/sched's eviction-storm oracle pins it). Run with
-// -cpu 1,4 to record both.
+// preemption-heavy cycle mix: a 220-core head blocks behind two long
+// holders and reserves, 160 short jobs backfill the slack and overrun 4x,
+// and the scheduler reclaims them through both the elastic forced-preempt
+// pass and head-driven eviction (pricing plus the what-if prefix fit over
+// a ~28-candidate set). internal/sched's TestDecisionsGolden pins the same
+// scenario's decision trace.
 func BenchmarkSchedulerEvictionStorm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -214,7 +205,7 @@ func BenchmarkSchedulerEvictionStorm(b *testing.B) {
 			}
 			return 1
 		}
-		s := sched.New(sb, sched.Config{EnablePreemption: true, ScoreWorkers: -1})
+		s := sched.New(sb, sched.Config{EnablePreemption: true})
 		s.Start()
 		submit := func(tenant string, spec sched.JobSpec) {
 			spec.Tenant = tenant
@@ -247,7 +238,6 @@ func BenchmarkSchedulerEvictionStorm(b *testing.B) {
 			b.Fatalf("storm evicted nothing (preempt=%d forced=%d); the scenario decayed",
 				s.Preemptions(), s.ForcedPreemptions())
 		}
-		s.Close()
 	}
 }
 

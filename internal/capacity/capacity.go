@@ -28,14 +28,13 @@
 // instrumented reader/writer lock (contention is exported through
 // Instrument as the sky_lock_* families), and Generation is a lock-free
 // atomic read so hot-path cache-validity checks never serialize on the
-// lock. The intended sharing shape is still read-mostly — the parallel
-// scheduler's score workers read immutable snapshots and only the commit
-// path writes — but nothing corrupts if an external surface (a metrics
-// scrape, a daemon API) reads concurrently.
+// lock. The scheduler drives the ledger from its single kernel thread, so
+// the lock is uncontended there; it exists so an external surface (a
+// metrics scrape, a daemon API) can read concurrently without corrupting
+// anything.
 package capacity
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -60,12 +59,6 @@ func (k Kind) String() string {
 	}
 	return "held"
 }
-
-// ErrStaleGeneration is returned by the generation-validated commit helpers
-// when the ledger moved under an optimistic caller: the capacity view the
-// caller scored against is no longer the ledger's state, so the decision
-// must be rescored rather than committed.
-var ErrStaleGeneration = errors.New("capacity: ledger generation moved since speculation")
 
 // Lease is one claim on a cloud's cores. Lifecycle: Acquire/Reserve creates
 // it, Commit retires it into the committed aggregate (a held in-flight
@@ -421,9 +414,9 @@ type Ledger struct {
 	// gen counts cloud-set and total-capacity changes plus forced
 	// transitions (Evict/Retarget); callers cache capacity views derived
 	// from the ledger keyed on it (the scheduler's federation-wide
-	// gang-slot cache, the blocked-head reservation cache, the parallel
-	// scheduler's speculative placement results). Atomic so the per-job
-	// validity checks on the scheduler hot path never touch the lock.
+	// gang-slot cache, the blocked-head reservation cache). Atomic so the
+	// per-job validity checks on the scheduler hot path never touch the
+	// lock.
 	gen atomic.Uint64
 
 	// Evictions and Retargets count forced transitions, for stats surfaces.
@@ -439,13 +432,6 @@ type Ledger struct {
 	// per-transition cost is then one nil check.
 	jrn *Journal
 
-	// viewVer counts every state transition (unlike gen, which only moves
-	// on cloud-set/total changes and forced transitions); view caches the
-	// snapshot published at the last View() call. Together they give
-	// readers a lock-free consistent snapshot — see view.go.
-	viewVer atomic.Uint64
-	view    atomic.Pointer[View]
-
 	// m mirrors transition counts into a registry when Instrument was
 	// called; zero-value (nil instruments) otherwise.
 	m ledgerMetrics
@@ -455,11 +441,6 @@ type Ledger struct {
 func New() *Ledger {
 	return &Ledger{accounts: make(map[string]*account)}
 }
-
-// dirty marks the ledger state as moved since the last published read view.
-// Called under the write lock at every state transition; multiple bumps in
-// one critical section are harmless (readers only compare for equality).
-func (l *Ledger) dirty() { l.viewVer.Add(1) }
 
 // AddCloud registers a cloud's total core capacity. Re-adding an existing
 // cloud only updates its total.
@@ -476,7 +457,6 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 			a.total = totalCores
 			l.jrec(Rec{Op: OpCloud, Cloud: name, Cores: totalCores})
 			l.gen.Add(1)
-			l.dirty()
 		}
 		return
 	}
@@ -489,7 +469,6 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 	}
 	l.jrec(Rec{Op: OpCloud, Cloud: name, Cores: totalCores})
 	l.gen.Add(1)
-	l.dirty()
 }
 
 // Generation returns a counter bumped whenever the cloud set or any cloud's
@@ -702,23 +681,6 @@ func (l *Ledger) AcquireUntil(cloud string, cores int, end sim.Time) (*Lease, er
 	return l.acquireUntil(cloud, cores, end)
 }
 
-// AcquireUntilGen is the generation-validated commit helper for optimistic
-// callers: it atomically re-checks that the ledger generation still equals
-// `gen` — the value the caller read when it scored the decision it is now
-// committing — and acquires only then. A mismatch returns
-// ErrStaleGeneration without touching the account, telling the caller to
-// rescore against current state instead of committing a plan built on a
-// view a forced transition (Evict/Retarget) or capacity change has since
-// invalidated.
-func (l *Ledger) AcquireUntilGen(cloud string, cores int, end sim.Time, gen uint64) (*Lease, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.gen.Load() != gen {
-		return nil, ErrStaleGeneration
-	}
-	return l.acquireUntil(cloud, cores, end)
-}
-
 // acquireUntil is AcquireUntil without the lock.
 func (l *Ledger) acquireUntil(cloud string, cores int, end sim.Time) (*Lease, error) {
 	a := l.accounts[cloud]
@@ -772,7 +734,6 @@ func (l *Ledger) newLease(a *account, cores int, k Kind, at, end sim.Time) *Leas
 	*a.kindCores(k) += cores
 	a.index(le, true)
 	l.jrec(Rec{Op: OpLease, Cloud: a.name, ID: le.id, Cores: cores, Kind: int(k), At: int64(at), End: int64(end)})
-	l.dirty()
 	return le
 }
 
@@ -827,7 +788,6 @@ func (le *Lease) commit() error {
 	a.index(le, false)
 	a.committed += le.Cores
 	le.l.jrec(Rec{Op: OpCommit, ID: le.id})
-	le.l.dirty()
 	return nil
 }
 
@@ -851,7 +811,6 @@ func (le *Lease) release() {
 	*a.kindCores(le.Kind) -= le.Cores
 	a.index(le, false)
 	le.l.jrec(Rec{Op: OpRelease, ID: le.id})
-	le.l.dirty()
 }
 
 // Uncommit returns committed cores to the pool (VM termination, shrink,
@@ -869,7 +828,6 @@ func (l *Ledger) Uncommit(cloud string, cores int) {
 		a.committed = 0
 	}
 	l.jrec(Rec{Op: OpUncommit, Cloud: cloud, Cores: cores})
-	l.dirty()
 }
 
 // CommitNow acquires and immediately commits cores — single-step admission
@@ -970,7 +928,6 @@ func (l *Ledger) Retarget(from, to string, cores int) error {
 	l.Retargets++
 	l.m.retargets.Inc()
 	l.gen.Add(1)
-	l.dirty()
 	return nil
 }
 
@@ -1033,7 +990,7 @@ func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 // FailCloud is the outage transition: the cloud's every active lease (held
 // and reserved) closes, its committed cores return to the pool, and the
 // account is marked failed — all in one generation-bumped step, so no probe
-// or optimistic commit can observe a half-dead cloud. While failed, the
+// or generation-keyed cache can observe a half-dead cloud. While failed, the
 // cloud admits nothing: Acquire/Reserve/Retarget-onto refuse, Free and
 // Headroom read zero, Probe fails. Total capacity is kept so federation-wide
 // "could this ever fit" checks still count the cloud as coming back.
@@ -1074,7 +1031,6 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 	l.CloudFailures++
 	l.m.cloudFailures.Inc()
 	l.gen.Add(1)
-	l.dirty()
 	return lost, nil
 }
 
@@ -1095,7 +1051,6 @@ func (l *Ledger) RestoreCloud(name string) error {
 	l.CloudRestores++
 	l.m.cloudRestores.Inc()
 	l.gen.Add(1)
-	l.dirty()
 	return nil
 }
 

@@ -40,8 +40,8 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 		cloudRestores: reg.Counter("sky_capacity_cloud_restores_total", "RestoreCloud recovery transitions."),
 	}
 	// The ledger's own lock joins the exposition: contended acquisitions
-	// under a parallel scheduler (or an external API surface) show up as
-	// sky_lock_contentions_total{lock="capacity_ledger"}.
+	// from an external API surface or a concurrent metrics scrape show up
+	// as sky_lock_contentions_total{lock="capacity_ledger"}.
 	l.mu.Instrument(reg, "capacity_ledger")
 	cores := reg.GaugeVec("sky_capacity_cores",
 		"Cores per cloud by claim kind.", "cloud", "kind")

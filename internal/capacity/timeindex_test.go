@@ -143,38 +143,6 @@ func TestTimeIndexRemoveMissing(t *testing.T) {
 	}
 }
 
-// TestAcquireUntilGen: the generation-validated commit helper admits only
-// when the ledger generation still matches the caller's speculation
-// snapshot, and a forced transition in between yields ErrStaleGeneration
-// without touching the account.
-func TestAcquireUntilGen(t *testing.T) {
-	l := ledger2()
-	gen := l.Generation()
-	le, err := l.AcquireUntilGen("a", 4, 0, gen)
-	if err != nil || le == nil {
-		t.Fatalf("AcquireUntilGen at current gen: %v", err)
-	}
-	// A forced transition moves the generation: the stale helper must
-	// refuse, leaving free cores untouched.
-	if _, err := l.Evict(le, 100*sim.Second); err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if l.Generation() == gen {
-		t.Fatal("Evict did not move the generation")
-	}
-	free := l.Free("a")
-	if _, err := l.AcquireUntilGen("a", 2, 0, gen); err != ErrStaleGeneration {
-		t.Fatalf("stale AcquireUntilGen err=%v, want ErrStaleGeneration", err)
-	}
-	if l.Free("a") != free {
-		t.Fatalf("stale AcquireUntilGen changed free: %d -> %d", free, l.Free("a"))
-	}
-	// Rescoring against the current generation succeeds.
-	if _, err := l.AcquireUntilGen("a", 2, 0, l.Generation()); err != nil {
-		t.Fatalf("rescored AcquireUntilGen: %v", err)
-	}
-}
-
 // TestLedgerConcurrentSmoke hammers the ledger from many goroutines under
 // -race: mixed acquires/releases/probes/evictions on shared clouds. The
 // assertions are the ledger's own invariants at the end; the point is that

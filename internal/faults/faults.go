@@ -7,7 +7,7 @@
 // inhomogeneous-Poisson processes on a private sim.Kernel, thinned against a
 // diurnal rate curve, every draw taken from the kernel's seeded RNG inside
 // kernel callbacks. Same Config → byte-identical schedule; injected into a
-// trace and replayed at any ScoreWorkers → byte-identical outcomes.
+// trace, saved, reloaded, and replayed → byte-identical outcomes.
 package faults
 
 import (

@@ -162,9 +162,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestFaultInjectedReplayDeterminism: a job trace with a storm injected
-// replays to identical Results — fault columns included — at ScoreWorkers
-// 1, 2, and 8, and the injected round survives a JSONL round trip. The
-// million-job variant of this check is the CI chaos smoke.
+// survives a JSONL round trip, and the loaded trace replays to the same
+// Results — fault columns included — as the in-memory one. The
+// hundred-thousand-job variant of this check is the CI chaos smoke.
 func TestFaultInjectedReplayDeterminism(t *testing.T) {
 	clouds := make([]workload.CloudSpec, 8)
 	for i := range clouds {
@@ -192,27 +192,24 @@ func TestFaultInjectedReplayDeterminism(t *testing.T) {
 		t.Fatalf("round trip changed event count: %d vs %d", len(loaded.Events), len(tr.Events))
 	}
 
-	run := func(workers int) workload.Result {
+	run := func(tr *workload.Trace) workload.Result {
 		cfg := workload.ReplayConfig{Clouds: clouds, OverrunSigma: 0.4}
 		cfg.Sched.EnablePreemption = true
-		cfg.Sched.ScoreWorkers = workers
-		r, err := workload.Replay(loaded, cfg)
+		r, err := workload.Replay(tr, cfg)
 		if err != nil {
-			t.Fatalf("replay (ScoreWorkers=%d): %v", workers, err)
+			t.Fatalf("replay: %v", err)
 		}
 		return r
 	}
-	seq := run(1)
-	if seq.Outages == 0 || seq.OutageRequeues == 0 {
-		t.Fatalf("storm replay exercised no outage paths: %+v", seq)
+	mem := run(tr)
+	if mem.Outages == 0 || mem.OutageRequeues == 0 {
+		t.Fatalf("storm replay exercised no outage paths: %+v", mem)
 	}
-	if seq.Completed == 0 {
-		t.Fatalf("nothing completed under the storm: %+v", seq)
+	if mem.Completed == 0 {
+		t.Fatalf("nothing completed under the storm: %+v", mem)
 	}
-	for _, workers := range []int{2, 8} {
-		if r := run(workers); r != seq {
-			t.Fatalf("ScoreWorkers=%d diverged:\n seq: %+v\n got: %+v", workers, seq, r)
-		}
+	if r := run(loaded); r != mem {
+		t.Fatalf("JSONL round trip changed the replay:\n in-memory: %+v\n loaded:    %+v", mem, r)
 	}
 }
 

@@ -3,8 +3,8 @@
 // fast path is one TryLock plus one atomic add — cheap enough for the
 // capacity ledger's per-operation guard — and the counters can be exported
 // through an obs.Registry as the `sky_lock_*` families, so lock contention
-// on shared structures (the ledger under a parallel scheduler, the
-// scheduler's external API surface) is observable instead of guessed at.
+// on shared structures (the capacity ledger, the scheduler's external API
+// surface) is observable instead of guessed at.
 //
 // The shape follows the instrumented-lock pattern from the spiderpool
 // exemplar cited in ROADMAP: embed the sync primitive, count the slow

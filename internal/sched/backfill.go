@@ -422,11 +422,6 @@ func (s *Scheduler) snapshotReleases() []coreRelease {
 // shrank below the gang, or a single-cloud policy faces a spanning-only
 // job).
 func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reservation, bool) {
-	if s.pool != nil && s.memoable && len(releases) >= parallelResvMin {
-		if sc, ok := s.cfg.Placement.(scratchChooser); ok {
-			return s.reservePar(j, v, releases, sc)
-		}
-	}
 	av := &s.resvView
 	av.shareIndex(v)
 	i := 0
@@ -486,13 +481,13 @@ func (s *Scheduler) backfillOK(b *Job, plan Plan, resv *reservation, v *CloudVie
 	return s.backfillFits(b, plan, resv, v)
 }
 
-// backfillFits is backfillOK's arithmetic without the memo machinery: a
-// pure function of the job, the plan, the reservation, the frozen view,
-// and the cycle's per-cloud release sums at the reservation instant
-// (s.relSumAtResv, fixed while the reservation stands). Touching no
-// mutable scheduler state, it is the form the parallel backfill scan's
-// workers judge candidates with (speculateBackfill); the verdict equals
-// backfillOKMemo's — !shared ∨ finish≤resv.at ∨ capOK — by construction.
+// backfillFits is backfillOK's arithmetic without the memo machinery, used
+// when no memo entry holds the plan (a policy without PureChoose, or a job
+// with per-block InputFractions): it judges the job, the plan, the
+// reservation, the working view, and the cycle's per-cloud release sums at
+// the reservation instant (s.relSumAtResv, fixed while the reservation
+// stands). The verdict equals backfillOKMemo's — !shared ∨ finish≤resv.at ∨
+// capOK — by construction.
 func (s *Scheduler) backfillFits(b *Job, plan Plan, resv *reservation, v *CloudView) bool {
 	shared := false
 	for _, m := range plan.Members {

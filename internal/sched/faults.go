@@ -27,7 +27,7 @@ import (
 // order, victims are requeued in submission order (s.running's invariant),
 // and all randomness (quarantine and retry jitter) draws from the lazily
 // seeded fault RNG in that same order — so same-seed fault-injected runs
-// are byte-identical at every ScoreWorkers setting.
+// are byte-identical.
 
 // ErrTransientLaunch marks a launch failure worth retrying: backends wrap
 // deploy-path errors they believe are transient (an injected deploy fault, a

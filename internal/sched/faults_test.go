@@ -40,7 +40,6 @@ func TestOutageRequeueAndRecovery(t *testing.T) {
 	b := NewSimBackend(k)
 	b.AddCloud("a", 16, 1, 0.10)
 	s := New(b, Config{})
-	defer s.Close()
 	s.Start()
 	ids := submitN(t, s, "t1", 2, JobSpec{Workers: 4, CoresPerWorker: 1, EstimateSeconds: 100})
 	failAt(t, k, b, s, "a", 50*sim.Second, 150*sim.Second)
@@ -91,7 +90,6 @@ func TestNaiveFaultModeZeroCredit(t *testing.T) {
 	b := NewSimBackend(k)
 	b.AddCloud("a", 16, 1, 0.10)
 	s := New(b, Config{NaiveFaultMode: true})
-	defer s.Close()
 	s.Start()
 	ids := submitN(t, s, "t1", 1, JobSpec{Workers: 4, CoresPerWorker: 1, EstimateSeconds: 100})
 	failAt(t, k, b, s, "a", 50*sim.Second, 150*sim.Second)
@@ -115,7 +113,6 @@ func TestFlappingCloudQuarantined(t *testing.T) {
 	b.AddCloud("a", 16, 1, 0.10)
 	b.AddCloud("b", 16, 1, 0.08)
 	s := New(b, Config{})
-	defer s.Close()
 	s.Start()
 	// Two crash/restore cycles on b inside the 10-minute flap window.
 	failAt(t, k, b, s, "b", 10*sim.Second, 20*sim.Second)
@@ -155,7 +152,6 @@ func TestTransientLaunchRetry(t *testing.T) {
 	b := NewSimBackend(k)
 	b.AddCloud("a", 16, 1, 0.10)
 	s := New(b, Config{})
-	defer s.Close()
 	s.Start()
 	b.FailNextLaunches("a", 2)
 	ids := submitN(t, s, "t1", 1, JobSpec{Workers: 2, CoresPerWorker: 1, EstimateSeconds: 30})
@@ -178,7 +174,6 @@ func TestTransientLaunchRetriesExhausted(t *testing.T) {
 	b := NewSimBackend(k)
 	b.AddCloud("a", 16, 1, 0.10)
 	s := New(b, Config{})
-	defer s.Close()
 	s.Start()
 	b.FailNextLaunches("a", 10)
 	ids := submitN(t, s, "t1", 1, JobSpec{Workers: 2, CoresPerWorker: 1, EstimateSeconds: 30})
@@ -204,7 +199,6 @@ func TestKillAndRecover(t *testing.T) {
 	b.AddCloud("a", 8, 1, 0.10)
 	b.AddCloud("b", 8, 1, 0.08)
 	s := New(b, Config{})
-	defer s.Close()
 	s.Start()
 	var ids []string
 	ids = append(ids, submitN(t, s, "t1", 4, JobSpec{Workers: 4, CoresPerWorker: 1, EstimateSeconds: 100})...)

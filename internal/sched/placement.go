@@ -177,10 +177,10 @@ type fitProver interface {
 	ProvablyUnplaceable(j *Job, v *CloudView) bool
 }
 
-// placeScratch holds the buffers one placement evaluation scores plans in.
-// The scheduler owns one for its sequential cycles; the parallel scoring
-// pool gives each worker its own copy, so concurrent Choose evaluations
-// over the shared read-only view never touch shared scratch.
+// placeScratch holds the buffers placement evaluations score plans in. The
+// scheduler owns exactly one (Scheduler.place): Choose runs on the kernel
+// thread, so evaluations never overlap and the buffers are reused across
+// every call.
 type placeScratch struct {
 	oneMember   [1]Member
 	bestMembers []Member
@@ -201,8 +201,7 @@ type placeScratch struct {
 // append-only slab so the returned plan survives scratch reuse without a
 // per-plan allocation. Slices are three-index capped: an append to a
 // returned plan copies out instead of clobbering the next plan's members.
-// Chunks are never reused, so escaping plans stay valid forever; the slab
-// belongs to exactly one worker, so there is no sharing to synchronize.
+// Chunks are never reused, so escaping plans stay valid forever.
 func (ps *placeScratch) persistMembers(m []Member) []Member {
 	if len(m) == 0 {
 		return nil
@@ -217,14 +216,6 @@ func (ps *placeScratch) persistMembers(m []Member) []Member {
 	n := len(ps.memberSlab)
 	ps.memberSlab = append(ps.memberSlab, m...)
 	return ps.memberSlab[n : n+len(m) : n+len(m)]
-}
-
-// scratchChooser is the policy extension the parallel scoring pool needs:
-// a Choose that runs entirely in caller-supplied scratch. Policies without
-// it (or without PureChoose purity) are never speculated — their Choose
-// runs on the scheduler goroutine with the scheduler's own scratch.
-type scratchChooser interface {
-	chooseWith(s *Scheduler, j *Job, v *CloudView, ps *placeScratch) Plan
 }
 
 // planMemoSlots sizes the plan memo table: one entry per distinct job shape
@@ -283,6 +274,15 @@ func (s *Scheduler) boostedTenant(j *Job) bool {
 	}
 	pt := s.patternOf[j.Spec.Tenant]
 	return pt == PatternAllToAll || pt == PatternRing
+}
+
+// invalidateMemos drops every plan memo entry: the working free vector
+// moved (a dispatch's take, a mid-cycle re-snapshot) or a new cycle's world
+// differs from the sealed one, so no memoized plan is still Choose's answer.
+func (s *Scheduler) invalidateMemos() {
+	for i := range s.memos {
+		s.memos[i].ok = false
+	}
 }
 
 // memoLookup returns the memo entry holding this job shape's plan, or nil.
@@ -594,9 +594,8 @@ func planPriceIdx(members []Member, idxs []int, v *CloudView, cpw int) float64 {
 // price, then lexicographic member rendering for determinism. The rendering
 // comparison goes through the evaluation's byte scratch — byte-equal to
 // a.String() < b.String() without building the strings. The three-level
-// comparison is a total order over distinct plans, which is what makes the
-// parallel scoring pool's min-reduction independent of how candidates were
-// partitioned across workers.
+// comparison is a total order over distinct plans, so the winner never
+// depends on the order candidates are scanned in.
 func (ps *placeScratch) betterPlan(a, b Plan, aPrice, bPrice float64) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -643,31 +642,18 @@ func (BestScore) ProvablyUnplaceable(j *Job, v *CloudView) bool {
 	return slots < j.workers()
 }
 
-// Choose implements PlacementPolicy. Candidate plans are scored in
-// scheduler-owned scratch buffers; only the winning plan's members are
-// copied out, so a Choose that places nothing allocates nothing. With a
-// scoring pool and enough clouds the single-cloud scan fans out across the
-// workers (choosePar) — same decisions, byte for byte.
-func (b BestScore) Choose(s *Scheduler, j *Job, v *CloudView) Plan {
-	if s.pool != nil && len(v.Clouds) >= parallelCloudMin {
-		return b.choosePar(s, j, v)
-	}
-	return b.chooseWith(s, j, v, &s.place)
-}
-
-// chooseWith is Choose running in caller-supplied scratch — the entry point
-// the parallel scoring pool uses with per-worker buffers. It reads the
-// scheduler only through immutable-within-the-evaluation state (cfg,
-// patternOf, the backend's bandwidth topology).
-func (BestScore) chooseWith(s *Scheduler, j *Job, v *CloudView, ps *placeScratch) Plan {
+// Choose implements PlacementPolicy. Candidate plans are scored in the
+// scheduler's placement scratch; only the winning plan's members are
+// copied out, so a Choose that places nothing allocates nothing.
+func (BestScore) Choose(s *Scheduler, j *Job, v *CloudView) Plan {
+	ps := &s.place
 	workers := j.workers()
 	cpw := j.coresPerWorker()
 	boost := 1.0
 	if s.boostedTenant(j) {
 		boost = s.cfg.PatternBoost
 	}
-	best, _ := scanSingleClouds(s, j, v, ps, workers, cpw, boost, 0, len(v.Clouds))
-	if !best.Empty() {
+	if best := scanSingleClouds(s, j, v, ps, workers, cpw, boost); !best.Empty() {
 		best.Members = ps.persistMembers(best.Members)
 		return best
 	}
@@ -675,9 +661,7 @@ func (BestScore) chooseWith(s *Scheduler, j *Job, v *CloudView, ps *placeScratch
 }
 
 // scanGangClouds is the spanning fallback when no single cloud fits: grow a
-// plan from each viable anchor and keep the best complete candidate. Shared
-// by the sequential scan and the parallel scorer's fallback (gang growth is
-// rare and greedy-sequential by nature, so it is never itself fanned out).
+// plan from each viable anchor and keep the best complete candidate.
 func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int) Plan {
 	var best Plan
 	bestPrice := 0.0
@@ -702,20 +686,17 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 	return best
 }
 
-// scanSingleClouds scores the single-cloud candidates over the cloud index
-// range [lo, hi) and returns the range's best plan and its price — the
-// common-case fast path, scored index-first: the four scorePlan terms
-// specialised to one member whose cores-weighted share is exactly 1, so no
-// name→position lookups and no shuffle term. Float operation order matches
-// scorePlan term for term (share = 1 multiplications are exact), keeping
-// scores bit-identical to the general path. betterPlan is a strict total
-// order over distinct clouds (members tie-break), so range-local bests
-// reduced in index order equal one sequential scan — the property the
-// parallel scorer relies on.
-func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int, boost float64, lo, hi int) (Plan, float64) {
+// scanSingleClouds scores every single-cloud candidate and returns the best
+// plan — the common-case fast path, scored index-first: the four scorePlan
+// terms specialised to one member whose cores-weighted share is exactly 1,
+// so no name→position lookups and no shuffle term. Float operation order
+// matches scorePlan term for term (share = 1 multiplications are exact),
+// keeping scores bit-identical to the general path. The returned members
+// alias ps.bestMembers; the caller copies what it keeps.
+func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int, boost float64) Plan {
 	var best Plan
 	bestPrice := 0.0
-	for i := lo; i < hi; i++ {
+	for i := range v.Clouds {
 		if v.free[i] < workers*cpw || v.Clouds[i].TotalCores <= 0 {
 			continue
 		}
@@ -742,7 +723,7 @@ func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, work
 			best, bestPrice = p, price
 		}
 	}
-	return best, bestPrice
+	return best
 }
 
 // planHas reports whether the member list already uses the cloud (replaces

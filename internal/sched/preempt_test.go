@@ -337,3 +337,55 @@ func TestPerCloudWatermark(t *testing.T) {
 			bi.Started, hi.Finished)
 	}
 }
+
+// TestForcedPreemptionScopedToReservationClouds is the regression for the
+// scoped forced-preempt pass: an overrunning backfilled job whose gang runs
+// entirely on clouds the blocked head's reserved plan never touches must NOT
+// be evicted — reclaiming it frees nothing the head can use. Cloud "a" (16
+// cores) is held until t=100 and is the only cloud that can host the head
+// (single-cloud policy, "b" has 8 cores); the overrunner fills "b" and blows
+// through its 20 s estimate 20x. Before scoping it was evicted around t=40;
+// now it runs to completion while the head starts exactly at t=100.
+func TestForcedPreemptionScopedToReservationClouds(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := NewSimBackend(k)
+	b.AddCloud("a", 16, 1, 0.10)
+	b.AddCloud("b", 8, 1, 0.10)
+	b.Overrun = func(j *Job) float64 {
+		if j.Spec.Name == "liar" {
+			return 20
+		}
+		return 1
+	}
+	s := New(b, Config{
+		Placement:           RandomPlacement{}, // single-cloud: the head fits only on "a"
+		EnablePreemption:    true,
+		ReservationMaxSlips: -1, // no head-driven eviction; only the forced path
+	})
+	s.Start()
+	s.AddTenant("t", 1)
+	submitN(t, s, "t", 1, JobSpec{Name: "hold", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 100})
+	head := submitN(t, s, "t", 1, JobSpec{Name: "head", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 50})[0]
+	liar := submitN(t, s, "t", 1, JobSpec{Name: "liar", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 20})[0]
+	k.Run()
+	hi, _ := s.Poll(head)
+	li, _ := s.Poll(liar)
+	if hi.State != Done || li.State != Done {
+		t.Fatalf("states: head=%v liar=%v, want both done", hi.State, li.State)
+	}
+	if li.Cloud != "b" || hi.Cloud != "a" {
+		t.Fatalf("placements: head=%s liar=%s, want a/b — scenario broken", hi.Cloud, li.Cloud)
+	}
+	if s.ForcedPreemptions() != 0 || li.Preemptions != 0 {
+		t.Errorf("forced preemption fired (sched=%d job=%d) for an overrunner outside the reservation's clouds",
+			s.ForcedPreemptions(), li.Preemptions)
+	}
+	// The liar ran its full 20x overrun on "b" undisturbed...
+	if got := li.Finished - li.Started; got < 390*sim.Second {
+		t.Errorf("liar ran %v, want ~400 s uninterrupted", got)
+	}
+	// ...and the head started the moment "a"'s holder released it.
+	if hi.Started != 100*sim.Second {
+		t.Errorf("head started at %v, want exactly t=100 s", hi.Started)
+	}
+}

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
+import "repro/internal/obs"
 
 // Scheduler-driven migration: running gangs are no longer pinned to the
 // plan that dispatched them. The elastic pass watches every running
@@ -26,17 +23,6 @@ type Relocator interface {
 	Relocate(from, to string, workers int, onDone func(error))
 }
 
-// capacityReader is the read surface consolidation targeting needs; both
-// the live *capacity.Ledger and its immutable *capacity.View satisfy it
-// with bit-identical answers against the same ledger state, which is what
-// lets the parallel elastic pass probe a lock-free snapshot (see
-// elasticPar) and the commit path fall back to the live ledger only when
-// the snapshot went stale.
-type capacityReader interface {
-	Free(cloud string) int
-	Probe(cloud string, cores int, at sim.Time) bool
-}
-
 // consolidationTarget returns the member cloud that could host the job's
 // whole gang right now, or "". Candidates must have physical room for
 // every worker arriving from the other members AND pass a ledger probe, so
@@ -44,12 +30,7 @@ type capacityReader interface {
 // needs. Among several viable members the one already holding the most
 // workers wins (fewest moves), ties keeping plan order.
 func (s *Scheduler) consolidationTarget(j *Job) string {
-	return s.consolidationTargetOn(j, s.B.Ledger())
-}
-
-// consolidationTargetOn is consolidationTarget against any capacity read
-// surface — the live ledger or a frozen view.
-func (s *Scheduler) consolidationTargetOn(j *Job, l capacityReader) string {
+	l := s.B.Ledger()
 	now := s.K.Now()
 	cpw := j.coresPerWorker()
 	total := j.Plan.Workers()

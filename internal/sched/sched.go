@@ -518,14 +518,6 @@ type Config struct {
 	// block/wake, preemption with victim pricing, consolidation) into the
 	// given tracer. Nil disables tracing.
 	Trace *obs.Tracer
-	// ScoreWorkers sizes the plan-scoring / shard-scan worker pool. 0 or 1
-	// runs the sequential core — no goroutines, no synchronization on the
-	// hot path, exactly the pre-parallel scheduler. N > 1 spins up N
-	// workers that fan candidate scoring and the tenant-shard scan out over
-	// the frozen cycle view; negative resolves to GOMAXPROCS. Placement
-	// decisions are byte-identical at every setting (see nextTenant,
-	// scanSingleClouds, and the optimistic-commit validation in cycle).
-	ScoreWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -707,9 +699,8 @@ type Scheduler struct {
 	doneCB       func(*Job, Outcome)
 	leaseSpare   []*capacity.Lease // retired reservation-lease backing array, reused by holdReservation
 
-	// place is the sequential cycle's placement scratch (see
-	// BestScore.chooseWith / growPlan); the parallel scoring pool's workers
-	// carry their own placeScratch copies instead.
+	// place is the placement scratch BestScore.Choose and growPlan score
+	// candidate plans in.
 	place placeScratch
 
 	// prover is the placement policy's fit precheck when it offers one
@@ -722,52 +713,13 @@ type Scheduler struct {
 	// working free vector moves. memoable gates it on placement-policy
 	// purity. seal extends memo lifetime across cycles: when a new cycle's
 	// world (cloud snapshot, free vector, ledger generation, release epoch)
-	// is byte-identical to the previous cycle's end state, the view bump is
-	// skipped and every memo entry survives — unchanged views never rescore.
+	// is byte-identical to the previous cycle's end state, the cycle-start
+	// invalidation is skipped and every memo entry survives — unchanged
+	// views never rescore.
 	memos    [planMemoSlots]planMemo
 	memoNext int
 	memoable bool
 	seal     viewSeal
-
-	// Parallel sharded core (see parallel.go). pool is nil when
-	// Config.ScoreWorkers resolves to 1 — the sequential scheduler, with
-	// zero parallel overhead. planGen stamps the ledger generation under
-	// which the pending plan was scored; viewVer counts working-free-vector
-	// movements (dispatches, mid-cycle re-snapshots) so speculated plans
-	// can be validated before commit. shardBounds partitions the
-	// name-sorted tenant list into contiguous shards; spec holds the
-	// cycle's speculated head plans.
-	pool        *scorePool
-	planGen     uint64
-	viewVer     int
-	shardBounds []int
-	shardsDirty bool
-	spec        map[*Job]specEntry
-	// Parallel-path scratch, reused across cycles: the shard pick's
-	// per-shard results, the speculation batch, and choosePar's per-range
-	// results. All are written only between fork and join (or on the kernel
-	// thread), never concurrently with another use.
-	pickBests   []*Tenant
-	pickKeys    []float64
-	specHeads   []*Job
-	specKeys    []float64
-	specEntries []specEntry
-	parPlans    []Plan
-	parPrices   []float64
-	// Parallel backfill-probe scratch (reservePar): the flat per-instant
-	// availability matrix, the instant list, per-worker probe views, and the
-	// per-block plan results. evictPrices is the parallel eviction pricer's
-	// index-aligned output buffer.
-	parResvFree  []int
-	parResvAt    []sim.Time
-	parResvViews []CloudView
-	parResvPlans []Plan
-	evictPrices  []float64
-	// Parallel backfill-scan and elastic-pass scratch (speculateBackfill /
-	// elasticPar): candidate list and per-job eval records, reused across
-	// cycles like the buffers above.
-	bfCands      []*Job
-	elasticEvals []elasticEval
 
 	// extMu serializes external drivers (Sync): goroutines outside the
 	// kernel thread submit and poll through it under -race stress.
@@ -824,7 +776,7 @@ func New(b Backend, cfg Config) *Scheduler {
 		archive:   make(map[string]*Job),
 		freedBy:   make(map[string]int64),
 		patternOf: make(map[string]string),
-		m:         newSchedMetrics(cfg.Obs, resolveScoreWorkers(cfg.ScoreWorkers)),
+		m:         newSchedMetrics(cfg.Obs),
 		tr:        cfg.Trace,
 	}
 	s.cycleFn = s.cycle
@@ -841,25 +793,7 @@ func New(b Backend, cfg Config) *Scheduler {
 	if cp, ok := s.cfg.Placement.(cacheablePolicy); ok && cp.PureChoose() {
 		s.memoable = true
 	}
-	if n := resolveScoreWorkers(s.cfg.ScoreWorkers); n > 1 {
-		s.pool = newScorePool(n)
-		s.spec = make(map[*Job]specEntry)
-		s.m.scoreWorkers.SetInt(int64(n))
-	} else {
-		s.m.scoreWorkers.SetInt(1)
-	}
 	return s
-}
-
-// Close stops the parallel scoring pool's workers (a no-op in sequential
-// mode). The scheduler remains usable afterwards — the next parallel cycle
-// would restart the pool — but callers that own a Scheduler with
-// ScoreWorkers > 1 should Close it when done so idle goroutines do not
-// outlive it.
-func (s *Scheduler) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
 }
 
 // Sync runs fn under the scheduler's external-driver mutex. The scheduler's
@@ -1070,18 +1004,17 @@ func (s *Scheduler) cycle() {
 	if s.sealMatches(v) {
 		// The world this cycle sees is byte-identical to the one the
 		// previous cycle left: every plan memo entry is still the answer
-		// Choose would compute, so the view version stays put.
+		// Choose would compute, so the memos stay valid.
 		s.m.viewSeals.Inc()
 	} else {
-		s.bumpView()
+		s.invalidateMemos()
 	}
 	s.decayTenants()
 	s.observeFrees(v)
-	s.speculateHeads(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
 	haveReleases := false
 	for {
-		t := s.pickTenant()
+		t := s.nextTenant()
 		if t == nil {
 			break
 		}
@@ -1098,7 +1031,6 @@ func (s *Scheduler) cycle() {
 			continue
 		}
 		var plan Plan
-		specOK := false // plan consumed from speculation, no inline rescore
 		if s.canFit(j) {
 			if j.unfit && s.tr != nil {
 				// The watermark opened: enough cores freed since the block
@@ -1107,28 +1039,7 @@ func (s *Scheduler) cycle() {
 					Workers: j.workers(), Cores: j.Cores()})
 			}
 			if !s.provablyEmpty(j, v) {
-				if p, gen, ok := s.specPlan(j); ok {
-					// Optimistic commit: the speculated plan was scored
-					// against this frozen view (version stamp matched); it
-					// commits only if the capacity world it was scored under
-					// still holds. A conflict — the ledger generation moved,
-					// or the plan no longer fits the live free vector — is
-					// counted and the job rescored inline against live state,
-					// never dropped.
-					plan, s.planGen = p, gen
-					if s.planStale(j, plan, v) {
-						s.m.parallelConflicts.Inc()
-						s.invalidateMemos()
-						plan = s.choosePlan(j, v)
-					} else {
-						specOK = true
-					}
-				} else {
-					plan = s.choosePlan(j, v)
-					if s.pool != nil {
-						s.planGen = s.B.Ledger().Generation()
-					}
-				}
+				plan = s.choosePlan(j, v)
 			}
 			if plan.Empty() {
 				s.markUnfit(j, v)
@@ -1139,33 +1050,16 @@ func (s *Scheduler) cycle() {
 			}
 		}
 		if !plan.Empty() {
-			if s.resv != nil {
-				// Backfill gate: the parallel scan's speculated verdict is
-				// reusable only when the plan itself was consumed un-rescored
-				// (specOK) and the verdict's world — free vector and the exact
-				// reservation — is unchanged; otherwise judge live.
-				bfOK, have := false, false
-				if specOK {
-					bfOK, have = s.specBackfill(j)
-				}
-				if !have {
-					bfOK = s.backfillOK(j, plan, s.resv, v)
-				}
-				if !bfOK {
-					t.scan++
-					continue
-				}
+			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
+				t.scan++
+				continue
 			}
 			s.dispatch(t, j, plan, s.resv != nil, v)
 			cpw := j.coresPerWorker()
 			for _, m := range plan.Members {
 				v.take(m.Cloud, m.Workers*cpw)
 			}
-			s.bumpView() // the working free vector moved
-			// A backfill landed: every outstanding speculation is stale (the
-			// free vector moved), so refill the pipeline for the candidates
-			// still queued behind this one.
-			s.speculateBackfill(v)
+			s.invalidateMemos() // the working free vector moved
 			continue
 		}
 		if s.resv == nil {
@@ -1226,9 +1120,6 @@ func (s *Scheduler) cycle() {
 			if s.cfg.DisableBackfill {
 				break
 			}
-			// Reservation in place: fan the backfill candidate walk out over
-			// the pool before the sequential consumer reaches them.
-			s.speculateBackfill(v)
 		}
 		t.scan++
 	}
@@ -1254,7 +1145,7 @@ type viewSeal struct {
 
 // sealMatches reports whether the fresh cycle view is byte-identical to the
 // sealed end state of the previous cycle — the condition under which
-// skipping the cycle-start view bump is sound. Mirrors resvCacheValid's
+// skipping the cycle-start memo invalidation is sound. Mirrors resvCacheValid's
 // overdue-release guard: once a release entry is overdue, downstream
 // snapshots fold the current time in and stop being pure view functions.
 func (s *Scheduler) sealMatches(v *CloudView) bool {

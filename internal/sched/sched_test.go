@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -513,5 +515,60 @@ func TestPatternBiasesPlacement(t *testing.T) {
 	if afterFat-afterBig <= beforeFat-beforeBig {
 		t.Errorf("pattern boost did not widen the bandwidth advantage: before %.3f, after %.3f",
 			beforeFat-beforeBig, afterFat-afterBig)
+	}
+}
+
+// TestExternalDriverRace is the -race stress for external drivers: the
+// kernel steps and all external Submit/Poll/Shares traffic serialize
+// through Sync, while raw stat reads (atomic counters) hammer from another
+// goroutine without it. Any scheduler state an external read touches
+// outside Sync, or any stat accessor that is not an atomic read, surfaces
+// here under -race.
+func TestExternalDriverRace(t *testing.T) {
+	k := sim.NewKernel(9)
+	b := NewSimBackend(k)
+	for c := 0; c < 20; c++ {
+		b.AddCloud(fmt.Sprintf("c%02d", c), 16, 1, 0.10)
+	}
+	s := New(b, Config{})
+	var ids []string
+	s.Sync(func() {
+		for ti := 0; ti < 300; ti++ {
+			name := fmt.Sprintf("t%03d", ti)
+			s.AddTenant(name, 1)
+			ids = append(ids, submitN(t, s, name, 2,
+				JobSpec{Workers: 2, CoresPerWorker: 2, EstimateSeconds: float64(30 + ti%40)})...)
+		}
+	})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // external driver: polls and share reads, serialized via Sync
+		defer wg.Done()
+		i := 0
+		for !stop.Load() {
+			s.Sync(func() {
+				s.Poll(ids[i%len(ids)])
+				s.Shares()
+			})
+			i++
+		}
+	}()
+	go func() { // atomic stat reads need no Sync
+		defer wg.Done()
+		sink := 0
+		for !stop.Load() {
+			sink += s.Cycles() + s.Dispatched() + s.Completed() + s.Preemptions()
+		}
+		_ = sink
+	}()
+	for at := sim.Time(0); at < 4000*sim.Second; at += 50 * sim.Second {
+		end := at + 50*sim.Second
+		s.Sync(func() { k.RunUntil(end) })
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := s.Completed(); got != 600 {
+		t.Fatalf("completed %d of 600 jobs", got)
 	}
 }
