@@ -414,9 +414,8 @@ type Ledger struct {
 	// gen counts cloud-set and total-capacity changes plus forced
 	// transitions (Evict/Retarget); callers cache capacity views derived
 	// from the ledger keyed on it (the scheduler's federation-wide
-	// gang-slot cache, the blocked-head reservation cache). Atomic so the
-	// per-job validity checks on the scheduler hot path never touch the
-	// lock.
+	// gang-slot cache, checked on every Submit). Atomic so that per-job
+	// validity check never touches the lock.
 	gen atomic.Uint64
 
 	// Evictions and Retargets count forced transitions, for stats surfaces.
@@ -474,7 +473,8 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 // Generation returns a counter bumped whenever the cloud set or any cloud's
 // total capacity changes, and on every forced transition (Evict, Retarget)
 // that moves claims behind normal acquire/release flow. Derived capacity
-// views cached on it stay valid until it moves. Lock-free.
+// views cached on it (the scheduler's per-cloud totals behind its
+// whole-federation fit check) stay valid until it moves. Lock-free.
 func (l *Ledger) Generation() uint64 { return l.gen.Load() }
 
 // SetTotal updates a cloud's capacity (backends whose clouds resize).

@@ -71,7 +71,6 @@ func (s *Scheduler) holdReservation(r *reservation, cpw int, shade bool) {
 		s.prevResv = nil
 		s.resv = r
 		s.m.resvHoldReuses.Inc()
-		s.clearBackfillMemos()
 		return
 	}
 	s.releasePrevResv()
@@ -89,27 +88,13 @@ func (s *Scheduler) holdReservation(r *reservation, cpw int, shade bool) {
 	}
 	r.shaded = shade
 	s.resv = r
-	s.clearBackfillMemos()
-}
-
-// clearBackfillMemos drops the cached backfill verdict parts on every memo
-// entry: they were computed against a reservation this cycle just replaced.
-// Under the cross-cycle seal a memo entry outlives the reservation that its
-// bf parts were judged against — the head job can change without moving the
-// sealed view (a bare Submit moves neither frees nor epochs) — so the parts
-// reset whenever a reservation is (re)established.
-func (s *Scheduler) clearBackfillMemos() {
-	for i := range s.memos {
-		s.memos[i].bfValid = false
-	}
 }
 
 // trackSlips advances the reservation-aging state for the freshly
 // (re)computed head reservation and reports whether aging fired: the same
 // job's reserved start moved later Config.maxSlips consecutive times. A
-// recompute that holds or improves the start — including a cache hit, which
-// proves the inputs were unchanged — breaks the consecutive chain.
-func (s *Scheduler) trackSlips(r *reservation, hit bool) bool {
+// recompute that holds or improves the start breaks the consecutive chain.
+func (s *Scheduler) trackSlips(r *reservation) bool {
 	max := s.cfg.maxSlips()
 	if max <= 0 {
 		return false
@@ -118,7 +103,7 @@ func (s *Scheduler) trackSlips(r *reservation, hit bool) bool {
 		s.agingJob, s.agingAt, s.agingSlips = r.job, r.at, 0
 		return false
 	}
-	if hit || r.at <= s.agingAt {
+	if r.at <= s.agingAt {
 		s.agingAt, s.agingSlips = r.at, 0
 		return false
 	}
@@ -153,94 +138,16 @@ func (s *Scheduler) reclaimLeaseBuf(buf []*capacity.Lease) {
 	}
 }
 
-// resvCache is the blocked head's reservation recompute cache. reserve()
-// is a pure function of the job, the cycle's working free vector, the
-// release snapshot, and the placement policy's inputs — so a cycle in
-// which none of those moved can reuse the previous answer instead of
-// walking every release instant through the policy again. Validity is
-// keyed on the job ID, the release-list epoch (bumped by every insert,
-// remove, and pattern event), the ledger generation, and a byte-compare of
-// the free vector; it never engages while any release entry is overdue
-// (the overdue remap folds the current time into the snapshot) or for
-// policies that draw randomness (see cacheablePolicy).
-type resvCache struct {
-	ok   bool
-	job  string
-	ver  uint64
-	gen  uint64
-	free []int
-	sums []int // relSumAtResv at the reservation instant
-	plan Plan
-	at   sim.Time
-}
-
-// cacheablePolicy marks placement policies whose Choose is a pure function
-// of (job, view) — no RNG draws, no mutable internal state. Only these let
-// the reservation recompute cache engage (skipping a RandomPlacement walk
-// would desynchronize the kernel RNG stream).
-type cacheablePolicy interface{ PureChoose() bool }
-
-// cachedReserve returns the head job's reservation, reusing the cached one
-// when provably unchanged and otherwise recomputing it from a fresh release
-// snapshot (taken lazily into *releases). On a hit the per-cloud release
-// sums at the reservation instant are restored from the cache too, so the
-// backfill checks downstream see exactly the state a recompute would have
-// produced.
-func (s *Scheduler) cachedReserve(j *Job, v *CloudView, releases *[]coreRelease, have *bool) (reservation, bool, bool) {
-	if s.resvCacheValid(j, v) {
-		s.m.resvCacheHits.Inc()
-		s.relSumAtResv = append(s.relSumAtResv[:0], s.rcache.sums...)
-		return reservation{job: j.ID, jref: j, plan: s.rcache.plan, at: s.rcache.at}, true, true
-	}
-	// (Re)take the release snapshot lazily: a dispatch since the last
-	// snapshot (possible when an earlier reservation attempt failed) adds a
-	// release the next reserve() walk must see — exactly the old
-	// rebuild-per-blocked-job behavior, minus the rebuilds whose inputs
-	// could not have changed.
+// reserveHead computes the blocked head job's reservation, (re)taking the
+// cycle's release snapshot lazily into *releases: a dispatch since the last
+// snapshot (possible when an earlier reservation attempt failed, or after
+// an eviction pass) adds or removes releases the reserve() walk must see.
+func (s *Scheduler) reserveHead(j *Job, v *CloudView, releases *[]coreRelease, have *bool) (reservation, bool) {
 	if !*have || s.relSnapDirty {
 		*releases = s.snapshotReleases()
 		*have, s.relSnapDirty = true, false
 	}
-	r, ok := s.reserve(j, v, *releases)
-	return r, ok, false
-}
-
-// resvCacheValid reports whether the cached reservation may stand in for a
-// recompute this cycle.
-func (s *Scheduler) resvCacheValid(j *Job, v *CloudView) bool {
-	rc := &s.rcache
-	if !rc.ok || rc.job != j.ID || rc.ver != s.resvEpoch || rc.gen != s.B.Ledger().Generation() {
-		return false
-	}
-	if cp, ok := s.cfg.Placement.(cacheablePolicy); !ok || !cp.PureChoose() {
-		return false
-	}
-	if len(s.releases) > 0 && s.releases[0].at <= s.K.Now() {
-		return false // overdue entries remap to now+1s: time-dependent
-	}
-	if len(rc.free) != len(v.free) {
-		return false
-	}
-	for i, f := range v.free {
-		if rc.free[i] != f {
-			return false
-		}
-	}
-	return true
-}
-
-// cacheReservation records a freshly computed reservation (and the cycle's
-// release sums at its instant) for reuse by unchanged cycles.
-func (s *Scheduler) cacheReservation(j *Job, v *CloudView, r *reservation) {
-	rc := &s.rcache
-	rc.ok = true
-	rc.job = j.ID
-	rc.ver = s.resvEpoch
-	rc.gen = s.B.Ledger().Generation()
-	rc.free = append(rc.free[:0], v.free...)
-	rc.sums = append(rc.sums[:0], s.relSumAtResv...)
-	rc.plan = r.plan
-	rc.at = r.at
+	return s.reserve(j, v, *releases)
 }
 
 // coreRelease is one running job's estimated hand-back of cores on one
@@ -344,7 +251,6 @@ func (s *Scheduler) insertReleases(j *Job) {
 		s.releases[i] = e
 	}
 	s.relSnapDirty = true
-	s.resvEpoch++
 }
 
 // removeReleases drops the job's entries (contiguous: they share eta and
@@ -360,7 +266,6 @@ func (s *Scheduler) removeReleases(j *Job) {
 	}
 	if n > i {
 		s.releases = append(s.releases[:i], s.releases[n:]...)
-		s.resvEpoch++
 	}
 }
 
@@ -467,28 +372,12 @@ func (s *Scheduler) sumReleasesAt(v *CloudView, releases []coreRelease, at sim.T
 }
 
 // backfillOK reports whether starting job b under plan now cannot delay the
-// reservation.
+// reservation: the plan shares no cloud with it, b finishes (by estimate)
+// before the reserved start, or every shared member cloud keeps the
+// reserved cores with b's slice taken. Available-at-reservation is the live
+// working free plus the cycle's per-cloud release sum at the reservation
+// instant (s.relSumAtResv, fixed while the reservation stands).
 func (s *Scheduler) backfillOK(b *Job, plan Plan, resv *reservation, v *CloudView) bool {
-	// Memo fast path: the cycle scan hands over the plan choosePlan just
-	// returned, so when a memo entry still matches b's shape the plan IS the
-	// memoized one, and the share/capacity verdicts — fixed while the memo
-	// instance lives — are computed once per shape instead of per candidate.
-	if s.memoable && b.Spec.InputFractions == nil {
-		if m := s.memoLookup(b, s.boostedTenant(b)); m != nil {
-			return s.backfillOKMemo(b, m, resv, v)
-		}
-	}
-	return s.backfillFits(b, plan, resv, v)
-}
-
-// backfillFits is backfillOK's arithmetic without the memo machinery, used
-// when no memo entry holds the plan (a policy without PureChoose, or a job
-// with per-block InputFractions): it judges the job, the plan, the
-// reservation, the working view, and the cycle's per-cloud release sums at
-// the reservation instant (s.relSumAtResv, fixed while the reservation
-// stands). The verdict equals backfillOKMemo's — !shared ∨ finish≤resv.at ∨
-// capOK — by construction.
-func (s *Scheduler) backfillFits(b *Job, plan Plan, resv *reservation, v *CloudView) bool {
 	shared := false
 	for _, m := range plan.Members {
 		if resv.plan.WorkersOn(m.Cloud) > 0 {
@@ -503,9 +392,6 @@ func (s *Scheduler) backfillFits(b *Job, plan Plan, resv *reservation, v *CloudV
 	if finish <= resv.at {
 		return true
 	}
-	// Still running at the reservation: every shared member cloud must
-	// retain enough cores with b's slice subtracted. Available-at-resv is
-	// the live working free plus the precomputed release sum.
 	bcpw := b.coresPerWorker()
 	rcpw := 1
 	if resv.jref != nil {
@@ -525,46 +411,4 @@ func (s *Scheduler) backfillFits(b *Job, plan Plan, resv *reservation, v *CloudV
 		}
 	}
 	return true
-}
-
-// backfillOKMemo is backfillOK against the memoized plan: the shared-cloud
-// and capacity verdicts depend only on the plan shape, the reservation
-// (fixed per cycle), and the working free vector (fixed between dispatches,
-// the memo's own validity window), so they are cached on the memo; only the
-// per-job finish check recomputes, from the cached estimate parts. The
-// boolean result is exactly backfillOK's: !shared ∨ finish≤resv.at ∨ capOK.
-func (s *Scheduler) backfillOKMemo(b *Job, m *planMemo, resv *reservation, v *CloudView) bool {
-	if !m.bfValid {
-		m.bfShared, m.bfCapOK = false, false
-		for _, mm := range m.members {
-			if resv.plan.WorkersOn(mm.Cloud) > 0 {
-				m.bfShared = true
-				break
-			}
-		}
-		if m.bfShared {
-			rcpw := 1
-			if resv.jref != nil {
-				rcpw = resv.jref.coresPerWorker()
-			}
-			m.bfCapOK = true
-			for _, mm := range m.members {
-				need := resv.plan.WorkersOn(mm.Cloud) * rcpw
-				if need == 0 {
-					continue
-				}
-				p := v.Pos(mm.Cloud)
-				if p < 0 || v.free[p]+s.relSumAtResv[p]-mm.Workers*m.cpw < need {
-					m.bfCapOK = false
-					break
-				}
-			}
-		}
-		m.bfValid = true
-	}
-	if !m.bfShared || m.bfCapOK {
-		return true
-	}
-	finish := s.K.Now() + sim.FromSeconds(s.estimateAtMemo(b, m, v))
-	return finish <= resv.at
 }

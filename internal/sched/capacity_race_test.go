@@ -111,3 +111,75 @@ func TestReservationReleasedOnDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestReservationLeaseHygiene: while the head is blocked, the ledger holds
+// exactly the current reservation after every cycle — the reserved plan's
+// cores on each member cloud, nothing on any other cloud, and nothing at
+// all on a cycle where reservation aging dropped the hold. Both ways a
+// cycle keeps its claim are covered: adoption (an identical recompute keeps
+// the previous cycle's live leases) and re-reserving (an overdue holder
+// moves the reserved start on every recompute).
+func TestReservationLeaseHygiene(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := NewSimBackend(k)
+	clouds := []string{"a", "b", "c"}
+	b.AddCloud("a", 16, 1, 0.10)
+	b.AddCloud("b", 16, 1, 0.10)
+	b.AddCloud("c", 8, 1, 0.10)
+	b.Overrun = func(j *Job) float64 {
+		if j.Spec.Name == "liar" {
+			return 4 // estimated 100 s, runs 400 s: its release goes overdue
+		}
+		return 1
+	}
+	s := New(b, Config{ReservationMaxSlips: 2})
+	s.Start()
+	s.AddTenant("t", 1)
+	// The liars fill a and b and a long job fills c. The head needs a whole
+	// 16-core cloud, so it reserves a alone: b ties on score and loses the
+	// name tie-break, and c is too small.
+	submitN(t, s, "t", 2, JobSpec{Name: "liar", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 100})
+	submitN(t, s, "t", 1, JobSpec{Name: "fill", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 1000})
+	head := submitN(t, s, "t", 1, JobSpec{Name: "head", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 50})[0]
+
+	l := b.Ledger()
+	var adopted, rereserved, aged int
+	cycles, reuses, agings := s.Cycles(), s.ResvHoldReuses(), s.ReservationAgings()
+	for k.Step() {
+		if s.Cycles() == cycles {
+			continue
+		}
+		agedNow := s.ReservationAgings() > agings
+		adoptedNow := s.ResvHoldReuses() > reuses
+		cycles, reuses, agings = s.Cycles(), s.ResvHoldReuses(), s.ReservationAgings()
+		r := s.resv
+		if hi, _ := s.Poll(head); hi.State == Queued && (r == nil || r.job != head) {
+			t.Fatalf("t=%v: head blocked without its reservation", k.Now())
+		}
+		var plan Plan
+		if r != nil && !agedNow {
+			plan = r.plan
+		}
+		for _, c := range clouds {
+			want := plan.WorkersOn(c) * 2 // the head runs 2-core workers
+			if got := l.Reserved(c); got != want {
+				t.Fatalf("t=%v cycle %d (aged=%v adopted=%v): ledger reserves %d cores on %s, want %d (plan %v)",
+					k.Now(), cycles, agedNow, adoptedNow, got, c, want, plan)
+			}
+		}
+		switch {
+		case agedNow:
+			aged++
+		case adoptedNow:
+			adopted++
+		case r != nil:
+			rereserved++
+		}
+	}
+	if adopted == 0 || rereserved == 0 || aged == 0 {
+		t.Fatalf("cycles covered: %d adopted, %d re-reserved, %d aged; want each > 0", adopted, rereserved, aged)
+	}
+	if hi, _ := s.Poll(head); hi.State != Done {
+		t.Fatalf("head state %v, want done", hi.State)
+	}
+}

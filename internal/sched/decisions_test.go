@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -21,20 +24,29 @@ import (
 //
 // The digests were recorded on linux/amd64 with go1.24. A legitimate
 // behaviour change re-records them: run the test, check the "got" digests
-// in the failure against the intended change, and paste them below.
+// in the failure against the intended change, and paste them below. To
+// review a move line by line, dump the traces at both commits and diff
+// them:
+//
+//	go test ./internal/sched -run TestDecisionsGolden -args -golden.dump=DIR
 const (
-	goldenPlainTrace  = "bf7445fdf00fb22f7a1984a20d141bd1c1f2fdc0695505da68a0d84ad52911c3"
-	goldenPlainLen    = 22047233
+	goldenPlainTrace  = "105604a4f032ec1d25ed1cfcd451739ed37ac59dff0cff0d801cbfe3465e2c18"
+	goldenPlainLen    = 22047730
 	goldenPlainShares = "e0e4cb1d2dabf2643cb9cde2a8f421932f62a5a3a181bce334c7e750b5ada877"
 
-	goldenStormTrace  = "4f9e7a8798c7d21ca4fceafbf39f12e46039a6ac59e879d4070b0c502c17ef7d"
-	goldenStormLen    = 22220216
+	goldenStormTrace  = "a9b55a659a9a63233f84a14273302c703f13fdec44f679ac9801cec77040018e"
+	goldenStormLen    = 22220677
 	goldenStormShares = "e4a0f34afebfac3fd3ade4e156a4a5522dad2080c601abde08698523b5c7a2f5"
 
-	goldenEvictTrace     = "f862f9380153a31c734f16d0c9e7487e3bde7bd3f9c51c5fb1c0845dfb10569e"
-	goldenEvictLen       = 1696257
+	goldenEvictTrace     = "76e827c67ddc81d408b83ffaf98ce8e48e4f433317af4b425fa25734e6b83f14"
+	goldenEvictLen       = 1696670
 	goldenEvictEvictions = 45
 )
+
+// goldenDump names a directory TestDecisionsGolden writes its three decision
+// traces to (plain.jsonl, storm.jsonl, eviction_storm.jsonl) before
+// comparing digests; empty writes nothing.
+var goldenDump = flag.String("golden.dump", "", "directory to write TestDecisionsGolden's decision traces to")
 
 // decisionWorkload drives one seeded federation wide enough to exercise
 // every scheduler phase — 20 clouds and 300 tenants, with wide jobs that
@@ -215,9 +227,18 @@ func requireKinds(t *testing.T, trace []byte, kinds ...string) {
 	}
 }
 
-// checkTraceDigest compares the trace against its pinned digest and length.
-func checkTraceDigest(t *testing.T, trace []byte, wantDigest string, wantLen int) {
+// checkTraceDigest compares the trace against its pinned digest and length,
+// first writing it to -golden.dump as name.jsonl when that flag is set.
+func checkTraceDigest(t *testing.T, name string, trace []byte, wantDigest string, wantLen int) {
 	t.Helper()
+	if *goldenDump != "" {
+		if err := os.MkdirAll(*goldenDump, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(*goldenDump, name+".jsonl"), trace, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sum := sha256.Sum256(trace)
 	if got := hex.EncodeToString(sum[:]); got != wantDigest || len(trace) != wantLen {
 		t.Fatalf("decision trace moved: got sha256 %s (%d bytes), want %s (%d bytes)",
@@ -233,7 +254,7 @@ func TestDecisionsGolden(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		trace, shares := decisionWorkload(t, false)
 		requireKinds(t, trace, "dispatch", "reserve", "preempt")
-		checkTraceDigest(t, trace, goldenPlainTrace, goldenPlainLen)
+		checkTraceDigest(t, "plain", trace, goldenPlainTrace, goldenPlainLen)
 		if got := sharesDigest(shares); got != goldenPlainShares {
 			t.Fatalf("final shares moved: got digest %s, want %s", got, goldenPlainShares)
 		}
@@ -241,7 +262,7 @@ func TestDecisionsGolden(t *testing.T) {
 	t.Run("storm", func(t *testing.T) {
 		trace, shares := decisionWorkload(t, true)
 		requireKinds(t, trace, "outage", "requeue", "restore")
-		checkTraceDigest(t, trace, goldenStormTrace, goldenStormLen)
+		checkTraceDigest(t, "storm", trace, goldenStormTrace, goldenStormLen)
 		if got := sharesDigest(shares); got != goldenStormShares {
 			t.Fatalf("final shares moved: got digest %s, want %s", got, goldenStormShares)
 		}
@@ -252,6 +273,6 @@ func TestDecisionsGolden(t *testing.T) {
 		if evictions != goldenEvictEvictions {
 			t.Fatalf("%d evictions, want %d", evictions, goldenEvictEvictions)
 		}
-		checkTraceDigest(t, trace, goldenEvictTrace, goldenEvictLen)
+		checkTraceDigest(t, "eviction_storm", trace, goldenEvictTrace, goldenEvictLen)
 	})
 }

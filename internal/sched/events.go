@@ -77,9 +77,6 @@ func (s *Scheduler) Notify(ev Event) {
 				t.boosted = ev.Pattern == PatternAllToAll || ev.Pattern == PatternRing
 			}
 			s.m.patternEvents.Inc()
-			// Pattern boosts feed placement scoring, which the cached head
-			// reservation baked in — invalidate it.
-			s.resvEpoch++
 		}
 	case EventCloudFailed:
 		s.cloudFailed(ev.Cloud)

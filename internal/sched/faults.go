@@ -81,8 +81,7 @@ func (s *Scheduler) cloudFailed(cloud string) {
 	}
 	s.requeueOn(cloud, now)
 	s.dropResvOn(cloud)
-	// The capacity world changed out from under every cached decision.
-	s.resvEpoch++
+	// The capacity world changed out from under every memoized plan.
 	s.invalidateMemos()
 	s.kick()
 }
@@ -112,7 +111,6 @@ func (s *Scheduler) cloudRestored(cloud string) {
 	// A restore for a cloud the scheduler never marked down (a partial
 	// outage ending, say) still means capacity returned: invalidate and
 	// recheck the queue either way.
-	s.resvEpoch++
 	s.invalidateMemos()
 	s.kick()
 }

@@ -47,9 +47,7 @@ type schedMetrics struct {
 	reservationAgings     *obs.Counter
 	consolidationRequests *obs.Counter
 	consolidations        *obs.Counter
-	resvCacheHits         *obs.Counter
 	planMemoHits          *obs.Counter
-	viewSeals             *obs.Counter
 	resvHoldReuses        *obs.Counter
 
 	outages        *obs.Counter
@@ -107,9 +105,7 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		reservationAgings:     reg.Counter("sky_sched_reservation_agings_total", "Cycles where a slipping reservation's ledger hold was dropped."),
 		consolidationRequests: reg.Counter("sky_sched_consolidation_requests_total", "Consolidation migrations issued."),
 		consolidations:        reg.Counter("sky_sched_consolidations_total", "Consolidations completed (plan rewritten)."),
-		resvCacheHits:         reg.Counter("sky_sched_resv_cache_hits_total", "Blocked-head cycles served from the reservation cache."),
 		planMemoHits:          reg.Counter("sky_sched_plan_memo_hits_total", "Cycle-scan placements served from the within-cycle plan memo."),
-		viewSeals:             reg.Counter("sky_sched_view_seals_total", "Cycle starts whose world matched the previous cycle's sealed end state (plan memos carried over)."),
 		resvHoldReuses:        reg.Counter("sky_sched_resv_hold_reuses_total", "Blocked cycles whose recomputed reservation adopted the previous cycle's live ledger leases."),
 		outages:               reg.Counter("sky_faults_outages_total", "Cloud outage events delivered to the scheduler."),
 		restores:              reg.Counter("sky_faults_restores_total", "Cloud restore events delivered to the scheduler."),
@@ -211,17 +207,19 @@ func (s *Scheduler) ConsolidationRequests() int { return int(s.m.consolidationRe
 // Consolidations returns the consolidations that completed.
 func (s *Scheduler) Consolidations() int { return int(s.m.consolidations.Value()) }
 
-// ResvCacheHits returns the blocked-head cycles served from the reservation
-// cache.
-func (s *Scheduler) ResvCacheHits() int { return int(s.m.resvCacheHits.Value()) }
+// ResvCacheHits always returns 0: the scheduler recomputes the blocked
+// head's reservation every cycle and keeps no reservation cache. Kept only
+// because the repo benchmark (perfbench) still reads it.
+func (s *Scheduler) ResvCacheHits() int { return 0 }
 
 // PlanMemoHits returns the cycle-scan placements served from the
 // within-cycle plan memo.
 func (s *Scheduler) PlanMemoHits() int { return int(s.m.planMemoHits.Value()) }
 
-// ViewSeals returns the cycle starts whose world matched the previous
-// cycle's sealed end state (plan memos carried across the boundary).
-func (s *Scheduler) ViewSeals() int { return int(s.m.viewSeals.Value()) }
+// ViewSeals always returns 0: plan memos are invalidated at every cycle
+// start and never carried across cycles. Kept only because the repo
+// benchmark (perfbench) still reads it.
+func (s *Scheduler) ViewSeals() int { return 0 }
 
 // ResvHoldReuses returns the blocked cycles whose recomputed reservation
 // adopted the previous cycle's live ledger leases instead of re-reserving.

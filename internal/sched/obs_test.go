@@ -38,8 +38,7 @@ func TestStatsReadableDuringRun(t *testing.T) {
 				s.Failures() + s.GrowRequests() + s.ShrinkRequests() +
 				s.SpotRevocations() + s.SpotReplacements() + s.PatternEvents() +
 				s.Preemptions() + s.ForcedPreemptions() + s.ReservationAgings() +
-				s.ConsolidationRequests() + s.Consolidations() + s.ResvCacheHits() +
-				s.SpanningDispatched()
+				s.ConsolidationRequests() + s.Consolidations() + s.SpanningDispatched()
 		}
 		_ = sink
 	}()

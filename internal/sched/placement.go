@@ -220,9 +220,15 @@ func (ps *placeScratch) persistMembers(m []Member) []Member {
 
 // planMemoSlots sizes the plan memo table: one entry per distinct job shape
 // scored against the current frozen view, evicted round-robin. Mixed
-// workloads alternate between a handful of shapes within one backfill scan
-// (and across sealed cycles — see viewSeal), so a single entry thrashed.
+// workloads alternate between a handful of shapes within one backfill scan,
+// so a single entry thrashed.
 const planMemoSlots = 4
+
+// cacheablePolicy marks placement policies whose Choose is a pure function
+// of (job, view) — no RNG draws, no mutable internal state. Only these let
+// the plan memo engage (reusing a RandomPlacement answer would skip a draw
+// and desynchronize the kernel RNG stream).
+type cacheablePolicy interface{ PureChoose() bool }
 
 // planMemo is one entry of the frozen-view placement memo: between two
 // dispatches the working free vector is frozen, and for a pure policy
@@ -232,10 +238,9 @@ const planMemoSlots = 4
 // same-shaped queued jobs against one unchanged view — under the memo the
 // first of each shape pays for Choose and the rest match and reuse the
 // plan, byte for byte the same decision. Any view mutation (a dispatch's
-// take, a mid-cycle re-snapshot) invalidates the whole table; a cycle start
-// invalidates it unless the world is provably unchanged (viewSeal). Jobs
-// with per-block locality maps (InputFractions) bypass it, as does any
-// policy without PureChoose.
+// take, a mid-cycle re-snapshot) and every cycle start invalidate the whole
+// table. Jobs with per-block locality maps (InputFractions) bypass it, as
+// does any policy without PureChoose.
 type planMemo struct {
 	ok            bool
 	workers, cpw  int
@@ -245,23 +250,6 @@ type planMemo struct {
 	boosted       bool
 	members       []Member
 	plan          Plan // breakdown + score; Members held separately
-
-	// Backfill-gate verdict parts for the memoized plan, computed lazily on
-	// the first backfillOK against it and reusable while the memo instance
-	// lives: the reservation and the release sums are fixed for the whole
-	// cycle, and the working free vector is fixed between dispatches —
-	// exactly the memo's own validity window.
-	bfValid  bool
-	bfShared bool // memo plan shares a cloud with the reservation
-	bfCapOK  bool // shared clouds keep the reserved cores with this slice taken
-	// Plan-shape estimate parts (see planEstimateSeconds): everything in the
-	// cost model except the job's own base estimate and input byte count,
-	// which are the only per-job inputs across jobs with the same memo key.
-	estValid     bool
-	estSpeed     float64 // slowest member speed
-	estUncovered float64 // input fraction no member holds
-	estMinBW     float64 // thinnest input-site link among members
-	estShuffle   float64 // cross-site shuffle seconds (0 when not spanning)
 }
 
 // boostedTenant reports whether the job's tenant has a boost-worthy
@@ -276,9 +264,9 @@ func (s *Scheduler) boostedTenant(j *Job) bool {
 	return pt == PatternAllToAll || pt == PatternRing
 }
 
-// invalidateMemos drops every plan memo entry: the working free vector
-// moved (a dispatch's take, a mid-cycle re-snapshot) or a new cycle's world
-// differs from the sealed one, so no memoized plan is still Choose's answer.
+// invalidateMemos drops every plan memo entry: a new cycle started or the
+// working free vector moved (a dispatch's take, a mid-cycle re-snapshot),
+// so no memoized plan is known to still be Choose's answer.
 func (s *Scheduler) invalidateMemos() {
 	for i := range s.memos {
 		s.memos[i].ok = false
@@ -324,7 +312,6 @@ func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	m.members = append(m.members[:0], p.Members...)
 	m.plan = p
 	m.plan.Members = nil
-	m.bfValid, m.estValid = false, false
 	return p
 }
 
@@ -334,73 +321,6 @@ func (m *planMemo) matches(j *Job, boosted bool) bool {
 		m.inputSite == j.Spec.InputSite && m.boosted == boosted &&
 		m.maps == j.Spec.MR.NumMaps && m.reduces == j.Spec.MR.NumReduces &&
 		m.shufBytes == j.Spec.MR.ShuffleBytesPerMapPerReduce
-}
-
-// estParts fills the memo's plan-shape estimate parts — the planEstimate-
-// Seconds cost model minus the two per-job inputs (base estimate, input
-// byte count). Loops and float expressions mirror planEstimateSeconds
-// exactly so assembled estimates stay bit-identical.
-func (s *Scheduler) estParts(m *planMemo, v *CloudView) {
-	m.estSpeed = 1.0
-	for i, mm := range m.members {
-		if p := v.Pos(mm.Cloud); p >= 0 && v.Clouds[p].Speed > 0 {
-			if c := v.Clouds[p]; i == 0 || c.Speed < m.estSpeed {
-				m.estSpeed = c.Speed
-			}
-		}
-	}
-	m.estUncovered, m.estMinBW = 0, 0
-	if m.inputSite != "" {
-		covered := 0.0
-		for _, mm := range m.members {
-			if mm.Cloud == m.inputSite {
-				covered += 1
-			}
-		}
-		if covered > 1 {
-			covered = 1
-		}
-		if uncovered := 1 - covered; uncovered > 0 {
-			m.estUncovered = uncovered
-			for _, mm := range m.members {
-				if mm.Cloud == m.inputSite {
-					continue
-				}
-				bw := s.B.Bandwidth(m.inputSite, mm.Cloud)
-				if bw <= 0 {
-					continue
-				}
-				if m.estMinBW == 0 || bw < m.estMinBW {
-					m.estMinBW = bw
-				}
-			}
-		}
-	}
-	m.estShuffle = 0
-	if len(m.members) > 1 {
-		j := Job{Spec: JobSpec{CoresPerWorker: m.cpw}}
-		j.Spec.MR.NumMaps, j.Spec.MR.NumReduces = m.maps, m.reduces
-		j.Spec.MR.ShuffleBytesPerMapPerReduce = m.shufBytes
-		m.estShuffle = crossShuffleSeconds(s.B, &j, m.members)
-	}
-	m.estValid = true
-}
-
-// estimateAtMemo assembles the runtime estimate for job j under the
-// memoized plan from the cached shape parts: bit-identical to
-// planEstimateSeconds on the same plan and view.
-func (s *Scheduler) estimateAtMemo(j *Job, m *planMemo, v *CloudView) float64 {
-	if !m.estValid {
-		s.estParts(m, v)
-	}
-	est := j.estimate() / m.estSpeed
-	if j.Spec.InputSite != "" && j.Spec.InputBytes > 0 && m.estUncovered > 0 && m.estMinBW > 0 {
-		est += m.estUncovered * float64(j.Spec.InputBytes) / m.estMinBW
-	}
-	if m.estShuffle != 0 {
-		est += m.estShuffle
-	}
-	return est
 }
 
 // inputFraction returns the fraction of the job's input bytes resident on
@@ -621,7 +541,7 @@ type BestScore struct{}
 func (BestScore) Name() string { return "best-score" }
 
 // PureChoose marks BestScore's Choose as a pure function of (job, view):
-// the blocked head's reservation recompute cache may reuse its answers.
+// the plan memo may reuse its answers.
 func (BestScore) PureChoose() bool { return true }
 
 // ProvablyUnplaceable implements fitProver: placing `workers` whole workers
@@ -819,11 +739,6 @@ type RandomPlacement struct{}
 
 // Name implements PlacementPolicy.
 func (RandomPlacement) Name() string { return "random" }
-
-// SingleCloudOnly tells the scheduler this policy never spans, enabling the
-// per-cloud blocked-job watermark (frees on clouds smaller than the gang
-// can never wake a job queued under it).
-func (RandomPlacement) SingleCloudOnly() bool { return true }
 
 // ProvablyUnplaceable implements fitProver: the policy only ever picks a
 // single cloud with room for the whole gang, and when no cloud qualifies

@@ -160,17 +160,16 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): re-snapshot and place the head.
-	// The mid-cycle frees must advance the watermark clocks here —
+	// The mid-cycle frees must advance the watermark clock here —
 	// observeFrees only diffs at cycle starts, and whatever the head does
 	// not consume would otherwise never wake other unfit-marked jobs.
 	s.evictPrev = append(s.evictPrev[:0], v.free...)
 	v.Reset(s.snapshotClouds())
 	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
-	for i, c := range v.Clouds {
+	for i := range v.Clouds {
 		if i < len(s.evictPrev) {
 			if d := v.free[i] - s.evictPrev[i]; d > 0 {
 				s.freedCum += int64(d)
-				s.freedBy[c.Name] += int64(d)
 			}
 		}
 	}

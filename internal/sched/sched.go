@@ -149,16 +149,10 @@ type Job struct {
 	// the whole-worker slot count available at that instant and unfitFreed
 	// the scheduler's cumulative freed-core clock. Until enough cores free
 	// up to possibly close the gap, later cycles skip re-running placement
-	// for this job (see Scheduler.canFit). Under a single-cloud-only policy
-	// the record is per-cloud instead (unfitMarks): one {slots, freed-clock}
-	// entry per cloud that could ever host the gang, so frees on clouds the
-	// job can never use do not wake it.
-	unfit         bool
-	unfitSlots    int
-	unfitFreed    int64
-	unfitPerCloud bool
-	unfitGen      uint64
-	unfitMarks    []unfitMark
+	// for this job (see Scheduler.canFit).
+	unfit      bool
+	unfitSlots int
+	unfitFreed int64
 	// Delivered-capacity integration: coresNow is the core count the job
 	// holds right now; accrued is core-seconds banked at resize events
 	// (grow/shrink/revocation), so Shares attributes elapsed time at the
@@ -185,15 +179,6 @@ type Job struct {
 	outageRequeuedAt sim.Time
 	retryAt          sim.Time
 	launchRetries    int
-}
-
-// unfitMark is one cloud's entry in a single-cloud job's watermark record:
-// the whole-worker slots it offered at the failed placement and the value
-// of that cloud's freed-core clock at that instant.
-type unfitMark struct {
-	cloud string
-	slots int
-	freed int64
 }
 
 // coresPerWorker returns the normalised per-worker core count.
@@ -622,7 +607,7 @@ type Scheduler struct {
 
 	// resv is the blocked head job's future claim, held as first-class
 	// leases in the backend's capacity ledger between cycles (see
-	// backfill.go). Each cycle refreshes it against current estimates.
+	// backfill.go). Every cycle recomputes it against current estimates.
 	// prevResv is the previous cycle's claim, detached (leases still live)
 	// at cycle start: when this cycle recomputes an identical claim,
 	// holdReservation adopts the live leases instead of paying a ledger
@@ -638,14 +623,6 @@ type Scheduler struct {
 	agingJob   string
 	agingAt    sim.Time
 	agingSlips int
-
-	// rcache is the blocked head's reservation recompute cache: keyed on
-	// the job, the release-list epoch, the ledger generation, and the
-	// cycle's working free vector, a cycle in which none of those moved
-	// reuses the previous reservation instead of walking reserve() again.
-	// resvEpoch bumps on every release insert/remove and pattern event.
-	rcache    resvCache
-	resvEpoch uint64
 
 	// shields are beneficiary reservations minted by ledger evictions
 	// (capacity.Ledger.Evict) that outlive their cycle — the elastic
@@ -671,17 +648,10 @@ type Scheduler struct {
 	// the previous cycle's end-of-cycle free vector it diffs against, kept
 	// as parallel slices in first-seen cloud order (view order in practice,
 	// so the per-cycle diff and save run on index matches instead of map
-	// hashes). freedBy is the same clock kept per cloud, so
-	// single-cloud-only policies can ignore frees on clouds their jobs can
-	// never use (see canFit).
+	// hashes).
 	freedCum      int64
 	prevFreeNames []string
 	prevFreeVals  []int
-	freedBy       map[string]int64
-
-	// singleCloud records that the placement policy never spans (optional
-	// SingleCloudOnly interface), enabling the per-cloud watermark marks.
-	singleCloud bool
 
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
@@ -709,17 +679,12 @@ type Scheduler struct {
 	prover fitProver
 
 	// memos is the plan memo table (see planMemo): one entry per recently
-	// scored job shape, evicted round-robin, all invalidated whenever the
-	// working free vector moves. memoable gates it on placement-policy
-	// purity. seal extends memo lifetime across cycles: when a new cycle's
-	// world (cloud snapshot, free vector, ledger generation, release epoch)
-	// is byte-identical to the previous cycle's end state, the cycle-start
-	// invalidation is skipped and every memo entry survives — unchanged
-	// views never rescore.
+	// scored job shape, evicted round-robin, all invalidated at every cycle
+	// start and whenever the working free vector moves. memoable gates it
+	// on placement-policy purity.
 	memos    [planMemoSlots]planMemo
 	memoNext int
 	memoable bool
-	seal     viewSeal
 
 	// extMu serializes external drivers (Sync): goroutines outside the
 	// kernel thread submit and poll through it under -race stress.
@@ -774,7 +739,6 @@ func New(b Backend, cfg Config) *Scheduler {
 		tenants:   make(map[string]*Tenant),
 		active:    make(map[string]*Job),
 		archive:   make(map[string]*Job),
-		freedBy:   make(map[string]int64),
 		patternOf: make(map[string]string),
 		m:         newSchedMetrics(cfg.Obs),
 		tr:        cfg.Trace,
@@ -784,9 +748,6 @@ func New(b Backend, cfg Config) *Scheduler {
 	// One completion callback for every launch: dispatch hands this to
 	// Backend.Launch instead of closing over each job.
 	s.doneCB = func(j *Job, out Outcome) { s.complete(j, out) }
-	if sc, ok := s.cfg.Placement.(interface{ SingleCloudOnly() bool }); ok {
-		s.singleCloud = sc.SingleCloudOnly()
-	}
 	if fp, ok := s.cfg.Placement.(fitProver); ok {
 		s.prover = fp
 	}
@@ -1001,14 +962,7 @@ func (s *Scheduler) cycle() {
 		snap = s.pruneQuarantine(snap)
 	}
 	v.Reset(snap)
-	if s.sealMatches(v) {
-		// The world this cycle sees is byte-identical to the one the
-		// previous cycle left: every plan memo entry is still the answer
-		// Choose would compute, so the memos stay valid.
-		s.m.viewSeals.Inc()
-	} else {
-		s.invalidateMemos()
-	}
+	s.invalidateMemos()
 	s.decayTenants()
 	s.observeFrees(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
@@ -1064,7 +1018,7 @@ func (s *Scheduler) cycle() {
 		}
 		if s.resv == nil {
 			tr0 := s.m.clock()
-			r, ok, hit := s.cachedReserve(j, v, &releases, &haveReleases)
+			r, ok := s.reserveHead(j, v, &releases, &haveReleases)
 			resvNanos += s.m.clock() - tr0
 			if !ok {
 				if fits, _ := s.fitsFederation(j); !fits {
@@ -1080,7 +1034,7 @@ func (s *Scheduler) cycle() {
 				t.scan++
 				continue
 			}
-			aged := s.trackSlips(&r, hit)
+			aged := s.trackSlips(&r)
 			if aged && s.cfg.EnablePreemption {
 				tp0 := s.m.clock()
 				out := s.preemptFor(t, j, v)
@@ -1095,11 +1049,11 @@ func (s *Scheduler) cycle() {
 					// Victims are gone but the head still has no plan: the
 					// reservation computed above walks their phantom release
 					// entries. Recompute it against the post-eviction state
-					// (the requeues dirtied the release snapshot and bumped
-					// the epoch, so this is a genuine re-walk).
+					// (the requeues dirtied the release snapshot, so this
+					// walk sees fresh releases).
 					tr0 = s.m.clock()
-					if r2, ok2, _ := s.cachedReserve(j, v, &releases, &haveReleases); ok2 {
-						r, hit = r2, false
+					if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
+						r = r2
 					}
 					resvNanos += s.m.clock() - tr0
 				}
@@ -1108,14 +1062,11 @@ func (s *Scheduler) cycle() {
 			// its ledger leases this cycle — the drop-and-refail step that
 			// stops a misestimated gang from shading elastic growth forever.
 			s.holdReservation(&r, j.coresPerWorker(), !aged)
-			if !hit {
-				s.sumReleasesAt(v, releases, r.at)
-				s.cacheReservation(j, v, &r)
-				if s.tr != nil {
-					s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
-						Workers: j.workers(), Cores: j.Cores(),
-						Start: int64(r.at), Plan: r.plan.String()})
-				}
+			s.sumReleasesAt(v, releases, r.at)
+			if s.tr != nil {
+				s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
+					Workers: j.workers(), Cores: j.Cores(),
+					Start: int64(r.at), Plan: r.plan.String()})
 			}
 			if s.cfg.DisableBackfill {
 				break
@@ -1125,60 +1076,7 @@ func (s *Scheduler) cycle() {
 	}
 	s.releasePrevResv()
 	s.saveEndFrees(v)
-	s.sealRecord(v)
 	s.m.observePhases(s.m.clock()-t0, resvNanos, preemptNanos)
-}
-
-// viewSeal is the end-of-cycle world record behind the cross-cycle memo
-// seal: the exact cloud snapshot (names, totals, speeds, prices), the
-// working free vector, the capacity ledger generation, and the release
-// epoch the previous cycle ended under. A new cycle whose fresh snapshot
-// matches all of it proves every input a pure placement policy reads is
-// unchanged, so memoized plans survive the cycle boundary.
-type viewSeal struct {
-	ok     bool
-	gen    uint64
-	epoch  uint64
-	clouds []CloudInfo
-	free   []int
-}
-
-// sealMatches reports whether the fresh cycle view is byte-identical to the
-// sealed end state of the previous cycle — the condition under which
-// skipping the cycle-start memo invalidation is sound. Mirrors resvCacheValid's
-// overdue-release guard: once a release entry is overdue, downstream
-// snapshots fold the current time in and stop being pure view functions.
-func (s *Scheduler) sealMatches(v *CloudView) bool {
-	if !s.memoable || !s.seal.ok {
-		return false
-	}
-	if s.seal.gen != s.B.Ledger().Generation() || s.seal.epoch != s.resvEpoch {
-		return false
-	}
-	if len(s.releases) > 0 && s.releases[0].at <= s.K.Now() {
-		return false
-	}
-	if len(s.seal.clouds) != len(v.Clouds) {
-		return false
-	}
-	for i, c := range v.Clouds {
-		if s.seal.clouds[i] != c || s.seal.free[i] != v.free[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sealRecord captures the end-of-cycle world for sealMatches.
-func (s *Scheduler) sealRecord(v *CloudView) {
-	if !s.memoable {
-		return
-	}
-	s.seal.ok = true
-	s.seal.gen = s.B.Ledger().Generation()
-	s.seal.epoch = s.resvEpoch
-	s.seal.clouds = append(s.seal.clouds[:0], v.Clouds...)
-	s.seal.free = append(s.seal.free[:0], v.free...)
 }
 
 // releasePrevResv releases a detached previous-cycle reservation that no
@@ -1219,7 +1117,6 @@ func (s *Scheduler) observeFrees(v *CloudView) {
 		}
 		if d := v.free[i] - prev; d > 0 {
 			s.freedCum += int64(d)
-			s.freedBy[c.Name] += int64(d)
 		}
 	}
 }
@@ -1264,34 +1161,11 @@ func (s *Scheduler) saveEndFrees(v *CloudView) {
 // so unfitSlots + freedSince < workers proves placement would fail without
 // running it. Sound, never stale: capacity appearing from outside the
 // scheduler's own bookkeeping still advances the clock via observeFrees.
-//
-// Under a single-cloud-only policy the record is per-cloud: the job wakes
-// only when some cloud that could ever host the whole gang (total ≥ demand)
-// has freed enough since its mark — frees on clouds the policy can never
-// choose for it are ignored, so a flurry of small completions elsewhere
-// does not re-run placement for a job they cannot help. A ledger generation
-// bump (cloud added, resized, or a forced transition) voids the marks.
 func (s *Scheduler) canFit(j *Job) bool {
-	if !j.unfit {
-		return true
-	}
-	if j.unfitPerCloud {
-		if j.unfitGen != s.B.Ledger().Generation() {
-			return true
-		}
-		for _, m := range j.unfitMarks {
-			if m.slots+int(s.freedBy[m.cloud]-m.freed) >= j.workers() {
-				return true
-			}
-		}
-		return false
-	}
-	return j.unfitSlots+int(s.freedCum-j.unfitFreed) >= j.workers()
+	return !j.unfit || j.unfitSlots+int(s.freedCum-j.unfitFreed) >= j.workers()
 }
 
-// markUnfit records the failed placement's slot availability for canFit —
-// federation-wide for spanning-capable policies, per-eligible-cloud for
-// single-cloud-only ones.
+// markUnfit records the failed placement's slot availability for canFit.
 func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
 	cpw := j.coresPerWorker()
 	slots := 0
@@ -1301,23 +1175,6 @@ func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
 		}
 	}
 	j.unfit, j.unfitSlots, j.unfitFreed = true, slots, s.freedCum
-	j.unfitPerCloud = s.singleCloud
-	if !s.singleCloud {
-		return
-	}
-	j.unfitGen = s.B.Ledger().Generation()
-	j.unfitMarks = j.unfitMarks[:0]
-	need := j.Cores()
-	for i, c := range v.Clouds {
-		if c.TotalCores < need {
-			continue // can never host the gang: its frees are noise
-		}
-		sl := 0
-		if v.free[i] > 0 {
-			sl = v.free[i] / cpw
-		}
-		j.unfitMarks = append(j.unfitMarks, unfitMark{cloud: c.Name, slots: sl, freed: s.freedBy[c.Name]})
-	}
 }
 
 // dispatch starts a placed job through the backend.
