@@ -415,8 +415,9 @@ func BenchmarkGangPlacement(b *testing.B) {
 // BenchmarkCapacityLedger measures the unified capacity ledger under a
 // federation-scale working set: 1000 concurrently live leases spread over
 // 8 clouds, with the operations every scheduling cycle performs — probes
-// (including the reservation-aware time-indexed path), acquisitions with
-// estimated ends, future reservations, commits, and releases.
+// (each walks its cloud's active leases once per future reservation
+// start), acquisitions with estimated ends, future reservations, commits,
+// and releases (each found in its cloud's id-ordered lease list).
 func BenchmarkCapacityLedger(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

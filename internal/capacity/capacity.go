@@ -1,13 +1,13 @@
 // Package capacity is the federation's unified core-accounting ledger: one
-// per-cloud, time-indexed record of where cores are and where they are
-// promised, shared by every layer that makes capacity decisions. Before it
-// existed the repo answered "does this cloud have room?" in three
-// disagreeing places — nimbus committed cores only when image propagation
-// ended, the federation scheduler backend kept a private in-flight
-// reservation map to paper over that window, and the scheduler's backfill
-// rebuilt free-core vectors from scratch every cycle — which let an elastic
-// grow race a reserved gang start. The ledger replaces all three with one
-// account per cloud holding three kinds of claim:
+// per-cloud record of where cores are and where they are promised, shared
+// by every layer that makes capacity decisions. Before it existed the repo
+// answered "does this cloud have room?" in three disagreeing places —
+// nimbus committed cores only when image propagation ended, the federation
+// scheduler backend kept a private in-flight reservation map to paper over
+// that window, and the scheduler's backfill rebuilt free-core vectors from
+// scratch every cycle — which let an elastic grow race a reserved gang
+// start. The ledger replaces all three with one account per cloud holding
+// three kinds of claim:
 //
 //   - committed cores: placed VMs, held indefinitely until released
 //     (nimbus host placement double-enters here);
@@ -23,6 +23,12 @@
 // through Probe, which answers "could an indefinite claim of n cores
 // starting at t ever oversubscribe this cloud?" honoring held leases'
 // estimated ends and reservations' start instants.
+//
+// Each account caches its per-kind core totals, so Free and every admission
+// check are O(1), and lists its active leases in id order; Probe and
+// Headroom walk that list. They run rarely next to lease creation and
+// closing, so the walk costs less overall than an index those hot
+// transitions would have to maintain.
 //
 // The ledger is safe for concurrent use: every public method takes an
 // instrumented reader/writer lock (contention is exported through
@@ -98,12 +104,8 @@ func (le *Lease) Active() bool {
 
 // account is one cloud's ledger entry. held and reserved cache the active
 // lease cores per kind (maintained at lease create/commit/release), so the
-// hot-path aggregates (Free, every Acquire check) are O(1) instead of
-// walking the lease map. heldEnds and resvStarts are sorted time indexes
-// over the two time-dependent lease populations (held leases with estimated
-// ends, reservations with future starts), so the Probe/Headroom path reads
-// time-indexed aggregates in O(log n) instead of walking every lease per
-// candidate.
+// hot-path aggregates (Free, every Acquire check) are O(1). Only the rare
+// time-dependent reads (Probe, Headroom) walk the leases themselves.
 type account struct {
 	name      string
 	total     int
@@ -115,11 +117,10 @@ type account struct {
 	// RestoreCloud clears the mark. total is kept so federation-wide
 	// fits-at-all checks still see the cloud coming back.
 	failed bool
-	leases map[int]*Lease
-	// heldEnds indexes active held leases with a nonzero estimated end,
-	// keyed by End; resvStarts indexes active reservations, keyed by At.
-	heldEnds   timeIndex
-	resvStarts timeIndex
+	// leases holds the cloud's active leases in increasing id order. Ids
+	// only grow, so a new lease appends and a closing one is found by
+	// binary search.
+	leases []*Lease
 }
 
 func (a *account) kindCores(k Kind) *int {
@@ -129,270 +130,25 @@ func (a *account) kindCores(k Kind) *int {
 	return &a.held
 }
 
-// timedCores is one time index entry: the cores a lease hands back (held
-// ends) or claims (reservation starts) at instant at. Entries are ordered by
-// (at, id); lease ids are unique, so the pair is a total order.
-type timedCores struct {
-	at    sim.Time
-	id    int
-	cores int
+// find returns the position of lease id in the account's lease list, or
+// len(a.leases) when the account holds no such lease.
+func (a *account) find(id int) int {
+	i := sort.Search(len(a.leases), func(i int) bool { return a.leases[i].id >= id })
+	if i < len(a.leases) && a.leases[i].id != id {
+		return len(a.leases)
+	}
+	return i
 }
 
-// idxBucketMax is the split threshold of a timeIndex bucket. Buckets merge
-// back when a removal leaves one under a quarter of this and a neighbour
-// has room, so the structure stays compact under churn.
-const idxBucketMax = 128
-
-// idxBucket is one node of the unrolled time index: a sorted run of entries
-// plus a local prefix-sum of their cores, so a within-bucket "cores by t"
-// read is one binary search and one array load.
-type idxBucket struct {
-	ents []timedCores
-	cum  []int // cum[i] = Σ ents[:i+1].cores
-}
-
-func (b *idxBucket) sum() int {
-	if len(b.cum) == 0 {
-		return 0
-	}
-	return b.cum[len(b.cum)-1]
-}
-
-// search returns the index of the first entry ordered at or after (at, id).
-func (b *idxBucket) search(at sim.Time, id int) int {
-	return sort.Search(len(b.ents), func(i int) bool {
-		e := b.ents[i]
-		return e.at > at || (e.at == at && e.id >= id)
-	})
-}
-
-// recum rebuilds the bucket's prefix sums from position i onward.
-func (b *idxBucket) recum(i int) {
-	prev := 0
-	if i > 0 {
-		prev = b.cum[i-1]
-	}
-	for ; i < len(b.ents); i++ {
-		prev += b.ents[i].cores
-		b.cum[i] = prev
-	}
-}
-
-// timeIndex is an unrolled sorted list of timedCores: a slice of bounded
-// buckets with per-bucket and per-index prefix sums. It answers "how many
-// cores by instant t" in O(log n) like the flat prefix-summed slice it
-// replaces, but inserts and removes touch one bucket (≤ idxBucketMax
-// entries) plus the O(n/idxBucketMax) bucket summary — instead of an O(n)
-// memmove over every entry — so the index stays cheap at the lease counts
-// the trace-scale harness targets (ROADMAP item 3), not just at thousands.
-type timeIndex struct {
-	buckets []*idxBucket
-	bcum    []int // bcum[i] = Σ buckets[:i+1].sum()
-	n       int
-	// spare caches the last dropped bucket for reuse: small indexes
-	// oscillate between empty and one entry on every lease churn (one
-	// held-end per launch/complete round trip), and without it each swing
-	// re-allocates a bucket and both its arrays.
-	spare *idxBucket
-}
-
-// len returns the number of entries (test/oracle surface).
-func (x *timeIndex) size() int { return x.n }
-
-// bucketFor returns the index of the bucket whose key range covers (at,
-// id): the first bucket whose last entry orders at or after it, or
-// len(buckets) when every bucket ends before it.
-func (x *timeIndex) bucketFor(at sim.Time, id int) int {
-	return sort.Search(len(x.buckets), func(i int) bool {
-		b := x.buckets[i]
-		e := b.ents[len(b.ents)-1]
-		return e.at > at || (e.at == at && e.id >= id)
-	})
-}
-
-// rebcum rebuilds the bucket-level prefix sums from bucket i onward — the
-// slow path after a structural change (split, merge, bucket drop).
-func (x *timeIndex) rebcum(i int) {
-	prev := 0
-	if i > 0 {
-		prev = x.bcum[i-1]
-	}
-	for ; i < len(x.buckets); i++ {
-		prev += x.buckets[i].sum()
-		x.bcum[i] = prev
-	}
-}
-
-// bcumShift applies a single-bucket core delta to the bucket prefix sums —
-// the common path when an add/remove touched bucket i without changing the
-// bucket set.
-func (x *timeIndex) bcumShift(i, delta int) {
-	for ; i < len(x.bcum); i++ {
-		x.bcum[i] += delta
-	}
-}
-
-// takeSpare returns the cached spare bucket (emptied, capacity retained)
-// or a fresh one.
-func (x *timeIndex) takeSpare() *idxBucket {
-	b := x.spare
-	if b == nil {
-		return &idxBucket{}
-	}
-	x.spare = nil
-	b.ents = b.ents[:0]
-	b.cum = b.cum[:0]
-	return b
-}
-
-func (x *timeIndex) add(at sim.Time, id, cores int) {
-	x.n++
-	if len(x.buckets) == 0 {
-		b := x.takeSpare()
-		b.ents = append(b.ents, timedCores{at: at, id: id, cores: cores})
-		b.cum = append(b.cum, cores)
-		x.buckets = append(x.buckets, b)
-		x.bcum = append(x.bcum, cores)
-		return
-	}
-	bi := x.bucketFor(at, id)
-	if bi == len(x.buckets) {
-		bi--
-	}
-	b := x.buckets[bi]
-	j := b.search(at, id)
-	b.ents = append(b.ents, timedCores{})
-	copy(b.ents[j+1:], b.ents[j:])
-	b.ents[j] = timedCores{at: at, id: id, cores: cores}
-	b.cum = append(b.cum, 0)
-	b.recum(j)
-	if len(b.ents) > idxBucketMax {
-		x.split(bi)
-		x.rebcum(bi)
-	} else {
-		x.bcumShift(bi, cores)
-	}
-}
-
-// split divides bucket bi in half; the caller fixes the bucket prefix sums.
-func (x *timeIndex) split(bi int) {
-	b := x.buckets[bi]
-	half := len(b.ents) / 2
-	nb := x.takeSpare()
-	nb.ents = append(nb.ents, b.ents[half:]...)
-	if n := len(b.ents) - half; cap(nb.cum) < n {
-		nb.cum = make([]int, n)
-	} else {
-		nb.cum = nb.cum[:n]
-	}
-	nb.recum(0)
-	b.ents = b.ents[:half]
-	b.cum = b.cum[:half] // prefix property: the left half is already correct
-	x.buckets = append(x.buckets, nil)
-	copy(x.buckets[bi+2:], x.buckets[bi+1:])
-	x.buckets[bi+1] = nb
-	x.bcum = append(x.bcum, 0)
-}
-
-func (x *timeIndex) remove(at sim.Time, id int) {
-	bi := x.bucketFor(at, id)
-	if bi == len(x.buckets) {
-		return
-	}
-	b := x.buckets[bi]
-	j := b.search(at, id)
-	if j >= len(b.ents) || b.ents[j].id != id || b.ents[j].at != at {
-		return
-	}
-	cores := b.ents[j].cores
-	copy(b.ents[j:], b.ents[j+1:])
-	b.ents = b.ents[:len(b.ents)-1]
-	b.cum = b.cum[:len(b.cum)-1]
-	b.recum(j)
-	x.n--
-	switch {
-	case len(b.ents) == 0:
-		x.buckets = append(x.buckets[:bi], x.buckets[bi+1:]...)
-		x.bcum = x.bcum[:len(x.bcum)-1]
-		x.rebcum(bi)
-		x.spare = b
-	case len(b.ents) < idxBucketMax/4 && bi+1 < len(x.buckets) &&
-		len(b.ents)+len(x.buckets[bi+1].ents) <= idxBucketMax*3/4:
-		x.merge(bi)
-		x.rebcum(bi)
-	default:
-		x.bcumShift(bi, -cores)
-	}
-}
-
-// merge folds bucket bi+1 into bucket bi; the caller fixes the bucket
-// prefix sums.
-func (x *timeIndex) merge(bi int) {
-	b, nb := x.buckets[bi], x.buckets[bi+1]
-	at := len(b.ents)
-	b.ents = append(b.ents, nb.ents...)
-	b.cum = append(b.cum, nb.cum...)
-	b.recum(at)
-	x.buckets = append(x.buckets[:bi+1], x.buckets[bi+2:]...)
-	x.bcum = x.bcum[:len(x.bcum)-1]
-	x.spare = nb
-}
-
-// coresBy returns the total cores of entries with at <= t.
-func (x *timeIndex) coresBy(t sim.Time) int {
-	bi := sort.Search(len(x.buckets), func(i int) bool {
-		b := x.buckets[i]
-		return b.ents[len(b.ents)-1].at > t
-	})
-	total := 0
-	if bi > 0 {
-		total = x.bcum[bi-1]
-	}
-	if bi == len(x.buckets) {
-		return total
-	}
-	b := x.buckets[bi]
-	if j := sort.Search(len(b.ents), func(k int) bool { return b.ents[k].at > t }); j > 0 {
-		total += b.cum[j-1]
-	}
-	return total
-}
-
-// idxIter walks index entries in (at, id) order. It is a value type so
-// iteration allocates nothing; do not mutate the index mid-walk.
-type idxIter struct {
-	x  *timeIndex
-	bi int
-	j  int
-}
-
-// iterAfter positions an iterator at the first entry with at > t.
-func (x *timeIndex) iterAfter(t sim.Time) idxIter {
-	bi := sort.Search(len(x.buckets), func(i int) bool {
-		b := x.buckets[i]
-		return b.ents[len(b.ents)-1].at > t
-	})
-	it := idxIter{x: x, bi: bi}
-	if bi < len(x.buckets) {
-		b := x.buckets[bi]
-		it.j = sort.Search(len(b.ents), func(k int) bool { return b.ents[k].at > t })
-	}
-	return it
-}
-
-// next returns the following entry, or false when the walk is done.
-func (it *idxIter) next() (timedCores, bool) {
-	for it.bi < len(it.x.buckets) {
-		b := it.x.buckets[it.bi]
-		if it.j < len(b.ents) {
-			e := b.ents[it.j]
-			it.j++
-			return e, true
-		}
-		it.bi++
-		it.j = 0
-	}
-	return timedCores{}, false
+// unlink closes the lease and drops its claim from the account: out of the
+// lease list and out of its kind's aggregate.
+func (a *account) unlink(le *Lease) {
+	i := a.find(le.id)
+	copy(a.leases[i:], a.leases[i+1:])
+	a.leases[len(a.leases)-1] = nil
+	a.leases = a.leases[:len(a.leases)-1]
+	*a.kindCores(le.Kind) -= le.Cores
+	le.closed = true
 }
 
 // Ledger is the shared capacity ledger. One instance spans a federation
@@ -421,10 +177,6 @@ type Ledger struct {
 	// Evictions and Retargets count forced transitions, for stats surfaces.
 	Evictions int
 	Retargets int
-	// CloudFailures and CloudRestores count FailCloud/RestoreCloud
-	// transitions (idempotent repeats excluded).
-	CloudFailures int
-	CloudRestores int
 
 	// jrn, when attached, records every primitive state transition for
 	// crash recovery (see journal.go). Nil when journaling is off — the
@@ -459,7 +211,7 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 		}
 		return
 	}
-	l.accounts[name] = &account{name: name, total: totalCores, leases: make(map[int]*Lease)}
+	l.accounts[name] = &account{name: name, total: totalCores}
 	l.order = append(l.order, name)
 	sort.Strings(l.order)
 	l.orderAccts = l.orderAccts[:0]
@@ -575,11 +327,14 @@ func (l *Ledger) headroom(cloud string, at sim.Time) int {
 	if a == nil || a.failed {
 		return 0
 	}
+	// Load only rises when a reservation starts, so the tightest instant
+	// from `at` onward is `at` itself or a later reservation start.
 	head := a.total - a.loadAt(at)
-	it := a.resvStarts.iterAfter(at)
-	for e, ok := it.next(); ok; e, ok = it.next() {
-		if h := a.total - a.loadAt(e.at); h < head {
-			head = h
+	for _, le := range a.leases {
+		if le.Kind == Reserved && le.At > at {
+			if h := a.total - a.loadAt(le.At); h < head {
+				head = h
+			}
 		}
 	}
 	if head < 0 {
@@ -631,12 +386,20 @@ func (l *Ledger) PickGrowTarget(members, spill []string, cores int, at sim.Time,
 
 // loadAt returns the cores claimed at instant t: committed (indefinite),
 // held leases not yet past their estimated end, and reservations whose
-// start has arrived by t. Answered from the cached aggregates plus two
-// O(log n) time-index reads — no lease walk: held cores minus the held
-// leases whose estimated end has passed by t, plus the reservations whose
-// start has arrived (reservations carry no end — Reserve never sets one).
+// start has arrived by t (reservations carry no end — Reserve never sets
+// one). One walk over the account's active leases.
 func (a *account) loadAt(t sim.Time) int {
-	return a.committed + a.held - a.heldEnds.coresBy(t) + a.resvStarts.coresBy(t)
+	n := a.committed
+	for _, le := range a.leases {
+		if le.Kind == Reserved {
+			if le.At <= t {
+				n += le.Cores
+			}
+		} else if le.End == 0 || le.End > t {
+			n += le.Cores
+		}
+	}
+	return n
 }
 
 // Probe reports whether a new indefinite claim of `cores` starting at `at`
@@ -645,7 +408,9 @@ func (a *account) loadAt(t sim.Time) int {
 // estimated ends hand their cores back at those instants; reservations add
 // theirs at their start instants — so an elastic grow probing "now" is
 // denied when it would eat cores a backfill reservation needs at its future
-// start, even though the cloud has room today.
+// start, even though the cloud has room today. It walks the cloud's active
+// leases once per future reservation start; the scheduler's elastic pass is
+// its only frequent caller.
 func (l *Ledger) Probe(cloud string, cores int, at sim.Time) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -730,33 +495,10 @@ func (l *Ledger) reserve(cloud string, cores int, at sim.Time) (*Lease, error) {
 func (l *Ledger) newLease(a *account, cores int, k Kind, at, end sim.Time) *Lease {
 	l.seq++
 	le := &Lease{l: l, acct: a, id: l.seq, Cloud: a.name, Cores: cores, Kind: k, At: at, End: end}
-	a.leases[le.id] = le
+	a.leases = append(a.leases, le)
 	*a.kindCores(k) += cores
-	a.index(le, true)
 	l.jrec(Rec{Op: OpLease, Cloud: a.name, ID: le.id, Cores: cores, Kind: int(k), At: int64(at), End: int64(end)})
 	return le
-}
-
-// index adds or removes the lease's time-index entry: held leases with an
-// estimated end are keyed by End (the instant their cores hand back),
-// reservations by At (the instant their claim starts). Indefinite held
-// leases live only in the O(1) held aggregate.
-func (a *account) index(le *Lease, add bool) {
-	var x *timeIndex
-	var at sim.Time
-	switch {
-	case le.Kind == Reserved:
-		x, at = &a.resvStarts, le.At
-	case le.End != 0:
-		x, at = &a.heldEnds, le.End
-	default:
-		return
-	}
-	if add {
-		x.add(at, le.id, le.Cores)
-	} else {
-		x.remove(at, le.id)
-	}
 }
 
 // Commit retires the lease into the committed aggregate: a held in-flight
@@ -782,10 +524,7 @@ func (le *Lease) commit() error {
 				le.Cores, le.Cloud, free)
 		}
 	}
-	le.closed = true
-	delete(a.leases, le.id)
-	*a.kindCores(le.Kind) -= le.Cores
-	a.index(le, false)
+	a.unlink(le)
 	a.committed += le.Cores
 	le.l.jrec(Rec{Op: OpCommit, ID: le.id})
 	return nil
@@ -805,11 +544,7 @@ func (le *Lease) release() {
 	if le.closed {
 		return
 	}
-	le.closed = true
-	a := le.acct
-	delete(a.leases, le.id)
-	*a.kindCores(le.Kind) -= le.Cores
-	a.index(le, false)
+	le.acct.unlink(le)
 	le.l.jrec(Rec{Op: OpRelease, ID: le.id})
 }
 
@@ -933,12 +668,13 @@ func (l *Ledger) Retarget(from, to string, cores int) error {
 
 // Retarget atomically moves `cores` of the lease's claim to another cloud,
 // returning the lease now holding them there (the remainder, if any, stays
-// behind on the source). Held claims re-check the destination's physical
-// invariant; reservations move freely (they are advisory until committed).
-// Kind, start, and estimated end carry over, so a consolidating gang
-// member's hand-back estimate survives the move and future probes stay
-// exact. Fails without touching either account when the destination lacks
-// room or the lease is closed.
+// behind on the source, shrunk in place under its original id). Held claims
+// re-check the destination's physical invariant; reservations move freely
+// (they are advisory until committed). The moved cores become a new lease
+// on the destination with the same kind, start, and estimated end, so a
+// consolidating gang member's hand-back estimate survives the move and the
+// destination's probes see it exactly. Fails without touching either
+// account when the destination lacks room or the lease is closed.
 func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 	l := le.l
 	l.mu.Lock()
@@ -964,20 +700,11 @@ func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 			return nil, fmt.Errorf("capacity: %s has %d free cores, retarget needs %d", to, free, cores)
 		}
 	}
-	src := le.acct
 	if cores == le.Cores {
-		delete(src.leases, le.id)
-		*src.kindCores(le.Kind) -= le.Cores
-		src.index(le, false)
-		le.closed = true
-		l.jrec(Rec{Op: OpRelease, ID: le.id})
+		le.release()
 	} else {
-		// Shrink the source lease in place: re-key its time-index entry to
-		// the reduced core count.
-		src.index(le, false)
 		le.Cores -= cores
-		*src.kindCores(le.Kind) -= cores
-		src.index(le, true)
+		*le.acct.kindCores(le.Kind) -= cores
 		l.jrec(Rec{Op: OpShrink, ID: le.id, Cores: cores})
 	}
 	moved := l.newLease(dst, cores, le.Kind, le.At, le.End)
@@ -1007,19 +734,10 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 		return 0, nil
 	}
 	lost := 0
-	if len(a.leases) > 0 {
-		// Close in id order: the journal (and any metrics side effects) must
-		// not depend on map iteration order.
-		ids := make([]int, 0, len(a.leases))
-		for id := range a.leases {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			le := a.leases[id]
-			lost += le.Cores
-			le.release()
-		}
+	for len(a.leases) > 0 {
+		le := a.leases[0]
+		lost += le.Cores
+		le.release()
 	}
 	if a.committed > 0 {
 		lost += a.committed
@@ -1028,7 +746,6 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 	}
 	a.failed = true
 	l.jrec(Rec{Op: OpFail, Cloud: name})
-	l.CloudFailures++
 	l.m.cloudFailures.Inc()
 	l.gen.Add(1)
 	return lost, nil
@@ -1048,7 +765,6 @@ func (l *Ledger) RestoreCloud(name string) error {
 	}
 	a.failed = false
 	l.jrec(Rec{Op: OpRestore, Cloud: name})
-	l.CloudRestores++
 	l.m.cloudRestores.Inc()
 	l.gen.Add(1)
 	return nil

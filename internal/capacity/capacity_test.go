@@ -3,6 +3,8 @@ package capacity
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -15,40 +17,60 @@ func ledger2() *Ledger {
 	return l
 }
 
-// rawLoadAt is the original O(leases) definition of account.loadAt, kept as
-// the oracle the indexed implementation is checked against.
-func rawLoadAt(a *account, t sim.Time) int {
-	n := a.committed
-	for _, le := range a.leases {
-		if le.Kind == Reserved && le.At > t {
-			continue
+// checkLeaseLists asserts the ledger's lease bookkeeping: each account
+// lists only active leases of its own cloud, in strictly increasing id
+// order, and its cached held/reserved aggregates equal those leases' sums.
+func checkLeaseLists(l *Ledger) error {
+	for _, a := range l.orderAccts {
+		held, resv, prev := 0, 0, 0
+		for _, le := range a.leases {
+			switch {
+			case le.closed:
+				return fmt.Errorf("%s lists closed lease %d", a.name, le.id)
+			case le.id <= prev:
+				return fmt.Errorf("%s lists lease %d after lease %d", a.name, le.id, prev)
+			case le.acct != a || le.Cloud != a.name:
+				return fmt.Errorf("%s lists lease %d of cloud %s", a.name, le.id, le.Cloud)
+			}
+			prev = le.id
+			if le.Kind == Reserved {
+				resv += le.Cores
+			} else {
+				held += le.Cores
+			}
 		}
-		if le.End != 0 && le.End <= t {
-			continue
+		if held != a.held || resv != a.reserved {
+			return fmt.Errorf("%s caches held=%d reserved=%d, its leases sum to %d/%d",
+				a.name, a.held, a.reserved, held, resv)
 		}
-		n += le.Cores
 	}
-	return n
+	return nil
 }
 
-// rawHeadroom is the original O(reservations x leases) Headroom definition.
-func rawHeadroom(l *Ledger, cloud string, at sim.Time) int {
-	a := l.accounts[cloud]
-	if a == nil || a.failed {
-		return 0
+// modelHeadroom is Headroom recomputed outside the ledger, from a cloud's
+// total, its committed cores and its active leases as a test tracks them.
+// It takes the least spare capacity over `at` and every later instant at
+// which some lease starts or ends, where the ledger looks only at `at` and
+// later reservation starts.
+func modelHeadroom(total, committed int, leases []*Lease, at sim.Time) int {
+	load := func(t sim.Time) int {
+		n := committed
+		for _, le := range leases {
+			if le.Kind == Reserved && le.At <= t || le.Kind == Held && (le.End == 0 || le.End > t) {
+				n += le.Cores
+			}
+		}
+		return n
 	}
-	head := a.total - rawLoadAt(a, at)
-	for _, le := range a.leases {
-		if le.Kind == Reserved && le.At > at {
-			if h := a.total - rawLoadAt(a, le.At); h < head {
-				head = h
+	head := total - load(at)
+	for _, le := range leases {
+		for _, t := range [2]sim.Time{le.At, le.End} {
+			if t > at {
+				head = min(head, total-load(t))
 			}
 		}
 	}
-	if head < 0 {
-		return 0
-	}
-	return head
+	return max(head, 0)
 }
 
 // TestGeneration: the generation counter moves exactly on cloud-set or
@@ -362,8 +384,9 @@ func TestLeaseRetarget(t *testing.T) {
 // EvictCommitted, and Retarget — across clouds and checks, after every
 // operation, that committed+held never exceeds TotalCores on any cloud,
 // that releases and double-evicts (both idempotent) never mint capacity,
-// and that the cached aggregates and time-indexed Headroom agree with raw
-// lease walks.
+// that each account lists exactly the test's own active lease handles in
+// id order, and that Headroom agrees with a model computed from those
+// handles.
 func TestLedgerInvariantRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := New()
@@ -389,23 +412,33 @@ func TestLedgerInvariantRandomized(t *testing.T) {
 	}
 	var live []*entry
 	committedBy := map[string]int{} // our model of the committed aggregate
+	down := map[string]bool{}       // our model of the failed marks
 	check := func(step int) {
 		t.Helper()
-		for _, name := range names {
-			c, h, r := l.Committed(name), l.Held(name), l.Reserved(name)
-			// The cached held/reserved aggregates must match a raw walk of
-			// the lease map.
-			rawHeld, rawResv := 0, 0
-			for _, le := range l.accounts[name].leases {
-				if le.Kind == Reserved {
-					rawResv += le.Cores
-				} else {
-					rawHeld += le.Cores
-				}
+		if err := checkLeaseLists(l); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		// The test's own handles of still-active leases, by cloud: the
+		// model the ledger's lease lists and Headroom answers are checked
+		// against.
+		mine := map[string][]*Lease{}
+		for _, e := range live {
+			if le := e.lease; le.Active() {
+				mine[le.Cloud] = append(mine[le.Cloud], le)
 			}
-			if h != rawHeld || r != rawResv {
-				t.Fatalf("step %d: %s cached held=%d reserved=%d, lease walk says %d/%d",
-					step, name, h, r, rawHeld, rawResv)
+		}
+		for _, name := range names {
+			c, h := l.Committed(name), l.Held(name)
+			ls := mine[name]
+			sort.Slice(ls, func(i, j int) bool { return ls[i].id < ls[j].id })
+			got := l.accounts[name].leases
+			if len(got) != len(ls) {
+				t.Fatalf("step %d: %s lists %d leases, the test holds %d active", step, name, len(got), len(ls))
+			}
+			for i := range ls {
+				if got[i] != ls[i] {
+					t.Fatalf("step %d: %s lease list[%d] is id %d, want %d", step, name, i, got[i].id, ls[i].id)
+				}
 			}
 			if c+h > totals[name] {
 				t.Fatalf("step %d: %s oversubscribed: committed=%d held=%d total=%d",
@@ -414,7 +447,10 @@ func TestLedgerInvariantRandomized(t *testing.T) {
 			if c != committedBy[name] {
 				t.Fatalf("step %d: %s committed=%d, model says %d", step, name, c, committedBy[name])
 			}
-			if l.Failed(name) {
+			if l.Failed(name) != down[name] {
+				t.Fatalf("step %d: %s failed=%t, model says %t", step, name, l.Failed(name), down[name])
+			}
+			if down[name] {
 				if free := l.Free(name); free != 0 {
 					t.Fatalf("step %d: failed %s reports free=%d, want 0", step, name, free)
 				}
@@ -425,13 +461,13 @@ func TestLedgerInvariantRandomized(t *testing.T) {
 			if free := l.Free(name); free < 0 {
 				t.Fatalf("step %d: %s negative free=%d", step, name, free)
 			}
-			_ = r // reservations are advisory: no physical bound to assert
-			// The time-indexed Headroom must agree with a brute-force lease
-			// walk at several probe instants (the O(log n) prefix-sum path
-			// vs the original O(leases) definition).
 			for _, at := range []sim.Time{0, 250 * sim.Second, 500 * sim.Second, 1000 * sim.Second} {
-				if got, want := l.Headroom(name, at), rawHeadroom(l, name, at); got != want {
-					t.Fatalf("step %d: %s Headroom(%v)=%d, lease walk says %d", step, name, at, got, want)
+				want := 0
+				if !down[name] {
+					want = modelHeadroom(totals[name], committedBy[name], ls, at)
+				}
+				if got := l.Headroom(name, at); got != want {
+					t.Fatalf("step %d: %s Headroom(%v)=%d, model says %d", step, name, at, got, want)
 				}
 			}
 		}
@@ -559,6 +595,7 @@ func TestLedgerInvariantRandomized(t *testing.T) {
 			}
 			// The outage closed every lease and zeroed the committed
 			// aggregate on the cloud; the model follows.
+			down[cloud] = true
 			committedBy[cloud] = 0
 			for _, e := range live {
 				if e.committed && e.cloud == cloud {
@@ -569,6 +606,7 @@ func TestLedgerInvariantRandomized(t *testing.T) {
 			if err := l.RestoreCloud(cloud); err != nil {
 				t.Fatalf("step %d: restore cloud: %v", step, err)
 			}
+			down[cloud] = false
 		}
 		check(step)
 		if step%500 == 499 || step == 4999 {
@@ -598,5 +636,66 @@ func TestProbeUnknownCloud(t *testing.T) {
 	}
 	if _, err := l.Reserve("ghost", 1, 0); err == nil {
 		t.Fatal("reserve on an unknown cloud succeeded")
+	}
+}
+
+// TestLedgerConcurrentSmoke hammers the ledger from many goroutines under
+// -race: mixed acquires/releases/probes/evictions on shared clouds. The
+// assertions are the ledger's own invariants at the end; the point is that
+// the instrumented lock makes interleavings safe at all.
+func TestLedgerConcurrentSmoke(t *testing.T) {
+	l := New()
+	l.AddCloud("x", 256)
+	l.AddCloud("y", 256)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			clouds := []string{"x", "y"}
+			var mine []*Lease
+			for i := 0; i < 500; i++ {
+				c := clouds[rng.Intn(2)]
+				switch rng.Intn(5) {
+				case 0, 1:
+					if le, err := l.AcquireUntil(c, 1+rng.Intn(4), sim.Time(rng.Intn(1000))*sim.Second); err == nil {
+						mine = append(mine, le)
+					}
+				case 2:
+					if len(mine) > 0 {
+						k := rng.Intn(len(mine))
+						mine[k].Release()
+						mine = append(mine[:k], mine[k+1:]...)
+					}
+				case 3:
+					l.Probe(c, rng.Intn(16), sim.Time(rng.Intn(1000))*sim.Second)
+					l.Headroom(c, 0)
+					l.Generation()
+				case 4:
+					if len(mine) > 0 && rng.Intn(4) == 0 {
+						k := rng.Intn(len(mine))
+						if sh, err := l.Evict(mine[k], sim.Time(1000)*sim.Second); err == nil && sh != nil {
+							mine[k] = sh
+						}
+					}
+				}
+			}
+			for _, le := range mine {
+				le.Release()
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	for _, c := range []string{"x", "y"} {
+		if l.Held(c) != 0 || l.Reserved(c) != 0 {
+			t.Fatalf("%s: held=%d reserved=%d after all releases", c, l.Held(c), l.Reserved(c))
+		}
+		if l.Free(c) != 256-l.Committed(c) {
+			t.Fatalf("%s: free=%d committed=%d total=256", c, l.Free(c), l.Committed(c))
+		}
+	}
+	if l.mu.Acquisitions() == 0 {
+		t.Fatal("instrumented lock recorded no acquisitions")
 	}
 }

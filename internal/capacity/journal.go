@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -132,21 +131,40 @@ func LoadJournal(r io.Reader) ([]Rec, error) {
 // byte-identically under Snapshot. Lease ids are restored exactly (the id
 // sequence is part of the record stream), so a recovered scheduler adopts
 // where the dead one left off.
+//
+// Replay validates every record against the ledger state it meets and
+// rejects, rather than coerces, one that no live ledger could have written:
+// a negative core count on any op, a lease kind other than held or
+// reserved, a held lease or a committed-core move larger than the free
+// cores it lands on, and a move of more committed cores than the source
+// holds. The error names the record's index and op.
 func Replay(recs []Rec) (*Ledger, error) {
 	l := New()
-	leases := make(map[int]*Lease)
 	for i, r := range recs {
-		if err := l.apply(r, leases); err != nil {
+		if err := l.apply(r); err != nil {
 			return nil, fmt.Errorf("capacity: journal record %d (%s): %w", i, r.Op, err)
 		}
 	}
 	return l, nil
 }
 
+// lease returns the active lease with the given id, or nil.
+func (l *Ledger) lease(id int) *Lease {
+	for _, a := range l.orderAccts {
+		if i := a.find(id); i < len(a.leases) {
+			return a.leases[i]
+		}
+	}
+	return nil
+}
+
 // apply replays one record.
-func (l *Ledger) apply(r Rec, leases map[int]*Lease) error {
+func (l *Ledger) apply(r Rec) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if r.Cores < 0 {
+		return fmt.Errorf("negative cores %d", r.Cores)
+	}
 	switch r.Op {
 	case OpCloud:
 		l.addCloud(r.Cloud, r.Cores)
@@ -158,33 +176,37 @@ func (l *Ledger) apply(r Rec, leases map[int]*Lease) error {
 		if r.ID <= l.seq {
 			return fmt.Errorf("lease id %d not past sequence %d", r.ID, l.seq)
 		}
+		k := Kind(r.Kind)
+		if k != Held && k != Reserved {
+			return fmt.Errorf("unknown lease kind %d", r.Kind)
+		}
+		if free := l.free(r.Cloud); k == Held && free < r.Cores {
+			return fmt.Errorf("held lease of %d cores on %s with %d free", r.Cores, r.Cloud, free)
+		}
 		l.seq = r.ID - 1 // newLease increments to exactly r.ID
-		leases[r.ID] = l.newLease(a, r.Cores, Kind(r.Kind), sim.Time(r.At), sim.Time(r.End))
+		l.newLease(a, r.Cores, k, sim.Time(r.At), sim.Time(r.End))
 	case OpCommit:
-		le := leases[r.ID]
+		le := l.lease(r.ID)
 		if le == nil {
 			return fmt.Errorf("unknown lease %d", r.ID)
 		}
 		return le.commit()
 	case OpRelease:
-		le := leases[r.ID]
+		le := l.lease(r.ID)
 		if le == nil {
 			return fmt.Errorf("unknown lease %d", r.ID)
 		}
 		le.release()
 	case OpShrink:
-		le := leases[r.ID]
-		if le == nil || le.closed {
-			return fmt.Errorf("shrinking closed or unknown lease %d", r.ID)
+		le := l.lease(r.ID)
+		if le == nil {
+			return fmt.Errorf("unknown lease %d", r.ID)
 		}
-		if r.Cores <= 0 || r.Cores >= le.Cores {
+		if r.Cores == 0 || r.Cores >= le.Cores {
 			return fmt.Errorf("shrinking %d of a %d-core lease", r.Cores, le.Cores)
 		}
-		a := le.acct
-		a.index(le, false)
 		le.Cores -= r.Cores
-		*a.kindCores(le.Kind) -= r.Cores
-		a.index(le, true)
+		*le.acct.kindCores(le.Kind) -= r.Cores
 	case OpUncommit:
 		a := l.accounts[r.Cloud]
 		if a == nil {
@@ -198,6 +220,12 @@ func (l *Ledger) apply(r Rec, leases map[int]*Lease) error {
 		src, dst := l.accounts[r.Cloud], l.accounts[r.To]
 		if src == nil || dst == nil {
 			return fmt.Errorf("unknown cloud in move %q -> %q", r.Cloud, r.To)
+		}
+		if r.Cores > src.committed {
+			return fmt.Errorf("moving %d committed cores from %s with %d committed", r.Cores, r.Cloud, src.committed)
+		}
+		if free := l.free(r.To); free < r.Cores {
+			return fmt.Errorf("moving %d committed cores onto %s with %d free", r.Cores, r.To, free)
 		}
 		src.committed -= r.Cores
 		dst.committed += r.Cores
@@ -228,18 +256,10 @@ func (l *Ledger) Snapshot() []byte {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var b bytes.Buffer
-	ids := make([]int, 0, 16)
-	for _, name := range l.order {
-		a := l.accounts[name]
+	for _, a := range l.orderAccts {
 		fmt.Fprintf(&b, "%s total=%d committed=%d held=%d reserved=%d failed=%t\n",
-			name, a.total, a.committed, a.held, a.reserved, a.failed)
-		ids = ids[:0]
-		for id := range a.leases {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			le := a.leases[id]
+			a.name, a.total, a.committed, a.held, a.reserved, a.failed)
+		for _, le := range a.leases {
 			fmt.Fprintf(&b, "  lease %d kind=%s cores=%d at=%d end=%d\n",
 				le.id, le.Kind, le.Cores, int64(le.At), int64(le.End))
 		}

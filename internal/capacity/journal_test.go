@@ -2,6 +2,8 @@ package capacity
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -115,4 +117,163 @@ func TestFailCloudKeepsTotal(t *testing.T) {
 	if l.Free("a") != 16 {
 		t.Fatalf("free=%d after restore, want 16 (everything was evicted)", l.Free("a"))
 	}
+}
+
+// impossibleJournals are journals no live ledger writes; Replay must reject
+// each at the named record instead of building the ledger they describe.
+var impossibleJournals = []struct {
+	name, jsonl, at string
+}{
+	{"negative lease", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"lease","cloud":"a","id":1,"cores":-5}`, "record 1 (lease)"},
+	{"negative uncommit", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"uncommit","cloud":"a","cores":-20}`, "record 1 (uncommit)"},
+	{"negative total", `{"op":"cloud","cloud":"a","cores":-8}`, "record 0 (cloud)"},
+	{"unknown kind", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"lease","cloud":"a","id":1,"cores":2,"kind":7}`, "record 1 (lease)"},
+	{"held lease over free", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"lease","cloud":"a","id":1,"cores":40}`, "record 1 (lease)"},
+	{"move over committed", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"cloud","cloud":"b","cores":8}
+{"op":"move","cloud":"a","to":"b","cores":3}`, "record 2 (move)"},
+	{"move over free", `{"op":"cloud","cloud":"a","cores":8}
+{"op":"cloud","cloud":"b","cores":2}
+{"op":"lease","cloud":"a","id":1,"cores":6}
+{"op":"commit","id":1}
+{"op":"move","cloud":"a","to":"b","cores":6}`, "record 4 (move)"},
+}
+
+// TestReplayRejectsImpossibleRecords: every impossible journal fails with
+// an error naming the offending record.
+func TestReplayRejectsImpossibleRecords(t *testing.T) {
+	for _, c := range impossibleJournals {
+		recs, err := LoadJournal(strings.NewReader(c.jsonl))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		l, err := Replay(recs)
+		if err == nil {
+			t.Fatalf("%s: replay accepted it:\n%s", c.name, l.Snapshot())
+		}
+		if !strings.Contains(err.Error(), c.at) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.at)
+		}
+	}
+}
+
+// liveJournal drives a small ledger through a seeded random mix of every
+// transition and returns its journal as Sink streams it.
+func liveJournal(seed int64, steps int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var buf bytes.Buffer
+	jrn := NewJournal()
+	jrn.Sink(&buf)
+	l := New()
+	l.Journal(jrn)
+	clouds := []string{"a", "b", "c"}
+	for _, c := range clouds {
+		l.AddCloud(c, 8*(1+rng.Intn(3)))
+	}
+	var leases []*Lease
+	for i := 0; i < steps; i++ {
+		c := clouds[rng.Intn(len(clouds))]
+		n := 1 + rng.Intn(6)
+		at := sim.Time(rng.Intn(1000)) * sim.Second
+		le := &Lease{l: l, closed: true} // an inactive stand-in until leases exist
+		if len(leases) > 0 {
+			le = leases[rng.Intn(len(leases))]
+		}
+		var got *Lease
+		switch rng.Intn(12) {
+		case 0, 1:
+			got, _ = l.AcquireUntil(c, n, at)
+		case 2:
+			got, _ = l.Reserve(c, n, at)
+		case 3:
+			le.Commit()
+		case 4:
+			le.Release()
+		case 5:
+			got, _ = l.Evict(le, at)
+		case 6:
+			if le.Active() && le.Cores > 0 {
+				got, _ = le.Retarget(c, 1+rng.Intn(le.Cores))
+			}
+		case 7:
+			got, _ = l.EvictCommitted(c, rng.Intn(l.Committed(c)+1), at)
+		case 8:
+			l.Retarget(c, clouds[rng.Intn(len(clouds))], rng.Intn(l.Committed(c)+1))
+		case 9:
+			l.Uncommit(c, n)
+		case 10:
+			l.SetTotal(c, 8*(1+rng.Intn(3)))
+		default:
+			if rng.Intn(3) == 0 {
+				l.FailCloud(c)
+			} else {
+				l.RestoreCloud(c)
+			}
+		}
+		if got != nil {
+			leases = append(leases, got)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzJournalReplay feeds arbitrary JSONL to LoadJournal and Replay. Any
+// journal Replay accepts must build a ledger whose lease lists are sound
+// and whose aggregates equal its lease sums, and must replay to the same
+// Snapshot a second time and after a Sink/LoadJournal round trip.
+func FuzzJournalReplay(f *testing.F) {
+	live := liveJournal(1, 200)
+	recs, err := LoadJournal(bytes.NewReader(live))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Replay(recs); err != nil {
+		f.Fatalf("a live journal does not replay: %v", err)
+	}
+	f.Add(live)
+	for _, c := range impossibleJournals {
+		f.Add([]byte(c.jsonl))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := LoadJournal(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		l, err := Replay(recs)
+		if err != nil {
+			return
+		}
+		if err := checkLeaseLists(l); err != nil {
+			t.Fatal(err)
+		}
+		want := l.Snapshot()
+		again, err := Replay(recs)
+		if err != nil {
+			t.Fatalf("second replay: %v", err)
+		}
+		if got := again.Snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("second replay diverged:\n%s\nfirst:\n%s", got, want)
+		}
+		var buf bytes.Buffer
+		j := NewJournal()
+		j.Sink(&buf)
+		for _, r := range recs {
+			j.append(r)
+		}
+		back, err := LoadJournal(&buf)
+		if err != nil {
+			t.Fatalf("reloading the sunk journal: %v", err)
+		}
+		rt, err := Replay(back)
+		if err != nil {
+			t.Fatalf("replaying the sunk journal: %v", err)
+		}
+		if got := rt.Snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("sink round trip diverged:\n%s\noriginal:\n%s", got, want)
+		}
+	})
 }

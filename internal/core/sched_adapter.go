@@ -183,9 +183,10 @@ func (h *fedHandle) Grow(n int, onDone func(error)) {
 // rolls the pass back (exactly the workers that did deploy are terminated)
 // and schedules a fresh attempt after a jittered backoff — planGrow re-runs
 // then, so a cloud that lost capacity or failed during the wait drops out
-// of the retried allocation. Attempts are bounded by the scheduler's
-// LaunchRetries; non-transient errors and exhausted bounds report to onDone
-// as before, and the scheduler rolls its GrewBy credit back.
+// of the retried allocation. Attempts are bounded by
+// sched.LaunchRetryBudget; non-transient errors and exhausted bounds
+// report to onDone as before, and the scheduler rolls its GrewBy credit
+// back.
 func (h *fedHandle) growAttempt(n, attempt int, onDone func(error)) {
 	if h.lj.vc == nil {
 		if onDone != nil {
@@ -556,26 +557,18 @@ func (b *fedBackend) retryBudget() int {
 	if b.s == nil {
 		return 0
 	}
-	return b.s.Config().LaunchRetries
+	return sched.LaunchRetryBudget
 }
 
 // retryDelay is the jittered exponential backoff before launch/grow attempt
-// `attempt` (1-based): the scheduler's RetryBackoffBase doubled per prior
-// attempt, capped at FaultQuarantineMax, jittered ×[0.5,1.5) so a burst of
-// same-cycle failures does not retry in lockstep.
+// `attempt` (1-based): sched.Backoff from sched.RetryBackoffBase, doubled
+// per prior attempt. The jitter draws from the backend's own lazily seeded
+// RNG, never the scheduler's.
 func (b *fedBackend) retryDelay(attempt int) sim.Time {
-	cfg := b.s.Config()
-	d := cfg.RetryBackoffBase
-	for n := attempt - 1; n > 0 && d < cfg.FaultQuarantineMax; n-- {
-		d *= 2
-	}
-	if d > cfg.FaultQuarantineMax {
-		d = cfg.FaultQuarantineMax
-	}
 	if b.retryRNG == nil {
 		b.retryRNG = rand.New(rand.NewSource(b.f.K.Rand().Int63()))
 	}
-	return sim.Time(float64(d) * (0.5 + b.retryRNG.Float64()))
+	return sched.Backoff(sched.RetryBackoffBase, attempt-1, b.retryRNG)
 }
 
 // inputSplits binds each map task to the data-holding cloud's repository

@@ -44,7 +44,7 @@ func (s *Scheduler) elasticTick() {
 		// clouds the reserved plan never touches frees nothing the head can
 		// use, so such jobs run on (see feedsReservation).
 		if s.cfg.EnablePreemption && s.resv != nil && s.preemptible(j) &&
-			float64(s.K.Now()-j.Started) > s.cfg.PreemptOverrunFactor*float64(j.estDuration) &&
+			float64(s.K.Now()-j.Started) > preemptOverrunFactor*float64(j.estDuration) &&
 			s.feedsReservation(j) {
 			var price float64
 			if s.tr != nil { // Shares/EntitledShares allocate; price only feeds the trace

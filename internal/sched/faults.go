@@ -70,7 +70,7 @@ func (s *Scheduler) cloudFailed(cloud string) {
 	now := s.K.Now()
 	s.downClouds[cloud] = true
 	s.m.outages.Inc()
-	if last, ok := s.lastFail[cloud]; ok && now-last <= s.cfg.FlapWindow {
+	if last, ok := s.lastFail[cloud]; ok && now-last <= flapWindow {
 		s.failStreak[cloud]++
 	} else {
 		s.failStreak[cloud] = 1
@@ -100,8 +100,9 @@ func (s *Scheduler) cloudRestored(cloud string) {
 		if s.tr != nil {
 			s.trace(obs.TraceEvent{Kind: "restore", Cloud: cloud})
 		}
-		if !s.cfg.NaiveFaultMode && s.failStreak[cloud] >= s.cfg.FlapThreshold {
-			d := s.quarBackoff(cloud)
+		if !s.cfg.NaiveFaultMode && s.failStreak[cloud] >= flapThreshold {
+			// The quarantine doubles per failure past the flap threshold.
+			d := Backoff(faultQuarantineBase, s.failStreak[cloud]-flapThreshold, s.faultRand())
 			s.quarUntil[cloud] = now + d
 			s.m.quarantines.Inc()
 			// Wake a cycle when the quarantine lapses; pruneQuarantine readmits.
@@ -115,18 +116,19 @@ func (s *Scheduler) cloudRestored(cloud string) {
 	s.kick()
 }
 
-// quarBackoff computes the cloud's quarantine: base doubled per failure past
-// the flap threshold, capped, then jittered to [0.5, 1.5) of the nominal so
-// synchronized flappers do not readmit in lockstep.
-func (s *Scheduler) quarBackoff(cloud string) sim.Time {
-	d := s.cfg.FaultQuarantineBase
-	for n := s.failStreak[cloud] - s.cfg.FlapThreshold; n > 0 && d < s.cfg.FaultQuarantineMax; n-- {
+// Backoff is the one jittered exponential backoff rule for quarantines and
+// launch retries: base doubled `doublings` times, capped at 15 minutes, then
+// jittered to [0.5, 1.5) of the nominal so synchronized failures do not
+// retry or readmit in lockstep. It draws exactly one Float64 from rng.
+func Backoff(base sim.Time, doublings int, rng *rand.Rand) sim.Time {
+	d := base
+	for ; doublings > 0 && d < backoffCap; doublings-- {
 		d *= 2
 	}
-	if d > s.cfg.FaultQuarantineMax {
-		d = s.cfg.FaultQuarantineMax
+	if d > backoffCap {
+		d = backoffCap
 	}
-	return sim.Time(float64(d) * (0.5 + s.faultRand().Float64()))
+	return sim.Time(float64(d) * (0.5 + rng.Float64()))
 }
 
 // requeueOn tears down and requeues every running gang with workers on the
@@ -211,20 +213,6 @@ func (s *Scheduler) pruneQuarantine(snap []CloudInfo) []CloudInfo {
 		}
 	}
 	return out
-}
-
-// retryBackoff computes the delay before a transiently failed launch is
-// retried: base doubled per attempt, capped at the quarantine ceiling,
-// jittered to [0.5, 1.5) of nominal.
-func (s *Scheduler) retryBackoff(attempt int) sim.Time {
-	d := s.cfg.RetryBackoffBase
-	for n := attempt - 1; n > 0 && d < s.cfg.FaultQuarantineMax; n-- {
-		d *= 2
-	}
-	if d > s.cfg.FaultQuarantineMax {
-		d = s.cfg.FaultQuarantineMax
-	}
-	return sim.Time(float64(d) * (0.5 + s.faultRand().Float64()))
 }
 
 // CloudDown reports whether the scheduler currently considers the cloud

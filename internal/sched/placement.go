@@ -351,13 +351,13 @@ func (j *Job) inputFraction(cloud string) float64 {
 //     spreads when locality is indifferent;
 //   - inter-site input bandwidth: the uncovered input fraction streams over
 //     the bottleneck link from the input site, soft-normalised by
-//     RefBandwidth. Tenants with a detected communication-heavy traffic
+//     refBandwidth. Tenants with a detected communication-heavy traffic
 //     pattern get this term boosted, biasing them toward better-connected
 //     clouds;
 //   - cross-site shuffle cost (spanning plans only): the job's map-output
 //     volume crossing cloud boundaries (all-to-all during the shuffle
 //     phase: fraction 1 - Σ shareᵢ²) over the bottleneck bandwidth between
-//     members, normalised by RefShuffleSeconds and boosted by detected
+//     members, normalised by refShuffleSeconds and boosted by detected
 //     patterns — this is what makes a fat-pipe partner beat a cheap
 //     thin-pipe one.
 //
@@ -407,19 +407,19 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 	}
 	boost := 1.0
 	if s.boostedTenant(j) {
-		boost = s.cfg.PatternBoost
+		boost = patternBoost
 	}
 	for k, m := range members {
 		i := idxs[k]
 		share := float64(m.Workers*cpw) / float64(totalCores)
-		p.Capacity += s.cfg.CapacityWeight * share * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
+		p.Capacity += capacityWeight * share * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
 		p.Locality += j.inputFraction(m.Cloud)
 	}
 	if p.Locality > 1 {
 		p.Locality = 1
 	}
 	uncovered := 1 - p.Locality
-	p.Locality *= s.cfg.LocalityWeight
+	p.Locality *= localityWeight
 	if j.Spec.InputSite != "" && uncovered > 0 {
 		// The uncovered input streams from the input site; each member pays
 		// its cores-weighted share of the bandwidth term.
@@ -429,12 +429,12 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 				continue
 			}
 			bw := s.B.Bandwidth(j.Spec.InputSite, m.Cloud)
-			p.Input += s.cfg.BandwidthWeight * boost * uncovered * share * bw / (bw + s.cfg.RefBandwidth)
+			p.Input += bandwidthWeight * boost * uncovered * share * bw / (bw + refBandwidth)
 		}
 	}
 	if len(members) > 1 && !s.cfg.DisableShuffleCost {
 		if secs := crossShuffleSeconds(s.B, j, members); secs > 0 {
-			p.Shuffle = s.cfg.ShuffleWeight * boost * secs / (secs + s.cfg.RefShuffleSeconds)
+			p.Shuffle = s.cfg.ShuffleWeight * boost * secs / (secs + refShuffleSeconds)
 		}
 	}
 	p.Score = p.Locality + p.Capacity + p.Input - p.Shuffle
@@ -571,7 +571,7 @@ func (BestScore) Choose(s *Scheduler, j *Job, v *CloudView) Plan {
 	cpw := j.coresPerWorker()
 	boost := 1.0
 	if s.boostedTenant(j) {
-		boost = s.cfg.PatternBoost
+		boost = patternBoost
 	}
 	if best := scanSingleClouds(s, j, v, ps, workers, cpw, boost); !best.Empty() {
 		best.Members = ps.persistMembers(best.Members)
@@ -622,16 +622,16 @@ func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, work
 		}
 		name := v.Clouds[i].Name
 		var p Plan
-		p.Capacity = s.cfg.CapacityWeight * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
+		p.Capacity = capacityWeight * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
 		p.Locality = j.inputFraction(name)
 		if p.Locality > 1 {
 			p.Locality = 1
 		}
 		uncovered := 1 - p.Locality
-		p.Locality *= s.cfg.LocalityWeight
+		p.Locality *= localityWeight
 		if j.Spec.InputSite != "" && uncovered > 0 && name != j.Spec.InputSite {
 			bw := s.B.Bandwidth(j.Spec.InputSite, name)
-			p.Input = s.cfg.BandwidthWeight * boost * uncovered * bw / (bw + s.cfg.RefBandwidth)
+			p.Input = bandwidthWeight * boost * uncovered * bw / (bw + refBandwidth)
 		}
 		p.Score = p.Locality + p.Capacity + p.Input
 		price := float64(workers*cpw) * v.Clouds[i].Price

@@ -140,7 +140,7 @@ func TestFractionalLocalityScoring(t *testing.T) {
 	if ji.Cloud != "most" {
 		t.Fatalf("placed on %s, want the 75%%-resident cloud despite its higher price", ji.Cloud)
 	}
-	if ji.Plan.Locality >= s.Config().LocalityWeight {
+	if ji.Plan.Locality >= localityWeight {
 		t.Errorf("fractional locality %v not below the full-residency weight", ji.Plan.Locality)
 	}
 }

@@ -50,7 +50,7 @@ func (s *Scheduler) preemptible(j *Job) bool {
 	if j.State != Running || !j.Backfilled || j.Spec.External() || j.handle == nil || j.relocating {
 		return false
 	}
-	if j.Preemptions >= s.cfg.MaxPreemptions {
+	if j.Preemptions >= maxPreemptions {
 		return false
 	}
 	p, ok := j.handle.(Preemptor)

@@ -144,8 +144,8 @@ func TestPreemptionKeepsQueuePosition(t *testing.T) {
 		t.Errorf("job submitted after the victim started at %v, before the victim's restart %v "+
 			"(queue position credit lost)", lt.Started, li.Started)
 	}
-	if li.Preemptions > s.Config().MaxPreemptions {
-		t.Errorf("job evicted %d times, cap is %d", li.Preemptions, s.Config().MaxPreemptions)
+	if li.Preemptions > maxPreemptions {
+		t.Errorf("job evicted %d times, cap is %d", li.Preemptions, maxPreemptions)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestReservationAgingDropsHold(t *testing.T) {
 
 // TestForcedPreemptOverrun: the elastic forced-preempt path — head-driven
 // aging disabled — reclaims a backfilled job once it has run past
-// PreemptOverrunFactor x its estimate while a reservation waits.
+// preemptOverrunFactor x its estimate while a reservation waits.
 func TestForcedPreemptOverrun(t *testing.T) {
 	k, s, head, liar := preemptScenario(t, Config{
 		EnablePreemption:    true,

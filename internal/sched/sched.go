@@ -396,30 +396,59 @@ type Handle interface {
 	Progress() (mapsDone, mapsTotal, reducesDone, reducesTotal int)
 }
 
+// Fixed scheduler constants: the weights and bounds no caller tunes.
+const (
+	// localityWeight scores running at the cloud holding the job's input.
+	localityWeight = 1.0
+	// capacityWeight scores free-capacity headroom.
+	capacityWeight = 0.25
+	// bandwidthWeight scores the link from the input site for non-local
+	// placements.
+	bandwidthWeight = 0.5
+	// refBandwidth normalises the bandwidth term (bw/(bw+ref)): 125 MB/s,
+	// a GbE NIC.
+	refBandwidth = 125 << 20
+	// patternBoost multiplies the bandwidth term for tenants with a
+	// detected communication-heavy pattern.
+	patternBoost = 2.0
+	// refShuffleSeconds normalises the shuffle penalty (secs/(secs+ref)).
+	refShuffleSeconds = 30
+	// preemptOverrunFactor is the elastic pass's forced-preempt bound: a
+	// running backfilled job whose elapsed time exceeds factor x its
+	// dispatch estimate while a reservation is waiting is evicted outright
+	// (the voluntary shrink path only returns elastic extras; this one
+	// reclaims the whole gang through the same eviction machinery). Only
+	// active with EnablePreemption.
+	preemptOverrunFactor = 2.0
+	// maxPreemptions bounds how many times one job may be evicted, so
+	// repeated preemption cannot starve a victim.
+	maxPreemptions = 3
+	// flapThreshold is how many failures within flapWindow mark a cloud as
+	// flapping; its next restore is then quarantined.
+	flapThreshold = 2
+	// flapWindow is the failure-streak window for flap detection.
+	flapWindow = 10 * sim.Minute
+	// faultQuarantineBase is the first quarantine's nominal length; it
+	// doubles per failure past the threshold.
+	faultQuarantineBase = 60 * sim.Second
+	// backoffCap caps every Backoff: quarantines and launch retries.
+	backoffCap = 15 * sim.Minute
+	// LaunchRetryBudget bounds how many times one job's transiently failed
+	// launches (ErrTransientLaunch, or a backend's own deploy retries) are
+	// retried before the job fails.
+	LaunchRetryBudget = 3
+	// RetryBackoffBase is the first launch retry's nominal delay; it
+	// doubles per attempt.
+	RetryBackoffBase = 5 * sim.Second
+)
+
 // Config tunes the scheduler.
 type Config struct {
 	// Placement policy; nil means BestScore (locality-aware).
 	Placement PlacementPolicy
-	// LocalityWeight scores running at the cloud holding the job's input.
-	// Zero means 1.0.
-	LocalityWeight float64
-	// CapacityWeight scores free-capacity headroom. Zero means 0.25.
-	CapacityWeight float64
-	// BandwidthWeight scores the link from the input site for non-local
-	// placements. Zero means 0.5.
-	BandwidthWeight float64
-	// RefBandwidth normalises the bandwidth term (bw/(bw+ref)). Zero means
-	// 125 MB/s (a GbE NIC).
-	RefBandwidth float64
-	// PatternBoost multiplies the bandwidth term for tenants with a
-	// detected communication-heavy pattern. Zero means 2.0.
-	PatternBoost float64
 	// ShuffleWeight scores the cross-site shuffle penalty of spanning
 	// plans. Zero means 1.0.
 	ShuffleWeight float64
-	// RefShuffleSeconds normalises the shuffle penalty
-	// (secs/(secs+ref)). Zero means 30 s.
-	RefShuffleSeconds float64
 	// DisableShuffleCost drops the cross-site shuffle term from plan
 	// scoring — the bandwidth-oblivious spanning baseline (E11).
 	DisableShuffleCost bool
@@ -454,16 +483,6 @@ type Config struct {
 	// eviction pass fires. Zero means 3 when EnablePreemption is set and
 	// disabled otherwise; negative disables aging outright.
 	ReservationMaxSlips int
-	// PreemptOverrunFactor is the elastic pass's forced-preempt bound: a
-	// running backfilled job whose elapsed time exceeds factor x its
-	// dispatch estimate while a reservation is waiting is evicted outright
-	// (the voluntary shrink path only returns elastic extras; this one
-	// reclaims the whole gang through the same eviction machinery). Zero
-	// means 2.0. Only active with EnablePreemption.
-	PreemptOverrunFactor float64
-	// MaxPreemptions bounds how many times one job may be evicted, so
-	// repeated preemption cannot starve a victim. Zero means 3.
-	MaxPreemptions int
 	// EnableConsolidation turns on the elastic consolidation pass: a
 	// running spanning gang whose whole worker set fits on one of its
 	// member clouds is live-migrated onto it (backends exposing Relocator),
@@ -474,25 +493,6 @@ type Config struct {
 	// often they flap. Off by default (degraded-mode handling: credit
 	// preserved, flappers quarantined).
 	NaiveFaultMode bool
-	// FlapThreshold is how many failures within FlapWindow mark a cloud as
-	// flapping; its next restore is then quarantined. Zero means 2.
-	FlapThreshold int
-	// FlapWindow is the failure-streak window for flap detection. Zero
-	// means 10 minutes.
-	FlapWindow sim.Time
-	// FaultQuarantineBase is the first quarantine's nominal length; it
-	// doubles per failure past the threshold. Zero means 60 s.
-	FaultQuarantineBase sim.Time
-	// FaultQuarantineMax caps the quarantine (and launch-retry) backoff.
-	// Zero means 15 minutes.
-	FaultQuarantineMax sim.Time
-	// LaunchRetries bounds how many times one job's transiently failed
-	// launches (ErrTransientLaunch) are retried before the job fails. Zero
-	// means 3; negative disables retries.
-	LaunchRetries int
-	// RetryBackoffBase is the first launch retry's nominal delay; it
-	// doubles per attempt. Zero means 5 s.
-	RetryBackoffBase sim.Time
 	// Obs is the metrics registry the scheduler's counters, gauges, and
 	// phase histograms register in — a federation passes its shared registry
 	// so every layer's families render from one /metrics endpoint. Nil
@@ -509,58 +509,14 @@ func (c Config) withDefaults() Config {
 	if c.Placement == nil {
 		c.Placement = BestScore{}
 	}
-	if c.LocalityWeight == 0 {
-		c.LocalityWeight = 1.0
-	}
-	if c.CapacityWeight == 0 {
-		c.CapacityWeight = 0.25
-	}
-	if c.BandwidthWeight == 0 {
-		c.BandwidthWeight = 0.5
-	}
-	if c.RefBandwidth == 0 {
-		c.RefBandwidth = 125 << 20
-	}
-	if c.PatternBoost == 0 {
-		c.PatternBoost = 2.0
-	}
 	if c.ShuffleWeight == 0 {
 		c.ShuffleWeight = 1.0
-	}
-	if c.RefShuffleSeconds == 0 {
-		c.RefShuffleSeconds = 30
 	}
 	if c.ElasticInterval == 0 {
 		c.ElasticInterval = 15 * sim.Second
 	}
 	if c.DeadlineMargin == 0 {
 		c.DeadlineMargin = 30 * sim.Second
-	}
-	if c.PreemptOverrunFactor == 0 {
-		c.PreemptOverrunFactor = 2.0
-	}
-	if c.MaxPreemptions == 0 {
-		c.MaxPreemptions = 3
-	}
-	if c.FlapThreshold == 0 {
-		c.FlapThreshold = 2
-	}
-	if c.FlapWindow == 0 {
-		c.FlapWindow = 10 * sim.Minute
-	}
-	if c.FaultQuarantineBase == 0 {
-		c.FaultQuarantineBase = 60 * sim.Second
-	}
-	if c.FaultQuarantineMax == 0 {
-		c.FaultQuarantineMax = 15 * sim.Minute
-	}
-	if c.LaunchRetries == 0 {
-		c.LaunchRetries = 3
-	} else if c.LaunchRetries < 0 {
-		c.LaunchRetries = 0
-	}
-	if c.RetryBackoffBase == 0 {
-		c.RetryBackoffBase = 5 * sim.Second
 	}
 	return c
 }
@@ -1212,7 +1168,7 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	s.insertReleases(j)
 	h, err := s.B.Launch(j, plan, s.doneCB)
 	if err != nil {
-		if errors.Is(err, ErrTransientLaunch) && j.launchRetries < s.cfg.LaunchRetries {
+		if errors.Is(err, ErrTransientLaunch) && j.launchRetries < LaunchRetryBudget {
 			// A deploy-path failure the backend believes is transient:
 			// requeue (undoing this dispatch's charge and release entries)
 			// and hold the job behind a jittered backoff. The next attempt
@@ -1220,7 +1176,7 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 			// lose the job to an alternate candidate.
 			j.launchRetries++
 			s.m.launchRetries.Inc()
-			d := s.retryBackoff(j.launchRetries)
+			d := Backoff(RetryBackoffBase, j.launchRetries-1, s.faultRand())
 			if s.tr != nil {
 				s.trace(obs.TraceEvent{Kind: "requeue", Tenant: t.Name, Job: j.ID,
 					Cloud: j.Cloud, Workers: j.workers(), Cores: j.Cores(),
