@@ -4,7 +4,10 @@
 // network. Each node has a NIC of finite bandwidth; each site has a WAN
 // uplink and downlink shared by all cross-site traffic. Bulk transfers are
 // flows: their instantaneous rates follow max-min fair sharing over every
-// link on their path, recomputed whenever a flow starts or finishes. Control
+// link on their path. Max-min sharing decomposes over connected components
+// (flows linked by shared links, directly or through a chain of them), so
+// when a flow starts, finishes or is cancelled only the rates in its
+// component are recomputed; every other flow's rate is unchanged. Control
 // traffic uses SendMessage, which models propagation latency plus
 // uncontended serialisation delay.
 //
@@ -14,8 +17,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -27,20 +32,25 @@ type Link struct {
 	Capacity float64 // bytes per second
 	Bytes    int64   // total bytes carried to completion
 
-	flows map[*Flow]struct{}
+	flows []*Flow // active flows on the link, in start order
+
+	// Water-filling scratch, valid while epoch equals Network.epoch.
+	epoch    uint64
+	rem      float64
+	unfrozen int
 }
 
 func newLink(name string, capacity float64) *Link {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("simnet: link %s has non-positive capacity", name))
 	}
-	return &Link{Name: name, Capacity: capacity, flows: make(map[*Flow]struct{})}
+	return &Link{Name: name, Capacity: capacity}
 }
 
 // Utilization returns the fraction of capacity currently allocated.
 func (l *Link) Utilization() float64 {
 	var sum float64
-	for f := range l.flows {
+	for _, f := range l.flows {
 		sum += f.rate
 	}
 	return sum / l.Capacity
@@ -98,10 +108,14 @@ type Flow struct {
 	last       sim.Time
 	latency    sim.Time
 	links      []*Link
+	pathBuf    [4]*Link // backs links
 	done       func()
+	fire       func() // completion callback, built once by StartFlow
 	completion *sim.Event
 	network    *Network
 	finished   bool
+	seq        uint64 // start order; breaks completion-key ties
+	epoch      uint64 // component-walk mark, see Network.recompute
 }
 
 // Remaining returns the bytes not yet transferred.
@@ -118,9 +132,17 @@ type Network struct {
 	siteLat   map[[2]string]sim.Time
 	defWANLat sim.Time
 
-	active    map[*Flow]struct{}
+	// active holds the in-flight flows in completion-scheduling order
+	// (see flowOrder).
+	active    []*Flow
+	flowSeq   uint64
 	wanBytes  map[[2]string]int64 // src site -> dst site, completed bytes
 	observers []func(FlowEvent)
+
+	// Component-walk state for recompute, reused across events.
+	epoch     uint64
+	compLinks []*Link
+	compFlows []*Flow
 
 	// CostPerWANByte lets experiments attach a dollar cost to WAN traffic,
 	// mirroring cloud egress billing. Zero disables cost accounting.
@@ -137,7 +159,6 @@ func New(k *sim.Kernel) *Network {
 		sites:     make(map[string]*Site),
 		siteLat:   make(map[[2]string]sim.Time),
 		defWANLat: 50 * sim.Millisecond,
-		active:    make(map[*Flow]struct{}),
 		wanBytes:  make(map[[2]string]int64),
 	}
 }
@@ -221,21 +242,23 @@ func (n *Network) PathLatency(src, dst *Node) sim.Time {
 	return n.defWANLat
 }
 
-func (n *Network) path(src, dst *Node) []*Link {
+// path appends the links from src to dst (at most four) to buf.
+func path(buf []*Link, src, dst *Node) []*Link {
 	if src == dst {
-		return []*Link{src.Out} // loopback: NIC-bound local copy
+		return append(buf, src.Out) // loopback: NIC-bound local copy
 	}
 	if src.Site == dst.Site {
-		return []*Link{src.Out, dst.In}
+		return append(buf, src.Out, dst.In)
 	}
-	return []*Link{src.Out, src.Site.Up, dst.Site.Down, dst.In}
+	return append(buf, src.Out, src.Site.Up, dst.Site.Down, dst.In)
 }
 
 // BottleneckBW returns the minimum capacity along the path, ignoring
 // contention. Used for sizing control-message serialisation delay.
 func (n *Network) BottleneckBW(src, dst *Node) float64 {
 	min := math.Inf(1)
-	for _, l := range n.path(src, dst) {
+	var buf [4]*Link
+	for _, l := range path(buf[:0], src, dst) {
 		if l.Capacity < min {
 			min = l.Capacity
 		}
@@ -269,10 +292,10 @@ func (n *Network) StartFlow(src, dst *Node, bytes int64, tag string, onDone func
 		remaining: float64(bytes),
 		last:      n.K.Now(),
 		latency:   n.PathLatency(src, dst),
-		links:     n.path(src, dst),
 		done:      onDone,
 		network:   n,
 	}
+	f.links = path(f.pathBuf[:0], src, dst)
 	n.emit(FlowEvent{Start: true, Src: src, Dst: dst, Bytes: bytes, Tag: tag, At: n.K.Now()})
 	if bytes == 0 {
 		f.finished = true
@@ -284,13 +307,40 @@ func (n *Network) StartFlow(src, dst *Node, bytes int64, tag string, onDone func
 		})
 		return f
 	}
-	n.advanceAll()
-	n.active[f] = struct{}{}
-	for _, l := range f.links {
-		l.flows[f] = struct{}{}
+	n.flowSeq++
+	f.seq = n.flowSeq
+	f.fire = func() {
+		n.advanceAll()
+		f.finish(true)
+		n.recompute(f.links)
+		n.reschedule()
 	}
-	n.recomputeAndReschedule()
+	n.advanceAll()
+	i, _ := slices.BinarySearchFunc(n.active, f, flowOrder)
+	n.active = slices.Insert(n.active, i, f)
+	for _, l := range f.links {
+		l.flows = append(l.flows, f)
+	}
+	n.recompute(f.links)
+	n.reschedule()
 	return f
+}
+
+// flowOrder is the order completions are scheduled in: by (Src.ID,
+// Dst.ID, Tag), ties in start order. Node IDs are unique only per site, so
+// ties happen; breaking them by start order keeps same-instant completions
+// deterministic.
+func flowOrder(a, b *Flow) int {
+	if c := cmp.Compare(a.Src.ID, b.Src.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst.ID, b.Dst.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Cancel aborts an in-flight flow; bytes already carried stay accounted.
@@ -302,7 +352,8 @@ func (f *Flow) Cancel() {
 	n := f.network
 	n.advanceAll()
 	f.finish(false)
-	n.recomputeAndReschedule()
+	n.recompute(f.links)
+	n.reschedule()
 }
 
 // finish removes the flow from the network and accounts its carried bytes.
@@ -314,13 +365,15 @@ func (f *Flow) finish(completed bool) {
 		f.completion.Cancel()
 		f.completion = nil
 	}
-	delete(n.active, f)
+	i, _ := slices.BinarySearchFunc(n.active, f, flowOrder)
+	n.active = slices.Delete(n.active, i, i+1)
 	carried := f.total - f.Remaining()
 	if completed {
 		carried = f.total
 	}
 	for _, l := range f.links {
-		delete(l.flows, f)
+		j := slices.Index(l.flows, f)
+		l.flows = slices.Delete(l.flows, j, j+1)
 		l.Bytes += carried
 	}
 	if f.Src.Site != f.Dst.Site {
@@ -360,7 +413,7 @@ func (n *Network) ActiveFlows() int { return len(n.active) }
 // virtual time at its last computed rate.
 func (n *Network) advanceAll() {
 	now := n.K.Now()
-	for f := range n.active {
+	for _, f := range n.active {
 		dt := (now - f.last).Seconds()
 		if dt > 0 {
 			f.remaining -= f.rate * dt
@@ -372,43 +425,66 @@ func (n *Network) advanceAll() {
 	}
 }
 
-// recomputeAndReschedule runs max-min fair sharing over all active flows and
-// reschedules each flow's completion event.
-func (n *Network) recomputeAndReschedule() {
-	if len(n.active) == 0 {
-		return
+// recompute runs max-min fair sharing over the connected component of the
+// given links: every active flow reachable from them through shared links.
+// Max-min rates decompose over components, and the (share, Name) order in
+// which water filling freezes bottlenecks, restricted to one component, is
+// the order a whole-network pass would pick, so each rate equals what
+// water filling over every active flow would give it. Flows outside the
+// component keep their rates. Call it with the links of the flow that just
+// started or finished.
+func (n *Network) recompute(seeds []*Link) {
+	n.epoch++
+	ep := n.epoch
+	links, flows := n.compLinks[:0], n.compFlows[:0]
+	for _, l := range seeds {
+		if l.epoch != ep {
+			l.epoch = ep
+			links = append(links, l)
+		}
 	}
-	// Max-min water filling. Iteratively find the most contended link,
-	// freeze its flows at the fair share, and remove their demand.
-	type linkState struct {
-		rem      float64
-		unfrozen int
-	}
-	states := make(map[*Link]*linkState)
-	for f := range n.active {
-		for _, l := range f.links {
-			if _, ok := states[l]; !ok {
-				states[l] = &linkState{rem: l.Capacity}
+	// Breadth-first walk: links is the queue, and every flow on a queued
+	// link pulls in the rest of its path.
+	for i := 0; i < len(links); i++ {
+		for _, f := range links[i].flows {
+			if f.epoch == ep {
+				continue
+			}
+			f.epoch = ep
+			flows = append(flows, f)
+			for _, l := range f.links {
+				if l.epoch != ep {
+					l.epoch = ep
+					links = append(links, l)
+				}
 			}
 		}
 	}
-	for f := range n.active {
+	// Max-min water filling. Iteratively find the most contended link,
+	// freeze its flows at the fair share, and remove their demand. Each
+	// link's unfrozen count comes from the component's flows, not from
+	// len(l.flows): if the walk ever missed a flow, rates come out wrong
+	// (which tests catch) instead of the loop never finishing.
+	for _, l := range links {
+		l.rem, l.unfrozen = l.Capacity, 0
+	}
+	for _, f := range flows {
 		f.rate = -1 // unfrozen marker
 		for _, l := range f.links {
-			states[l].unfrozen++
+			l.unfrozen++
 		}
 	}
 	frozen := 0
-	for frozen < len(n.active) {
+	for frozen < len(flows) {
 		// Find bottleneck link: minimal fair share among links with
 		// unfrozen flows.
 		var bottleneck *Link
 		share := math.Inf(1)
-		for l, st := range states {
-			if st.unfrozen == 0 {
+		for _, l := range links {
+			if l.unfrozen == 0 {
 				continue
 			}
-			s := st.rem / float64(st.unfrozen)
+			s := l.rem / float64(l.unfrozen)
 			if s < share || (s == share && (bottleneck == nil || l.Name < bottleneck.Name)) {
 				share, bottleneck = s, l
 			}
@@ -419,37 +495,33 @@ func (n *Network) recomputeAndReschedule() {
 		if share < 0 {
 			share = 0
 		}
-		for f := range bottleneck.flows {
+		for _, f := range bottleneck.flows {
 			if f.rate >= 0 {
 				continue
 			}
 			f.rate = share
 			for _, l := range f.links {
-				st := states[l]
-				st.rem -= share
-				if st.rem < 0 {
-					st.rem = 0
+				l.rem -= share
+				if l.rem < 0 {
+					l.rem = 0
 				}
-				st.unfrozen--
+				l.unfrozen--
 			}
 			frozen++
 		}
 	}
-	// Reschedule completions deterministically (sorted for reproducibility).
-	flows := make([]*Flow, 0, len(n.active))
-	for f := range n.active {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src.ID != flows[j].Src.ID {
-			return flows[i].Src.ID < flows[j].Src.ID
-		}
-		if flows[i].Dst.ID != flows[j].Dst.ID {
-			return flows[i].Dst.ID < flows[j].Dst.ID
-		}
-		return flows[i].Tag < flows[j].Tag
-	})
-	for _, f := range flows {
+	clear(flows) // let finished flows be collected
+	n.compLinks, n.compFlows = links[:0], flows[:0]
+}
+
+// reschedule cancels and re-pushes every active flow's completion event, in
+// active order. Only one component's rates changed, but every completion is
+// still re-pushed: the kernel orders same-instant events by push sequence,
+// so re-pushing only the recomputed flows would move their completions
+// relative to other flows' completions and other events due at the same
+// instant, and with them the experiments' outcomes.
+func (n *Network) reschedule() {
+	for _, f := range n.active {
 		if f.completion != nil {
 			f.completion.Cancel()
 			f.completion = nil
@@ -463,11 +535,6 @@ func (n *Network) recomputeAndReschedule() {
 		if eta < 0 {
 			eta = 0
 		}
-		f := f
-		f.completion = n.K.Schedule(eta, func() {
-			n.advanceAll()
-			f.finish(true)
-			n.recomputeAndReschedule()
-		})
+		f.completion = n.K.Schedule(eta, f.fire)
 	}
 }

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -301,5 +303,168 @@ func TestLoopbackFlow(t *testing.T) {
 	approx(t, done.Seconds(), 1.0001, 0.01, "loopback at NIC speed")
 	if n.TotalWANBytes() != 0 {
 		t.Fatal("loopback billed to WAN")
+	}
+}
+
+// Node IDs are unique only per site, so flows on different sites can share
+// their whole completion key (Src.ID, Dst.ID, Tag). Such flows that finish
+// at the same instant must complete in the order they started, run after
+// run.
+func TestEqualKeyFlowsCompleteInStartOrder(t *testing.T) {
+	want := []string{"site0", "site1", "site2", "site3"}
+	for run := 0; run < 50; run++ {
+		k := sim.NewKernel(1)
+		n := New(k)
+		var order []string
+		for _, name := range want {
+			name := name
+			s := n.AddSite(name, 125*MB, 125*MB)
+			h0 := s.AddNode("h0", 1*GB)
+			h1 := s.AddNode("h1", 1*GB)
+			n.StartFlow(h0, h1, 10*MB, "x", func() { order = append(order, name) })
+		}
+		k.Run()
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("run %d: equal-key flows completed in order %v, want start order %v", run, order, want)
+		}
+	}
+}
+
+// oracleRates is the reference max-min allocation: water filling over every
+// flow in flows and every link they use, with bottlenecks picked by
+// (share, Name). It is the whole-network pass simnet ran on every flow start
+// and finish before it recomputed per connected component, reading only the
+// flows' paths and link capacities.
+func oracleRates(flows []*Flow) map[*Flow]float64 {
+	type linkState struct {
+		rem      float64
+		unfrozen int
+	}
+	states := make(map[*Link]*linkState)
+	var links []*Link
+	rates := make(map[*Flow]float64, len(flows))
+	for _, f := range flows {
+		rates[f] = -1 // unfrozen marker
+		for _, l := range f.links {
+			st := states[l]
+			if st == nil {
+				st = &linkState{rem: l.Capacity}
+				states[l] = st
+				links = append(links, l)
+			}
+			st.unfrozen++
+		}
+	}
+	frozen := 0
+	for frozen < len(flows) {
+		var bottleneck *Link
+		share := math.Inf(1)
+		for _, l := range links {
+			st := states[l]
+			if st.unfrozen == 0 {
+				continue
+			}
+			s := st.rem / float64(st.unfrozen)
+			if s < share || (s == share && (bottleneck == nil || l.Name < bottleneck.Name)) {
+				share, bottleneck = s, l
+			}
+		}
+		if bottleneck == nil {
+			break
+		}
+		if share < 0 {
+			share = 0
+		}
+		for _, f := range flows {
+			if rates[f] >= 0 || !usesLink(f, bottleneck) {
+				continue
+			}
+			rates[f] = share
+			for _, l := range f.links {
+				st := states[l]
+				st.rem -= share
+				if st.rem < 0 {
+					st.rem = 0
+				}
+				st.unfrozen--
+			}
+			frozen++
+		}
+	}
+	return rates
+}
+
+func usesLink(f *Flow, l *Link) bool {
+	for _, g := range f.links {
+		if g == l {
+			return true
+		}
+	}
+	return false
+}
+
+// TestComponentRatesMatchGlobalOracle drives 200 seeded random scenarios —
+// three sites with random WAN and NIC capacities, nine nodes, forty flows
+// at random times including loopback and zero-byte ones, about a fifth
+// cancelled mid-flight — and after every kernel step checks each in-flight
+// flow's rate against whole-network water filling, exactly.
+func TestComponentRatesMatchGlobalOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel(seed)
+		n := New(k)
+		var nodes []*Node
+		for s := 0; s < 3; s++ {
+			site := n.AddSite(fmt.Sprintf("s%d", s), float64(1+rng.Intn(100))*MB, float64(1+rng.Intn(100))*MB)
+			for i := 0; i < 3; i++ {
+				nodes = append(nodes, site.AddNode(fmt.Sprintf("n%d", 3*s+i), float64(10+rng.Intn(990))*MB))
+			}
+		}
+		var started []*Flow
+		for i := 0; i < 40; i++ {
+			src := nodes[rng.Intn(len(nodes))]
+			dst := nodes[rng.Intn(len(nodes))]
+			if rng.Intn(10) == 0 {
+				dst = src
+			}
+			var bytes int64
+			if rng.Intn(10) != 0 {
+				bytes = 1 + rng.Int63n(200*MB)
+			}
+			at := sim.Time(rng.Int63n(int64(5 * sim.Second)))
+			tag := fmt.Sprintf("f%d", rng.Intn(5))
+			cancelAfter := sim.Time(-1)
+			if rng.Intn(5) == 0 {
+				cancelAfter = sim.Time(rng.Int63n(int64(2 * sim.Second)))
+			}
+			k.At(at, func() {
+				f := n.StartFlow(src, dst, bytes, tag, nil)
+				started = append(started, f)
+				if cancelAfter >= 0 {
+					k.Schedule(cancelAfter, f.Cancel)
+				}
+			})
+		}
+		for step := 0; k.Step(); step++ {
+			var inFlight []*Flow
+			for _, f := range started {
+				if !f.finished {
+					inFlight = append(inFlight, f)
+				}
+			}
+			if n.ActiveFlows() != len(inFlight) {
+				t.Fatalf("seed %d step %d: %d active flows, %d in flight", seed, step, n.ActiveFlows(), len(inFlight))
+			}
+			want := oracleRates(inFlight)
+			for _, f := range inFlight {
+				if f.Rate() != want[f] {
+					t.Fatalf("seed %d step %d: flow %s->%s %q rate %v, whole-network water filling gives %v",
+						seed, step, f.Src.ID, f.Dst.ID, f.Tag, f.Rate(), want[f])
+				}
+			}
+		}
+		if n.ActiveFlows() != 0 {
+			t.Fatalf("seed %d: %d flows still active after the run", seed, n.ActiveFlows())
+		}
 	}
 }
