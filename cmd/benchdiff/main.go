@@ -9,8 +9,9 @@
 // string. Two metrics are gated differently:
 //
 //   - allocs/op is deterministic for these benchmarks (fixed seeds, fixed
-//     workloads), so it gates hard on any machine, against any recorded
-//     CPU's entries (they must all agree);
+//     workloads), so it gates hard on any machine: against the run's own
+//     CPU entry when recorded, otherwise against every recorded CPU entry
+//     that holds the benchmark;
 //   - ns/op is hardware-dependent: with -gate auto (default) it gates only
 //     when the run's `cpu:` line has a recorded baseline and warns
 //     otherwise. On shared CI runners pass -gate allocs — virtualized
@@ -50,27 +51,9 @@ type CPUBaseline struct {
 }
 
 // Baseline is the committed benchmark record: entries keyed by the `cpu:`
-// line go test reports. The legacy single-CPU fields are still read (and
-// rewritten into the map on the next -update).
+// line go test reports.
 type Baseline struct {
 	Baselines map[string]CPUBaseline `json:"baselines,omitempty"`
-
-	// Legacy single-CPU format.
-	CPU        string           `json:"cpu,omitempty"`
-	Benchmarks map[string]Entry `json:"benchmarks,omitempty"`
-}
-
-// normalize folds a legacy single-CPU record into the per-CPU map.
-func (b *Baseline) normalize() {
-	if b.Baselines == nil {
-		b.Baselines = make(map[string]CPUBaseline)
-	}
-	if len(b.Benchmarks) > 0 {
-		if _, dup := b.Baselines[b.CPU]; !dup {
-			b.Baselines[b.CPU] = CPUBaseline{Benchmarks: b.Benchmarks}
-		}
-		b.CPU, b.Benchmarks = "", nil
-	}
 }
 
 // benchLine matches "BenchmarkName[-P]  iters  N ns/op [... M allocs/op]",
@@ -144,7 +127,9 @@ func main() {
 				fatal(err)
 			}
 		}
-		base.normalize()
+		if base.Baselines == nil {
+			base.Baselines = make(map[string]CPUBaseline)
+		}
 		// Merge per benchmark: a partial run (one suite's -bench regex)
 		// must not clobber this CPU's entries for the other suites.
 		cb, ok := base.Baselines[cpu]
@@ -175,72 +160,89 @@ func main() {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(err)
 	}
-	base.normalize()
 	if len(base.Baselines) == 0 {
 		fatal(fmt.Errorf("baseline %s holds no benchmark entries", *baselinePath))
 	}
-	// The entry for this machine's CPU when recorded; otherwise any entry
-	// serves for the deterministic allocs gate (they must all agree).
-	entry, cpuMatched := base.Baselines[cpu]
-	if !cpuMatched {
-		names := make([]string, 0, len(base.Baselines))
-		for name := range base.Baselines {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		entry = base.Baselines[names[0]]
+	ok, err := gate(os.Stdout, base, cpu, results, *tolerance, *gateMode)
+	if err != nil {
+		fatal(err)
 	}
+	if !ok {
+		os.Exit(1)
+	}
+}
+
+// gate compares one run's results with the baseline, writing a line per
+// regression, warning or improvement to w, and reports whether the run
+// passes. A run whose cpu has a recorded entry is compared with that entry
+// alone. Any other run is compared with every recorded entry that holds
+// each benchmark, so a partial entry never hides a regression that a
+// fuller one records.
+func gate(w io.Writer, base Baseline, cpu string, results map[string]Entry, tolerance float64, mode string) (bool, error) {
+	_, cpuMatched := base.Baselines[cpu]
 	var gateTime bool
-	switch *gateMode {
+	switch mode {
 	case "all":
 		gateTime = true
 		if !cpuMatched {
-			fmt.Printf("benchdiff: WARNING: -gate all with no baseline for cpu %q — ns/op gates against another machine's numbers\n", cpu)
+			fmt.Fprintf(w, "benchdiff: WARNING: -gate all with no baseline for cpu %q — ns/op gates against other machines' numbers\n", cpu)
 		}
 	case "allocs":
 		gateTime = false
 	case "auto":
 		gateTime = cpuMatched && cpu != ""
 	default:
-		fatal(fmt.Errorf("unknown -gate mode %q (want allocs, all, or auto)", *gateMode))
+		return false, fmt.Errorf("unknown -gate mode %q (want allocs, all, or auto)", mode)
 	}
 	if !gateTime {
-		fmt.Printf("benchdiff: ns/op regressions warn instead of fail (gate=%s, cpu %q recorded=%v)\n",
-			*gateMode, cpu, cpuMatched)
+		fmt.Fprintf(w, "benchdiff: ns/op regressions warn instead of fail (gate=%s, cpu %q recorded=%v)\n",
+			mode, cpu, cpuMatched)
+	}
+	keys := []string{cpu}
+	if !cpuMatched {
+		keys = sortedKeys(base.Baselines)
 	}
 	// Gate the intersection: each CI step feeds only its own suite's
 	// -bench output, so baseline entries owned by other steps are noted,
 	// not failed. An input that matches nothing is still a hard failure —
 	// that is the typo'd-regex case the gate exists to catch.
 	failed := false
-	matched := 0
-	var missing []string
-	for _, name := range sortedNames(entry.Benchmarks) {
-		want := entry.Benchmarks[name]
-		got, ok := results[name]
-		if !ok {
-			missing = append(missing, name)
-			continue
+	matched := make(map[string]bool)
+	missing := make(map[string]Entry)
+	for _, key := range keys {
+		entries := base.Baselines[key].Benchmarks
+		for _, name := range sortedKeys(entries) {
+			want := entries[name]
+			got, ok := results[name]
+			if !ok {
+				missing[name] = want
+				continue
+			}
+			matched[name] = true
+			label := name
+			if !cpuMatched {
+				label = fmt.Sprintf("%s (cpu %q)", name, key)
+			}
+			failed = check(w, label, "allocs/op", want.AllocsPerOp, got.AllocsPerOp, tolerance, true) || failed
+			failed = check(w, label, "ns/op", want.NsPerOp, got.NsPerOp, tolerance, gateTime) || failed
 		}
-		matched++
-		failed = check(name, "allocs/op", want.AllocsPerOp, got.AllocsPerOp, *tolerance, true) || failed
-		failed = check(name, "ns/op", want.NsPerOp, got.NsPerOp, *tolerance, gateTime) || failed
 	}
 	if len(missing) > 0 {
-		fmt.Printf("benchdiff: note: %d baseline benchmark(s) not in this input (gated elsewhere): %s\n",
-			len(missing), strings.Join(missing, ", "))
+		fmt.Fprintf(w, "benchdiff: note: %d baseline benchmark(s) not in this input (gated elsewhere): %s\n",
+			len(missing), strings.Join(sortedKeys(missing), ", "))
 	}
-	if matched == 0 {
-		fmt.Printf("FAIL: input matches no baseline benchmark (gate misconfigured?)\n")
-		failed = true
+	if len(matched) == 0 {
+		fmt.Fprintf(w, "FAIL: input matches no baseline benchmark (gate misconfigured?)\n")
+		return false, nil
 	}
 	if failed {
-		os.Exit(1)
+		return false, nil
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% of baseline\n", matched, *tolerance*100)
+	fmt.Fprintf(w, "benchdiff: %d benchmarks within %.0f%% of baseline\n", len(matched), tolerance*100)
+	return true, nil
 }
 
-func sortedNames(m map[string]Entry) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for name := range m {
 		out = append(out, name)
@@ -250,21 +252,21 @@ func sortedNames(m map[string]Entry) []string {
 }
 
 // check reports one metric comparison, returning true on a gating failure.
-func check(name, metric string, want, got, tolerance float64, gate bool) bool {
+func check(w io.Writer, name, metric string, want, got, tolerance float64, gate bool) bool {
 	if want <= 0 {
 		return false
 	}
 	rel := (got - want) / want
 	switch {
 	case rel > tolerance && gate:
-		fmt.Printf("FAIL %s: %s %.0f vs baseline %.0f (%+.1f%% > %.0f%%)\n",
+		fmt.Fprintf(w, "FAIL %s: %s %.0f vs baseline %.0f (%+.1f%% > %.0f%%)\n",
 			name, metric, got, want, rel*100, tolerance*100)
 		return true
 	case rel > tolerance:
-		fmt.Printf("warn %s: %s %.0f vs baseline %.0f (%+.1f%%, not gated on this cpu)\n",
+		fmt.Fprintf(w, "warn %s: %s %.0f vs baseline %.0f (%+.1f%%, not gated on this cpu)\n",
 			name, metric, got, want, rel*100)
 	case rel < -tolerance:
-		fmt.Printf("note %s: %s improved %.1f%% — consider -update to ratchet the baseline\n",
+		fmt.Fprintf(w, "note %s: %s improved %.1f%% — consider -update to ratchet the baseline\n",
 			name, metric, -rel*100)
 	}
 	return false

@@ -30,22 +30,20 @@
 // closing, so the walk costs less overall than an index those hot
 // transitions would have to maintain.
 //
-// The ledger is safe for concurrent use: every public method takes an
-// instrumented reader/writer lock (contention is exported through
-// Instrument as the sky_lock_* families), and Generation is a lock-free
-// atomic read so hot-path cache-validity checks never serialize on the
-// lock. The scheduler drives the ledger from its single kernel thread, so
-// the lock is uncontended there; it exists so an external surface (a
-// metrics scrape, a daemon API) can read concurrently without corrupting
-// anything.
+// The ledger is safe for concurrent use: every public method takes a
+// reader/writer lock, and Generation is a lock-free atomic read so hot-path
+// cache-validity checks never serialize on the lock. The scheduler drives
+// the ledger from its single kernel thread, so the lock is uncontended
+// there; it exists so an external surface (a metrics scrape, a daemon API)
+// can read concurrently without corrupting anything.
 package capacity
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/lock"
 	"repro/internal/sim"
 )
 
@@ -156,10 +154,8 @@ func (a *account) unlink(le *Lease) {
 // without a federation (SimBackend, standalone nimbus clouds) own private
 // instances with identical semantics.
 type Ledger struct {
-	// mu guards every account and counter below. It is an instrumented
-	// lock (see internal/lock): once Instrument is called, contended
-	// acquisitions surface as sky_lock_contentions_total{lock="capacity_ledger"}.
-	mu lock.RWMutex
+	// mu guards every account and counter below.
+	mu sync.RWMutex
 
 	seq      int
 	accounts map[string]*account

@@ -642,7 +642,7 @@ func TestProbeUnknownCloud(t *testing.T) {
 // TestLedgerConcurrentSmoke hammers the ledger from many goroutines under
 // -race: mixed acquires/releases/probes/evictions on shared clouds. The
 // assertions are the ledger's own invariants at the end; the point is that
-// the instrumented lock makes interleavings safe at all.
+// the ledger's lock makes interleavings safe at all.
 func TestLedgerConcurrentSmoke(t *testing.T) {
 	l := New()
 	l.AddCloud("x", 256)
@@ -694,8 +694,5 @@ func TestLedgerConcurrentSmoke(t *testing.T) {
 		if l.Free(c) != 256-l.Committed(c) {
 			t.Fatalf("%s: free=%d committed=%d total=256", c, l.Free(c), l.Committed(c))
 		}
-	}
-	if l.mu.Acquisitions() == 0 {
-		t.Fatal("instrumented lock recorded no acquisitions")
 	}
 }

@@ -122,16 +122,9 @@ func (b *fedBackend) Kernel() *sim.Kernel { return b.f.K }
 // Ledger implements sched.Backend: the federation-wide capacity ledger.
 func (b *fedBackend) Ledger() *capacity.Ledger { return b.f.ledger }
 
-// Clouds implements sched.Backend: live capacity straight from the ledger
-// (nimbus holds cores from deploy admission, so in-flight provisioning is
-// already accounted).
-func (b *fedBackend) Clouds() []sched.CloudInfo {
-	return b.AppendClouds(make([]sched.CloudInfo, 0, len(b.f.clouds)))
-}
-
-// AppendClouds implements the scheduler's allocation-free snapshot path —
-// the per-cycle and per-submission capacity reads reuse one buffer instead
-// of allocating a slice per call.
+// AppendClouds implements sched.Backend: live capacity straight from the
+// ledger (nimbus holds cores from deploy admission, so in-flight
+// provisioning is already accounted).
 func (b *fedBackend) AppendClouds(dst []sched.CloudInfo) []sched.CloudInfo {
 	for _, c := range b.f.Clouds() {
 		dst = append(dst, sched.CloudInfo{

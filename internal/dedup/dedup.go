@@ -59,33 +59,10 @@ func (r *Registry) Register(c vm.ContentID) {
 	}
 }
 
-// SeedFromMemory registers every page of a memory image — used to model VMs
-// already running at the destination site whose pages the registry indexes.
-func (r *Registry) SeedFromMemory(m *vm.Memory) {
-	for i := 0; i < m.NumPages(); i++ {
-		r.Register(m.Page(i))
-	}
-}
-
 // SeedFromDisk registers every block of a disk image (e.g. the base image
 // cached at the destination's repository).
 func (r *Registry) SeedFromDisk(d *vm.DiskImage) {
 	for i := 0; i < d.NumBlocks(); i++ {
 		r.Register(d.Read(i))
 	}
-}
-
-// Reset clears contents and counters.
-func (r *Registry) Reset() {
-	r.known = make(map[vm.ContentID]struct{})
-	r.Hits, r.Misses, r.Registrations = 0, 0, 0
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no lookups.
-func (r *Registry) HitRate() float64 {
-	total := r.Hits + r.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(total)
 }

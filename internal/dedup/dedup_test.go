@@ -37,22 +37,6 @@ func TestContainsDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestSeedFromMemory(t *testing.T) {
-	m := vm.NewContentModel(1, "img", 0.2, 0.6, 100)
-	mem := vm.NewMemory(1000, m)
-	r := NewRegistry("s")
-	r.SeedFromMemory(mem)
-	for i := 0; i < mem.NumPages(); i++ {
-		if !r.Contains(mem.Page(i)) {
-			t.Fatalf("page %d missing after seed", i)
-		}
-	}
-	// Registry should be much smaller than page count: zero page + pool.
-	if r.Len() >= 1000 {
-		t.Fatalf("no dedup in seeded registry: %d entries", r.Len())
-	}
-}
-
 func TestSeedFromDisk(t *testing.T) {
 	m := vm.NewContentModel(1, "img", 0, 0.9, 50)
 	d := vm.NewDiskImage("base", 500, 4096, m)
@@ -62,30 +46,6 @@ func TestSeedFromDisk(t *testing.T) {
 		if !r.Contains(d.Read(i)) {
 			t.Fatalf("block %d missing after seed", i)
 		}
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	r := NewRegistry("s")
-	if r.HitRate() != 0 {
-		t.Fatal("empty registry hit rate should be 0")
-	}
-	r.Register(1)
-	r.Lookup(1)
-	r.Lookup(2)
-	r.Lookup(1)
-	if hr := r.HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Fatalf("hit rate %.3f, want 2/3", hr)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRegistry("s")
-	r.Register(1)
-	r.Lookup(1)
-	r.Reset()
-	if r.Len() != 0 || r.Hits != 0 || r.Misses != 0 || r.Registrations != 0 {
-		t.Fatal("Reset incomplete")
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package hdfs models the distributed filesystem under the paper's virtual
 // Hadoop clusters (§II): files split into replicated blocks on datanodes,
-// pipelined replication writes, locality-aware reads, and re-replication
-// when a datanode is decommissioned (the shrink path of an elastic
-// cluster). It feeds the mapreduce package's locality-aware scheduling via
-// Splits.
+// written through pipelined replication. Reads are the mapreduce package's
+// job: MapSplits hands it each block's replica locations, and its
+// locality-aware scheduler fetches every split from the closest replica.
 package hdfs
 
 import (
@@ -76,18 +75,6 @@ func New(net *simnet.Network, cfg Config, datanodes []*simnet.Node, seed int64) 
 	sort.Slice(fs.nodes, func(i, j int) bool { return fs.nodes[i].ID < fs.nodes[j].ID })
 	return fs
 }
-
-// AddDataNode registers a new datanode (elastic growth).
-func (fs *FileSystem) AddDataNode(n *simnet.Node) {
-	fs.nodes = append(fs.nodes, n)
-	sort.Slice(fs.nodes, func(i, j int) bool { return fs.nodes[i].ID < fs.nodes[j].ID })
-}
-
-// DataNodes returns the current datanodes.
-func (fs *FileSystem) DataNodes() []*simnet.Node { return append([]*simnet.Node(nil), fs.nodes...) }
-
-// File returns a file by name, or nil.
-func (fs *FileSystem) File(name string) *File { return fs.files[name] }
 
 // placeReplicas picks r distinct datanodes for a new block: first replica
 // on the writer when it is a datanode (HDFS's write-locality), the rest
@@ -198,140 +185,6 @@ func (fs *FileSystem) pipeline(src *simnet.Node, chain []*simnet.Node, bytes int
 	fs.net.K.Schedule(0, next) // keep completion asynchronous even for all-local chains
 }
 
-// BestReplica returns the replica closest to reader: same node, then same
-// site, then any (deterministically first).
-func BestReplica(b *Block, reader *simnet.Node) *simnet.Node {
-	var siteLocal, any *simnet.Node
-	for _, r := range b.Replicas {
-		if r == reader {
-			return r
-		}
-		if reader != nil && r.Site == reader.Site && siteLocal == nil {
-			siteLocal = r
-		}
-		if any == nil {
-			any = r
-		}
-	}
-	if siteLocal != nil {
-		return siteLocal
-	}
-	return any
-}
-
-// Read fetches a whole file to reader, using the best replica per block,
-// with bounded parallelism. onDone receives the bytes read over the
-// network (0 when everything was node-local).
-func (fs *FileSystem) Read(name string, reader *simnet.Node, onDone func(networkBytes int64, err error)) {
-	f := fs.files[name]
-	if f == nil {
-		fs.net.K.Schedule(0, func() { onDone(0, fmt.Errorf("hdfs: no such file %q", name)) })
-		return
-	}
-	var netBytes int64
-	idx := 0
-	inflight := 0
-	const par = 4
-	var pump func()
-	pump = func() {
-		for inflight < par && idx < len(f.Blocks) {
-			b := f.Blocks[idx]
-			idx++
-			rep := BestReplica(b, reader)
-			if rep == reader {
-				continue // local read: disk, not network
-			}
-			inflight++
-			netBytes += b.Bytes
-			fs.net.StartFlow(rep, reader, b.Bytes, "hdfs-read", func() {
-				inflight--
-				if inflight == 0 && idx >= len(f.Blocks) {
-					onDone(netBytes, nil)
-					return
-				}
-				pump()
-			})
-		}
-		if inflight == 0 && idx >= len(f.Blocks) {
-			fs.net.K.Schedule(0, func() { onDone(netBytes, nil) })
-		}
-	}
-	pump()
-}
-
-// Decommission removes a datanode, re-replicating every block it held from
-// a surviving replica. onDone fires when replication factors are restored
-// (or as close as the remaining node count allows).
-func (fs *FileSystem) Decommission(node *simnet.Node, onDone func(reReplicated int)) {
-	kept := fs.nodes[:0]
-	for _, n := range fs.nodes {
-		if n != node {
-			kept = append(kept, n)
-		}
-	}
-	fs.nodes = kept
-	pending := 0
-	count := 0
-	finished := false
-	complete := func() {
-		if pending == 0 && !finished {
-			finished = true
-			if onDone != nil {
-				onDone(count)
-			}
-		}
-	}
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, fname := range names {
-		for _, b := range fs.files[fname].Blocks {
-			hit := -1
-			for i, r := range b.Replicas {
-				if r == node {
-					hit = i
-					break
-				}
-			}
-			if hit < 0 {
-				continue
-			}
-			b.Replicas = append(b.Replicas[:hit], b.Replicas[hit+1:]...)
-			if len(b.Replicas) == 0 {
-				continue // block lost: under-replication disaster, surfaced by count staying low
-			}
-			// Pick a new home not already holding the block.
-			holder := make(map[*simnet.Node]bool, len(b.Replicas))
-			for _, r := range b.Replicas {
-				holder[r] = true
-			}
-			var target *simnet.Node
-			for _, n := range fs.nodes {
-				if !holder[n] {
-					target = n
-					break
-				}
-			}
-			if target == nil {
-				continue
-			}
-			src := b.Replicas[0]
-			b := b
-			pending++
-			count++
-			fs.ReplicationBytes += b.Bytes
-			fs.net.StartFlow(src, target, b.Bytes, "hdfs-rereplicate", func() {
-				b.Replicas = append(b.Replicas, target)
-				pending--
-				complete()
-			})
-		}
-	}
-	fs.net.K.Schedule(0, complete)
-}
-
 // MapSplits converts a file's blocks into MapReduce input splits carrying
 // replica locations, enabling the framework's locality-aware scheduling.
 func MapSplits(f *File) []mapreduce.Split {
@@ -343,61 +196,4 @@ func MapSplits(f *File) []mapreduce.Split {
 		}
 	}
 	return out
-}
-
-// LocalityFraction returns the fraction of the file's bytes with at least
-// one replica on the named site — the per-block locality signal the
-// federation scheduler's plan scorer consumes (a cloud holding 60% of a
-// file's blocks is 0.6 local, not 0 or 1 as whole-file residency would
-// claim). A nil file is 0.
-func LocalityFraction(f *File, site string) float64 {
-	fracs := LocalityFractions(f)
-	return fracs[site]
-}
-
-// LocalityFractions returns, for every site holding replicas, the fraction
-// of the file's bytes with a replica there — the value to feed
-// sched.JobSpec.InputFractions. Fractions may sum to more than 1 because
-// replication places the same block on several sites.
-func LocalityFractions(f *File) map[string]float64 {
-	if f == nil || len(f.Blocks) == 0 {
-		return nil
-	}
-	var total int64
-	bySite := make(map[string]int64)
-	for _, b := range f.Blocks {
-		total += b.Bytes
-		seen := make(map[string]bool, len(b.Replicas))
-		for _, r := range b.Replicas {
-			if r == nil || seen[r.Site.Name] {
-				continue
-			}
-			seen[r.Site.Name] = true
-			bySite[r.Site.Name] += b.Bytes
-		}
-	}
-	if total <= 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(bySite))
-	for site, bytes := range bySite {
-		out[site] = float64(bytes) / float64(total)
-	}
-	return out
-}
-
-// ReplicationFactor returns the minimum live replica count across a file's
-// blocks (0 if any block is lost).
-func (fs *FileSystem) ReplicationFactor(name string) int {
-	f := fs.files[name]
-	if f == nil || len(f.Blocks) == 0 {
-		return 0
-	}
-	min := len(f.Blocks[0].Replicas)
-	for _, b := range f.Blocks {
-		if len(b.Replicas) < min {
-			min = len(b.Replicas)
-		}
-	}
-	return min
 }

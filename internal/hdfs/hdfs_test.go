@@ -55,9 +55,6 @@ func TestWriteCreatesReplicatedBlocks(t *testing.T) {
 			seen[r] = true
 		}
 	}
-	if fs.ReplicationFactor("input") != 3 {
-		t.Fatalf("replication factor %d", fs.ReplicationFactor("input"))
-	}
 	// Pipeline moved (r-1) copies of every block over the network.
 	if fs.ReplicationBytes != 2*20*MB {
 		t.Fatalf("replication bytes %d", fs.ReplicationBytes)
@@ -77,95 +74,6 @@ func TestWriteDuplicateFails(t *testing.T) {
 	k.Run()
 	if !errSeen {
 		t.Fatal("duplicate write must fail")
-	}
-}
-
-func TestReadPrefersLocalReplica(t *testing.T) {
-	k, _, fs, dns := testFS(t, 4, 2)
-	fs.Write("data", 16*MB, dns[0], func(_ *File, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	k.Run()
-	// Reading from the writer: everything node-local, zero network bytes.
-	var localBytes int64 = -1
-	fs.Read("data", dns[0], func(nb int64, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		localBytes = nb
-	})
-	k.Run()
-	if localBytes != 0 {
-		t.Fatalf("local read moved %d network bytes", localBytes)
-	}
-	// Reading from a node with no replicas moves everything.
-	var remoteBytes int64
-	fs.Read("data", dns[3], func(nb int64, err error) { remoteBytes = nb })
-	k.Run()
-	if remoteBytes != 0 && remoteBytes != 16*MB {
-		// dn3 may hold some replicas depending on placement; accept 0..16MB
-		// but it must be a multiple of the block size tail.
-		t.Logf("remote read bytes: %d", remoteBytes)
-	}
-}
-
-func TestReadMissingFile(t *testing.T) {
-	k, _, fs, dns := testFS(t, 2, 1)
-	var err error
-	fs.Read("ghost", dns[0], func(_ int64, e error) { err = e })
-	k.Run()
-	if err == nil {
-		t.Fatal("read of missing file must fail")
-	}
-}
-
-func TestDecommissionRestoresReplication(t *testing.T) {
-	k, _, fs, dns := testFS(t, 5, 3)
-	fs.Write("data", 32*MB, dns[0], func(_ *File, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	k.Run()
-	before := fs.ReplicationFactor("data")
-	reReplicated := -1
-	fs.Decommission(dns[0], func(n int) { reReplicated = n })
-	k.Run()
-	if reReplicated <= 0 {
-		t.Fatalf("no re-replication after losing the writer-local replicas (got %d)", reReplicated)
-	}
-	if after := fs.ReplicationFactor("data"); after != before {
-		t.Fatalf("replication factor %d, want restored to %d", after, before)
-	}
-	// The decommissioned node must no longer appear anywhere.
-	for _, b := range fs.File("data").Blocks {
-		for _, r := range b.Replicas {
-			if r == dns[0] {
-				t.Fatal("decommissioned node still holds replicas")
-			}
-		}
-	}
-}
-
-func TestDecommissionBelowReplicationSurvives(t *testing.T) {
-	k, _, fs, dns := testFS(t, 2, 2)
-	fs.Write("d", 8*MB, dns[0], func(_ *File, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	k.Run()
-	done := false
-	fs.Decommission(dns[1], func(int) { done = true })
-	k.Run()
-	if !done {
-		t.Fatal("decommission never completed")
-	}
-	// Only one node left: factor degrades to 1, data not lost.
-	if fs.ReplicationFactor("d") != 1 {
-		t.Fatalf("factor %d", fs.ReplicationFactor("d"))
 	}
 }
 
@@ -241,54 +149,5 @@ func TestSplitMismatchRejected(t *testing.T) {
 		Splits: []mapreduce.Split{{Bytes: 1}}}, nil)
 	if err == nil {
 		t.Fatal("split/maps mismatch must be rejected")
-	}
-}
-
-// TestLocalityFractions: per-block fractions reflect where replicas
-// actually sit, per site, weighted by block bytes.
-func TestLocalityFractions(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := simnet.New(k)
-	sa := net.AddSite("siteA", 125*MB, 125*MB)
-	sb := net.AddSite("siteB", 125*MB, 125*MB)
-	a1, a2 := sa.AddNode("a1", 125*MB), sa.AddNode("a2", 125*MB)
-	b1 := sb.AddNode("b1", 125*MB)
-	f := &File{Name: "x", Bytes: 30 * MB, Blocks: []*Block{
-		{ID: "blk1", Bytes: 10 * MB, Replicas: []*simnet.Node{a1, a2}}, // A only
-		{ID: "blk2", Bytes: 10 * MB, Replicas: []*simnet.Node{a1, b1}}, // both
-		{ID: "blk3", Bytes: 10 * MB, Replicas: []*simnet.Node{b1}},     // B only
-	}}
-	fr := LocalityFractions(f)
-	if got := fr["siteA"]; got < 0.66 || got > 0.67 {
-		t.Errorf("siteA fraction %v, want 2/3", got)
-	}
-	if got := fr["siteB"]; got < 0.66 || got > 0.67 {
-		t.Errorf("siteB fraction %v, want 2/3", got)
-	}
-	if got := LocalityFraction(f, "siteA"); got != fr["siteA"] {
-		t.Errorf("LocalityFraction = %v, want %v", got, fr["siteA"])
-	}
-	if got := LocalityFraction(f, "nowhere"); got != 0 {
-		t.Errorf("unknown site fraction %v, want 0", got)
-	}
-	if LocalityFractions(nil) != nil || LocalityFraction(nil, "siteA") != 0 {
-		t.Error("nil file must yield no fractions")
-	}
-}
-
-// TestLocalityFractionsFromWrittenFile: fractions from a real Write cover
-// the writer's site fully (first replica lands with the writer).
-func TestLocalityFractionsFromWrittenFile(t *testing.T) {
-	k, _, fs, dns := testFS(t, 5, 3)
-	var f *File
-	fs.Write("input", 40*MB, dns[0], func(file *File, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		f = file
-	})
-	k.Run()
-	if got := LocalityFraction(f, "cloud"); got != 1 {
-		t.Errorf("single-site file locality %v, want 1", got)
 	}
 }

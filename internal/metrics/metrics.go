@@ -1,91 +1,11 @@
-// Package metrics provides the small statistics and table-rendering
-// helpers the experiment harness uses to print paper-style result tables.
+// Package metrics provides the table-rendering and formatting helpers the
+// experiment harness uses to print paper-style result tables.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Series is an ordered collection of float64 samples.
-type Series []float64
-
-// Mean returns the arithmetic mean (0 for empty series).
-func (s Series) Mean() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	return sum / float64(len(s))
-}
-
-// Min returns the smallest sample (0 for empty series).
-func (s Series) Min() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample (0 for empty series).
-func (s Series) Max() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s Series) Stddev() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var acc float64
-	for _, v := range s {
-		d := v - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(s)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy.
-func (s Series) Percentile(p float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	c := append(Series(nil), s...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(c)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return c[rank]
-}
 
 // Table renders fixed-width ASCII tables, the harness' output format.
 type Table struct {

@@ -342,7 +342,7 @@ func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reser
 		// gang skip the policy walk: the precheck is one pass over the free
 		// vector, so a long release list costs O(instants × clouds) until
 		// the first genuinely viable instant, not O(instants × Choose).
-		if s.provablyEmpty(j, av) {
+		if s.cfg.Placement.ProvablyUnplaceable(j, av) {
 			continue
 		}
 		if plan := s.cfg.Placement.Choose(s, j, av); !plan.Empty() {

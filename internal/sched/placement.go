@@ -27,7 +27,7 @@ type Plan struct {
 	Members []Member
 
 	// Cost breakdown (see Scheduler.ScorePlan).
-	Locality float64 // fractional input residency covered by members
+	Locality float64 // input residency covered by members
 	Capacity float64 // cores-weighted free-capacity headroom
 	Input    float64 // inter-site bandwidth term for uncovered input
 	Shuffle  float64 // cross-site shuffle penalty (subtracted)
@@ -159,21 +159,19 @@ func SingleCloudPlan(cloud string, workers int) Plan {
 // backend snapshot minus what this cycle already dispatched); an empty plan
 // means nothing fits. The returned plan must own its Members slice — it
 // outlives the call (job records, reservations).
+//
+// ProvablyUnplaceable is the exact fit precheck: it must return true only
+// when Choose would certainly return an empty plan for j against v — a
+// cheap arithmetic proof, no scoring. The scheduler uses it to skip Choose
+// entirely on the hot blocked paths (the cycle's backfill scan over jobs
+// that cannot fit, and every non-viable instant of the reservation walk),
+// where growPlan's greedy extension dominated the cycle profile. Soundness
+// is what matters: a false negative just means Choose runs and discovers
+// emptiness itself, so decisions are identical with or without the
+// precheck.
 type PlacementPolicy interface {
 	Name() string
 	Choose(s *Scheduler, j *Job, v *CloudView) Plan
-}
-
-// fitProver is the optional policy extension behind the exact fit precheck:
-// ProvablyUnplaceable must return true only when Choose would certainly
-// return an empty plan for j against v — a cheap arithmetic proof, no
-// scoring. The scheduler uses it to skip Choose entirely on the hot blocked
-// paths (the cycle's backfill scan over jobs that cannot fit, and every
-// non-viable instant of the reservation walk), where growPlan's greedy
-// extension dominated the cycle profile. Soundness is what matters:
-// a false negative just means Choose runs and discovers emptiness itself,
-// so decisions are identical with or without the precheck.
-type fitProver interface {
 	ProvablyUnplaceable(j *Job, v *CloudView) bool
 }
 
@@ -239,8 +237,7 @@ type cacheablePolicy interface{ PureChoose() bool }
 // first of each shape pays for Choose and the rest match and reuse the
 // plan, byte for byte the same decision. Any view mutation (a dispatch's
 // take, a mid-cycle re-snapshot) and every cycle start invalidate the whole
-// table. Jobs with per-block locality maps (InputFractions) bypass it, as
-// does any policy without PureChoose.
+// table. Policies without PureChoose bypass it.
 type planMemo struct {
 	ok            bool
 	workers, cpw  int
@@ -288,7 +285,7 @@ func (s *Scheduler) memoLookup(j *Job, boosted bool) *planMemo {
 // policy and records the answer in a round-robin slot for the rest of the
 // frozen-view window.
 func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
-	if !s.memoable || j.Spec.InputFractions != nil {
+	if !s.memoable {
 		return s.cfg.Placement.Choose(s, j, v)
 	}
 	boosted := s.boostedTenant(j)
@@ -324,13 +321,8 @@ func (m *planMemo) matches(j *Job, boosted bool) bool {
 }
 
 // inputFraction returns the fraction of the job's input bytes resident on
-// one cloud: the explicit per-block map (hdfs.LocalityFractions) when set,
-// else 1 on the whole-file InputSite. Allocation-free — the scoring hot
-// path asks per member.
+// one cloud: 1 on the whole-file InputSite, 0 elsewhere.
 func (j *Job) inputFraction(cloud string) float64 {
-	if j.Spec.InputFractions != nil {
-		return j.Spec.InputFractions[cloud]
-	}
 	if cloud != "" && cloud == j.Spec.InputSite {
 		return 1
 	}
@@ -343,10 +335,9 @@ func (j *Job) inputFraction(cloud string) float64 {
 // a feasible shuffle-heavy plan can legitimately score below zero). Four
 // terms, per the federation design:
 //
-//   - fractional data locality: the fraction of the job's input bytes with
-//     a replica on some member cloud (from hdfs.File block replica maps via
-//     JobSpec.InputFractions; whole-file InputSite counts as fraction 1) —
-//     input covered by a member stays off the WAN;
+//   - data locality: the fraction of the job's input bytes on some member
+//     cloud (1 when a member is the whole-file InputSite, else 0) — input
+//     covered by a member stays off the WAN;
 //   - free capacity: cores-weighted headroom across members, so load
 //     spreads when locality is indifferent;
 //   - inter-site input bandwidth: the uncovered input fraction streams over
@@ -544,13 +535,13 @@ func (BestScore) Name() string { return "best-score" }
 // the plan memo may reuse its answers.
 func (BestScore) PureChoose() bool { return true }
 
-// ProvablyUnplaceable implements fitProver: placing `workers` whole workers
-// of cpw cores each — on one cloud or spanning — requires Σ⌊free/cpw⌋ ≥
-// workers across clouds, and conversely growPlan succeeds whenever the slot
-// sum covers the demand (each greedy step takes a cloud's whole ⌊free/cpw⌋,
-// and a constructed plan is always feasible against the free cores it was
-// built from). So the slot sum decides emptiness exactly, in one pass over
-// the free vector.
+// ProvablyUnplaceable implements PlacementPolicy: placing `workers` whole
+// workers of cpw cores each — on one cloud or spanning — requires
+// Σ⌊free/cpw⌋ ≥ workers across clouds, and conversely growPlan succeeds
+// whenever the slot sum covers the demand (each greedy step takes a cloud's
+// whole ⌊free/cpw⌋, and a constructed plan is always feasible against the
+// free cores it was built from). So the slot sum decides emptiness exactly,
+// in one pass over the free vector.
 func (BestScore) ProvablyUnplaceable(j *Job, v *CloudView) bool {
 	cpw := j.coresPerWorker()
 	slots := 0
@@ -624,9 +615,6 @@ func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, work
 		var p Plan
 		p.Capacity = capacityWeight * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
 		p.Locality = j.inputFraction(name)
-		if p.Locality > 1 {
-			p.Locality = 1
-		}
 		uncovered := 1 - p.Locality
 		p.Locality *= localityWeight
 		if j.Spec.InputSite != "" && uncovered > 0 && name != j.Spec.InputSite {
@@ -646,19 +634,8 @@ func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, work
 	return best
 }
 
-// planHas reports whether the member list already uses the cloud (replaces
-// the former per-call `used` map; member lists are short).
-func planHas(members []Member, cloud string) bool {
-	for _, m := range members {
-		if m.Cloud == cloud {
-			return true
-		}
-	}
-	return false
-}
-
-// planHasIdx is planHas over view positions — positions and names are in
-// bijection within one view, so the verdicts agree.
+// planHasIdx reports whether the member positions already include view
+// position i (member lists are short, so a scan beats a set).
 func planHasIdx(idxs []int, i int) bool {
 	for _, x := range idxs {
 		if x == i {
@@ -740,8 +717,8 @@ type RandomPlacement struct{}
 // Name implements PlacementPolicy.
 func (RandomPlacement) Name() string { return "random" }
 
-// ProvablyUnplaceable implements fitProver: the policy only ever picks a
-// single cloud with room for the whole gang, and when no cloud qualifies
+// ProvablyUnplaceable implements PlacementPolicy: the policy only ever picks
+// a single cloud with room for the whole gang, and when no cloud qualifies
 // Choose returns empty before drawing from the kernel RNG — so skipping the
 // call preserves the RNG stream exactly.
 func (RandomPlacement) ProvablyUnplaceable(j *Job, v *CloudView) bool {

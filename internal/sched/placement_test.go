@@ -123,28 +123,6 @@ func TestPlanTieBreak(t *testing.T) {
 	}
 }
 
-// TestFractionalLocalityScoring: per-block input fractions shift placement
-// toward the cloud holding the larger share of replicas.
-func TestFractionalLocalityScoring(t *testing.T) {
-	k := sim.NewKernel(1)
-	b := NewSimBackend(k)
-	b.AddCloud("most", 16, 1, 0.20)
-	b.AddCloud("some", 16, 1, 0.05)
-	s := New(b, Config{})
-	s.AddTenant("t", 1)
-	id := submitN(t, s, "t", 1, JobSpec{Workers: 4, CoresPerWorker: 2, EstimateSeconds: 100,
-		InputSite: "most", InputBytes: 1 << 30,
-		InputFractions: map[string]float64{"most": 0.75, "some": 0.25}})[0]
-	k.RunUntil(1 * sim.Second)
-	ji, _ := s.Poll(id)
-	if ji.Cloud != "most" {
-		t.Fatalf("placed on %s, want the 75%%-resident cloud despite its higher price", ji.Cloud)
-	}
-	if ji.Plan.Locality >= localityWeight {
-		t.Errorf("fractional locality %v not below the full-residency weight", ji.Plan.Locality)
-	}
-}
-
 // TestRandomPlacementPlanDeterminism: the same seed yields the identical
 // plan sequence, run to run, under the plan-based API.
 func TestRandomPlacementPlanDeterminism(t *testing.T) {

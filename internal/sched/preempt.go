@@ -117,7 +117,7 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 				av.free[p] += m.Workers * cpw
 			}
 		}
-		if s.provablyEmpty(head, av) {
+		if s.cfg.Placement.ProvablyUnplaceable(head, av) {
 			continue
 		}
 		if plan := s.cfg.Placement.Choose(s, head, av); !plan.Empty() {

@@ -77,11 +77,6 @@ type JobSpec struct {
 	// InputBytes over the inter-site links.
 	InputSite  string
 	InputBytes int64
-	// InputFractions optionally refines InputSite with per-block locality:
-	// for each cloud, the fraction of the input's bytes with a replica
-	// there (hdfs.LocalityFractions). Fractions may overlap (replication);
-	// nil falls back to {InputSite: 1}.
-	InputFractions map[string]float64
 	// Deadline is an absolute completion target (0 = none). Late jobs grow
 	// through the elastic hook.
 	Deadline sim.Time
@@ -353,9 +348,11 @@ type Backend interface {
 	// elastic-growth paths (which Probe the ledger) cannot race a reserved
 	// gang start.
 	Ledger() *capacity.Ledger
-	// Clouds snapshots current capacity (free cores must account for
-	// in-flight provisioning the backend has committed to).
-	Clouds() []CloudInfo
+	// AppendClouds appends a snapshot of current capacity to dst and
+	// returns it (free cores must account for in-flight provisioning the
+	// backend has committed to). Taking the buffer lets the scheduler reuse
+	// one snapshot slice across cycles instead of allocating per cycle.
+	AppendClouds(dst []CloudInfo) []CloudInfo
 	// Bandwidth returns the bottleneck inter-site bandwidth in bytes/sec
 	// between two clouds (used by the placement score).
 	Bandwidth(a, b string) float64
@@ -369,21 +366,10 @@ type Backend interface {
 	Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error)
 }
 
-// cloudAppender is the allocation-free variant of Backend.Clouds: backends
-// that implement it let the scheduler reuse one snapshot buffer across
-// cycles instead of allocating a fresh slice per cycle. Both in-repo
-// backends (SimBackend, core's fedBackend) do.
-type cloudAppender interface {
-	AppendClouds(dst []CloudInfo) []CloudInfo
-}
-
 // snapshotClouds fills the scheduler's snapshot scratch from the backend.
 func (s *Scheduler) snapshotClouds() []CloudInfo {
-	if ca, ok := s.B.(cloudAppender); ok {
-		s.snapScratch = ca.AppendClouds(s.snapScratch[:0])
-		return s.snapScratch
-	}
-	return s.B.Clouds()
+	s.snapScratch = s.B.AppendClouds(s.snapScratch[:0])
+	return s.snapScratch
 }
 
 // Handle controls one running job's capacity.
@@ -629,11 +615,6 @@ type Scheduler struct {
 	// candidate plans in.
 	place placeScratch
 
-	// prover is the placement policy's fit precheck when it offers one
-	// (optional fitProver interface): a cheap arithmetic proof that Choose
-	// would return empty, letting the blocked paths skip scoring outright.
-	prover fitProver
-
 	// memos is the plan memo table (see planMemo): one entry per recently
 	// scored job shape, evicted round-robin, all invalidated at every cycle
 	// start and whenever the working free vector moves. memoable gates it
@@ -647,11 +628,13 @@ type Scheduler struct {
 	extMu sync.Mutex
 
 	// fitsFederation cache: federation-wide per-cloud totals keyed on the
-	// capacity ledger's generation, so Submit stops snapshotting
-	// B.Clouds() per call (invalidated on cloud add/resize).
+	// capacity ledger's generation, so Submit stops snapshotting the
+	// backend per call (invalidated on cloud add/resize). slotsSnap is the
+	// refresh's own snapshot buffer.
 	slotsGen    uint64
 	slotsTotals []int
 	slotsOK     bool
+	slotsSnap   []CloudInfo
 
 	// Fault state (faults.go), allocated lazily on the first fault event so
 	// fault-free runs carry only nil pointers: downClouds tracks outages in
@@ -704,9 +687,6 @@ func New(b Backend, cfg Config) *Scheduler {
 	// One completion callback for every launch: dispatch hands this to
 	// Backend.Launch instead of closing over each job.
 	s.doneCB = func(j *Job, out Outcome) { s.complete(j, out) }
-	if fp, ok := s.cfg.Placement.(fitProver); ok {
-		s.prover = fp
-	}
 	if cp, ok := s.cfg.Placement.(cacheablePolicy); ok && cp.PureChoose() {
 		s.memoable = true
 	}
@@ -722,12 +702,6 @@ func (s *Scheduler) Sync(fn func()) {
 	s.extMu.Lock()
 	defer s.extMu.Unlock()
 	fn()
-}
-
-// provablyEmpty reports whether the policy's fit precheck proves Choose
-// would return an empty plan against v — false when the policy offers none.
-func (s *Scheduler) provablyEmpty(j *Job, v *CloudView) bool {
-	return s.prover != nil && s.prover.ProvablyUnplaceable(j, v)
 }
 
 // jobByID looks a job up in the active set, then the archive.
@@ -826,14 +800,15 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 // can use them all). Jobs wider than any single cloud are accepted — under
 // a single-cloud policy they simply stay queued. The per-cloud totals are
 // cached keyed on the capacity ledger's generation (every cloud add or
-// resize bumps it), so per-submission checks stop snapshotting B.Clouds().
+// resize bumps it), so per-submission checks stop snapshotting the backend.
 func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
 	if gen := s.B.Ledger().Generation(); !s.slotsOK || gen != s.slotsGen {
-		// Own snapshot call, not snapshotClouds: a refresh can be triggered
-		// mid-cycle (reserve failure) and must not clobber the snapshot
-		// buffer the cycle's view aliases.
+		// Own snapshot buffer, not snapshotClouds: a refresh can be
+		// triggered mid-cycle (reserve failure) and must not clobber the
+		// snapshot buffer the cycle's view aliases.
+		s.slotsSnap = s.B.AppendClouds(s.slotsSnap[:0])
 		s.slotsTotals = s.slotsTotals[:0]
-		for _, c := range s.B.Clouds() {
+		for _, c := range s.slotsSnap {
 			s.slotsTotals = append(s.slotsTotals, c.TotalCores)
 		}
 		s.slotsGen, s.slotsOK = gen, true
@@ -948,7 +923,7 @@ func (s *Scheduler) cycle() {
 				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
 					Workers: j.workers(), Cores: j.Cores()})
 			}
-			if !s.provablyEmpty(j, v) {
+			if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
 				plan = s.choosePlan(j, v)
 			}
 			if plan.Empty() {

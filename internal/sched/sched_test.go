@@ -204,7 +204,7 @@ func TestScoreRejectsOverCapacity(t *testing.T) {
 	s := New(b, Config{})
 	s.AddTenant("t", 1)
 	j := &Job{Spec: JobSpec{Tenant: "t", Workers: 8, CoresPerWorker: 2}}
-	clouds := s.B.Clouds()
+	clouds := s.B.AppendClouds(nil)
 	free := map[string]int{"c0": 8}
 	p := s.ScorePlan(j, []Member{{Cloud: "c0", Workers: 8}}, clouds, free)
 	if p.Score >= 0 {
@@ -499,7 +499,7 @@ func TestPatternBiasesPlacement(t *testing.T) {
 	j := &Job{Spec: JobSpec{Tenant: "t", Workers: 2, CoresPerWorker: 2,
 		InputSite: "data", InputBytes: 1 << 30}}
 	score := func(name string) float64 {
-		clouds := s.B.Clouds()
+		clouds := s.B.AppendClouds(nil)
 		free := make(map[string]int)
 		for _, c := range clouds {
 			free[c.Name] = c.FreeCores

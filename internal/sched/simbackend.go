@@ -153,16 +153,10 @@ func (b *SimBackend) Kernel() *sim.Kernel { return b.k }
 // Ledger implements Backend.
 func (b *SimBackend) Ledger() *capacity.Ledger { return b.ledger }
 
-// Clouds implements Backend.
-func (b *SimBackend) Clouds() []CloudInfo {
-	return b.AppendClouds(make([]CloudInfo, 0, len(b.clouds)))
-}
-
-// AppendClouds implements the scheduler's allocation-free snapshot path.
-// The free/total reads come from the ledger's bulk walk — one lock
-// round-trip per snapshot instead of two per cloud. b.clouds and the ledger
-// keep name-sorted cloud sets populated in pairs by AddCloud, so the two
-// walk in lockstep.
+// AppendClouds implements Backend. The free/total reads come from the
+// ledger's bulk walk — one lock round-trip per snapshot instead of two per
+// cloud. b.clouds and the ledger keep name-sorted cloud sets populated in
+// pairs by AddCloud, so the two walk in lockstep.
 func (b *SimBackend) AppendClouds(dst []CloudInfo) []CloudInfo {
 	i := 0
 	b.ledger.FreeTotals(func(name string, free, total int) {

@@ -12,8 +12,8 @@ package sched
 // name index is rebuilt only when the cloud list changes shape.
 type CloudView struct {
 	// Clouds is the backend capacity snapshot, in backend order. FreeCores
-	// is the snapshot value; the live working vector is behind Free/FreeAt
-	// and moves as the cycle dispatches.
+	// is the snapshot value; the working vector free moves as the cycle
+	// dispatches.
 	Clouds []CloudInfo
 
 	free  []int
@@ -78,17 +78,6 @@ func (v *CloudView) Pos(name string) int {
 	}
 	return -1
 }
-
-// Free returns the working free cores for a cloud (0 when unknown).
-func (v *CloudView) Free(name string) int {
-	if i := v.Pos(name); i >= 0 {
-		return v.free[i]
-	}
-	return 0
-}
-
-// FreeAt returns the working free cores for the cloud at position i.
-func (v *CloudView) FreeAt(i int) int { return v.free[i] }
 
 // take decrements the working free vector for a dispatched plan slice.
 func (v *CloudView) take(name string, cores int) {

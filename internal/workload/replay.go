@@ -331,7 +331,10 @@ func Replay(tr *Trace, cfg ReplayConfig) (Result, error) {
 	return res, nil
 }
 
-// percentile returns the nearest-rank percentile of sorted values.
+// percentile returns the value of 1-based rank p·n, rounded half up and
+// clamped to [1, n], from n sorted values. That is not nearest rank
+// (⌈p·n⌉): for p = 0.99 and n = 70 it returns the 69th smallest value,
+// where nearest rank returns the 70th.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -157,5 +159,49 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		if _, err := Load(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("%s: Load accepted invalid input", name)
 		}
+	}
+}
+
+// TestPercentileRank pins the survival tables' percentile rule — 1-based
+// rank p·n rounded half up — and its bounds: the result is an input value
+// between the minimum and the maximum, and it never falls as p grows.
+func TestPercentileRank(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		p50, p99 int // 0-based index returned at p = 0.5 and p = 0.99
+	}{
+		{1, 0, 0}, {2, 0, 1}, {3, 1, 2}, {70, 34, 68}, {100, 49, 98}, {150, 74, 148},
+	} {
+		sorted := make([]float64, c.n)
+		for i := range sorted {
+			sorted[i] = float64(i)
+		}
+		if got := percentile(sorted, 0.50); got != float64(c.p50) {
+			t.Errorf("n=%d: p50 at index %v, want %d", c.n, got, c.p50)
+		}
+		if got := percentile(sorted, 0.99); got != float64(c.p99) {
+			t.Errorf("n=%d: p99 at index %v, want %d", c.n, got, c.p99)
+		}
+	}
+	f := func(vals []float64, a, b uint8) bool {
+		for _, v := range vals {
+			if math.IsNaN(v) {
+				return true
+			}
+		}
+		if len(vals) == 0 {
+			return percentile(vals, 0.5) == 0
+		}
+		sort.Float64s(vals)
+		lo, hi := float64(a%101)/100, float64(b%101)/100
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		x, y := percentile(vals, lo), percentile(vals, hi)
+		i := sort.SearchFloat64s(vals, x)
+		return i < len(vals) && vals[i] == x && x >= vals[0] && y <= vals[len(vals)-1] && x <= y
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
