@@ -13,7 +13,7 @@ type Tenant struct {
 	Name   string
 	Weight float64
 
-	queue []*Job
+	queue []queueEntry
 	// usage is charged core-seconds: an estimate is charged at dispatch
 	// (so one tenant cannot capture the whole federation within a single
 	// cycle) and trued up to actual duration at completion. With
@@ -34,6 +34,20 @@ type Tenant struct {
 	// per-candidate scoring loops skip the string map lookup.
 	boosted bool
 }
+
+// queueEntry is one queued job with its blocked-head watermark record: wake
+// is the freed-core clock reading (Scheduler.freedCum) at which enough cores
+// will have freed to possibly fit the job again, or noWake while the job has
+// no record (see Scheduler.canFit). Keeping the record here, not on the Job,
+// lets the cycle step over blocked jobs without loading them.
+type queueEntry struct {
+	job  *Job
+	wake int64
+}
+
+// noWake marks a queue entry without a watermark record: every clock
+// reading reaches it.
+const noWake = math.MinInt64
 
 // decay brings the tenant's charged usage forward to now under the
 // configured half-life: usage halves every UsageHalfLife of wall time, so a

@@ -238,6 +238,11 @@ type cacheablePolicy interface{ PureChoose() bool }
 // plan, byte for byte the same decision. Any view mutation (a dispatch's
 // take, a mid-cycle re-snapshot) and every cycle start invalidate the whole
 // table. Policies without PureChoose bypass it.
+//
+// A hit hands out the stored plan itself, members included: no code writes
+// a Plan's Members in place (MoveWorkers and the backends copy, and
+// BestScore returns capped slices), so jobs sharing one member slice is
+// safe.
 type planMemo struct {
 	ok            bool
 	workers, cpw  int
@@ -245,8 +250,7 @@ type planMemo struct {
 	maps, reduces int
 	shufBytes     int64
 	boosted       bool
-	members       []Member
-	plan          Plan // breakdown + score; Members held separately
+	plan          Plan
 }
 
 // boostedTenant reports whether the job's tenant has a boost-worthy
@@ -281,9 +285,8 @@ func (s *Scheduler) memoLookup(j *Job, boosted bool) *planMemo {
 }
 
 // choosePlan is the cycle scan's Choose entry point: a memo hit returns the
-// cached plan (fresh member copy, same breakdown), a miss delegates to the
-// policy and records the answer in a round-robin slot for the rest of the
-// frozen-view window.
+// cached plan, a miss delegates to the policy and records the answer in a
+// round-robin slot for the rest of the frozen-view window.
 func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	if !s.memoable {
 		return s.cfg.Placement.Choose(s, j, v)
@@ -291,11 +294,7 @@ func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	boosted := s.boostedTenant(j)
 	if m := s.memoLookup(j, boosted); m != nil {
 		s.m.planMemoHits.Inc()
-		p := m.plan
-		if len(m.members) > 0 {
-			p.Members = append([]Member(nil), m.members...)
-		}
-		return p
+		return m.plan
 	}
 	p := s.cfg.Placement.Choose(s, j, v)
 	m := &s.memos[s.memoNext]
@@ -306,9 +305,7 @@ func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	m.boosted = boosted
 	m.maps, m.reduces = j.Spec.MR.NumMaps, j.Spec.MR.NumReduces
 	m.shufBytes = j.Spec.MR.ShuffleBytesPerMapPerReduce
-	m.members = append(m.members[:0], p.Members...)
 	m.plan = p
-	m.plan.Members = nil
 	return p
 }
 
@@ -592,7 +589,7 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 		}
 	}
 	if !best.Empty() {
-		best.Members = append([]Member(nil), best.Members...)
+		best.Members = ps.persistMembers(best.Members)
 	}
 	return best
 }

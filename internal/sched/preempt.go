@@ -249,13 +249,12 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	j.coresNow, j.accrued, j.charged = 0, 0, 0
 	j.deadlineGrown, j.spotReplaced, j.shrunk = 0, 0, false
 	j.relocating = false
-	j.unfit = false
 	// Submission-order insert: everything the victim originally preceded,
 	// it still precedes.
-	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].seq > j.seq })
-	t.queue = append(t.queue, nil)
+	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
+	t.queue = append(t.queue, queueEntry{})
 	copy(t.queue[i+1:], t.queue[i:])
-	t.queue[i] = j
+	t.queue[i] = queueEntry{job: j, wake: noWake}
 	// Keep this cycle's scan position pointing at the same next-unexamined
 	// entry (and the head job it is about to dispatch).
 	if t.scanCycle == s.cycleNum && i <= t.scan {

@@ -98,8 +98,9 @@ type JobSpec struct {
 }
 
 // External reports whether the job executes outside scheduler-provisioned
-// capacity.
-func (s JobSpec) External() bool { return s.Run != nil }
+// capacity. The pointer receiver keeps the cycle's per-visit check from
+// copying the whole spec.
+func (s *JobSpec) External() bool { return s.Run != nil }
 
 // Outcome reports a finished job.
 type Outcome struct {
@@ -140,14 +141,6 @@ type Job struct {
 	charged     float64  // core-seconds charged at dispatch (estimate)
 	estDuration sim.Time // estimate at the chosen plan's speed
 	dispatched  bool
-	// Blocked-head watermark record: when placement fails, unfitSlots is
-	// the whole-worker slot count available at that instant and unfitFreed
-	// the scheduler's cumulative freed-core clock. Until enough cores free
-	// up to possibly close the gap, later cycles skip re-running placement
-	// for this job (see Scheduler.canFit).
-	unfit      bool
-	unfitSlots int
-	unfitFreed int64
 	// Delivered-capacity integration: coresNow is the core count the job
 	// holds right now; accrued is core-seconds banked at resize events
 	// (grow/shrink/revocation), so Shares attributes elapsed time at the
@@ -789,7 +782,7 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	s.order = append(s.order, j)
 	s.nQueued++
 	s.m.queuedJobs.SetInt(int64(s.nQueued))
-	t.queue = append(t.queue, j)
+	t.queue = append(t.queue, queueEntry{job: j, wake: noWake})
 	s.ensureElastic()
 	s.kick()
 	return j.ID, nil
@@ -898,112 +891,139 @@ func (s *Scheduler) cycle() {
 	s.observeFrees(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
 	haveReleases := false
-	for {
-		t := s.nextTenant()
-		if t == nil {
-			break
-		}
-		j := t.queue[t.scan]
-		if j.retryAt > s.K.Now() {
-			// Transient-launch backoff in progress: leave the job queued (a
-			// kick is already scheduled for when the backoff lapses) and let
-			// the queue behind it proceed.
-			t.scan++
-			continue
-		}
-		if j.Spec.External() {
-			s.dispatchExternal(t, j)
-			continue
-		}
-		var plan Plan
-		if s.canFit(j) {
-			if j.unfit && s.tr != nil {
-				// The watermark opened: enough cores freed since the block
-				// record to possibly fit the job again.
-				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
-					Workers: j.workers(), Cores: j.Cores()})
+pick:
+	for t := s.nextTenant(); t != nil; t = s.nextTenant() {
+		// nextTenant's keys and candidates move only when a job dispatches,
+		// fails or is evicted; until then t stays its answer, so serve t's
+		// queue without re-picking and re-pick after any of those.
+		for t.scan < len(t.queue) {
+			if s.resv != nil {
+				// Behind a held reservation a closed watermark decides
+				// nothing — placement would fail and the job be stepped
+				// over — so skip on the queue entry alone. Before the
+				// reservation exists the blocked head must still reach
+				// reserveHead below.
+				q, i := t.queue, t.scan
+				for i < len(q) && q[i].wake > s.freedCum {
+					i++
+				}
+				if t.scan = i; i == len(q) {
+					break
+				}
 			}
-			if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
-				plan = s.choosePlan(j, v)
+			e := &t.queue[t.scan]
+			j := e.job
+			if j.retryAt > s.K.Now() {
+				// Transient-launch backoff in progress: leave the job queued
+				// (a kick is already scheduled for when the backoff lapses)
+				// and let the queue behind it proceed.
+				t.scan++
+				continue
 			}
-			if plan.Empty() {
-				s.markUnfit(j, v)
-				if s.tr != nil {
-					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
+			if j.Spec.External() {
+				s.dispatchExternal(t, j)
+				continue pick
+			}
+			var plan Plan
+			if s.canFit(e) {
+				if e.wake != noWake && s.tr != nil {
+					// The watermark opened: enough cores freed since the
+					// block record to possibly fit the job again.
+					s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
 						Workers: j.workers(), Cores: j.Cores()})
 				}
-			}
-		}
-		if !plan.Empty() {
-			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
-				t.scan++
-				continue
-			}
-			s.dispatch(t, j, plan, s.resv != nil, v)
-			cpw := j.coresPerWorker()
-			for _, m := range plan.Members {
-				v.take(m.Cloud, m.Workers*cpw)
-			}
-			s.invalidateMemos() // the working free vector moved
-			continue
-		}
-		if s.resv == nil {
-			tr0 := s.m.clock()
-			r, ok := s.reserveHead(j, v, &releases, &haveReleases)
-			resvNanos += s.m.clock() - tr0
-			if !ok {
-				if fits, _ := s.fitsFederation(j); !fits {
-					// Even with every running job drained the demand never
-					// fits (capacity shrank since submit) — fail it.
-					s.failQueued(t, j, fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores()))
-					continue
+				if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
+					plan = s.choosePlan(j, v)
 				}
-				// The federation could host the gang but the policy will
-				// never place it (e.g. a single-cloud policy facing a
-				// wider-than-any-cloud job): leave it queued without
-				// blocking the jobs behind it.
-				t.scan++
-				continue
-			}
-			aged := s.trackSlips(&r)
-			if aged && s.cfg.EnablePreemption {
-				tp0 := s.m.clock()
-				out := s.preemptFor(t, j, v)
-				preemptNanos += s.m.clock() - tp0
-				switch out {
-				case preemptDispatched:
-					// The head dispatched on evicted cores; the view was
-					// re-snapshotted and the release snapshot invalidated.
-					// Serve the next tenant.
-					continue
-				case preemptEvictedOnly:
-					// Victims are gone but the head still has no plan: the
-					// reservation computed above walks their phantom release
-					// entries. Recompute it against the post-eviction state
-					// (the requeues dirtied the release snapshot, so this
-					// walk sees fresh releases).
-					tr0 = s.m.clock()
-					if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
-						r = r2
+				if plan.Empty() {
+					s.markUnfit(e, v)
+					if s.tr != nil {
+						s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
+							Workers: j.workers(), Cores: j.Cores()})
 					}
-					resvNanos += s.m.clock() - tr0
 				}
 			}
-			// An aged reservation is held for backfill gating but without
-			// its ledger leases this cycle — the drop-and-refail step that
-			// stops a misestimated gang from shading elastic growth forever.
-			s.holdReservation(&r, j.coresPerWorker(), !aged)
-			s.sumReleasesAt(v, releases, r.at)
-			if s.tr != nil {
-				s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
-					Workers: j.workers(), Cores: j.Cores(),
-					Start: int64(r.at), Plan: r.plan.String()})
+			if !plan.Empty() {
+				if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
+					t.scan++
+					continue
+				}
+				s.dispatch(t, j, plan, s.resv != nil, v)
+				cpw := j.coresPerWorker()
+				for _, m := range plan.Members {
+					v.take(m.Cloud, m.Workers*cpw)
+				}
+				s.invalidateMemos() // the working free vector moved
+				continue pick
 			}
-			if s.cfg.DisableBackfill {
-				break
+			if s.resv == nil {
+				tr0 := s.m.clock()
+				r, ok := s.reserveHead(j, v, &releases, &haveReleases)
+				resvNanos += s.m.clock() - tr0
+				if !ok {
+					if fits, _ := s.fitsFederation(j); !fits {
+						// Even with every running job drained the demand
+						// never fits (capacity shrank since submit) — fail it.
+						s.failQueued(t, j, fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores()))
+						continue pick
+					}
+					// The federation could host the gang but the policy will
+					// never place it (e.g. a single-cloud policy facing a
+					// wider-than-any-cloud job): leave it queued without
+					// blocking the jobs behind it.
+					t.scan++
+					continue
+				}
+				aged := s.trackSlips(&r)
+				evicted := false
+				if aged && s.cfg.EnablePreemption {
+					tp0 := s.m.clock()
+					out := s.preemptFor(t, j, v)
+					preemptNanos += s.m.clock() - tp0
+					switch out {
+					case preemptDispatched:
+						// The head dispatched on evicted cores; the view was
+						// re-snapshotted and the release snapshot
+						// invalidated. Serve the next tenant.
+						continue pick
+					case preemptEvictedOnly:
+						// Victims are gone but the head still has no plan:
+						// the reservation computed above walks their phantom
+						// release entries. Recompute it against the
+						// post-eviction state (the requeues dirtied the
+						// release snapshot, so this walk sees fresh
+						// releases).
+						tr0 = s.m.clock()
+						if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
+							r = r2
+						}
+						resvNanos += s.m.clock() - tr0
+						evicted = true
+					}
+				}
+				// An aged reservation is held for backfill gating but without
+				// its ledger leases this cycle — the drop-and-refail step
+				// that stops a misestimated gang from shading elastic growth
+				// forever.
+				s.holdReservation(&r, j.coresPerWorker(), !aged)
+				s.sumReleasesAt(v, releases, r.at)
+				if s.tr != nil {
+					s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
+						Workers: j.workers(), Cores: j.Cores(),
+						Start: int64(r.at), Plan: r.plan.String()})
+				}
+				if s.cfg.DisableBackfill {
+					break pick
+				}
+				if evicted {
+					// The requeues trued up the victims' tenants: their keys
+					// moved, so the next job comes from a fresh pick.
+					t.scan++
+					continue pick
+				}
 			}
+			t.scan++
 		}
-		t.scan++
 	}
 	s.releasePrevResv()
 	s.saveEndFrees(v)
@@ -1084,20 +1104,25 @@ func (s *Scheduler) saveEndFrees(v *CloudView) {
 	}
 }
 
-// canFit reports whether the job could possibly be placed now. A job with
-// an unfit record is skipped until the freed-core clock has advanced enough
-// to close its slot gap: placing workers whole workers of cpw cores each
+// canFit reports whether the queued job could possibly be placed now. A job
+// whose placement failed is skipped until the freed-core clock reaches the
+// entry's wake reading: placing workers whole workers of cpw cores each
 // requires Σ⌊free/cpw⌋ ≥ workers across clouds under ANY policy, free cores
 // only shrink within a cycle, and every freed core adds at most one slot —
-// so unfitSlots + freedSince < workers proves placement would fail without
-// running it. Sound, never stale: capacity appearing from outside the
-// scheduler's own bookkeeping still advances the clock via observeFrees.
-func (s *Scheduler) canFit(j *Job) bool {
-	return !j.unfit || j.unfitSlots+int(s.freedCum-j.unfitFreed) >= j.workers()
-}
+// so a clock short of wake proves placement would fail without running it.
+// Sound, never stale: capacity appearing from outside the scheduler's own
+// bookkeeping still advances the clock via observeFrees.
+//
+// The test skips placement, not the visit: a blocked cycle still pays one
+// comparison per queued job behind its reservation (the cycle's skip loop),
+// and a full visit for each job whose watermark is open, whether or not
+// ProvablyUnplaceable then rejects it.
+func (s *Scheduler) canFit(e *queueEntry) bool { return e.wake <= s.freedCum }
 
-// markUnfit records the failed placement's slot availability for canFit.
-func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
+// markUnfit records the failed placement on the queue entry: the freed-core
+// clock reading at which the slot gap could first close.
+func (s *Scheduler) markUnfit(e *queueEntry, v *CloudView) {
+	j := e.job
 	cpw := j.coresPerWorker()
 	slots := 0
 	for _, f := range v.free {
@@ -1105,7 +1130,7 @@ func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
 			slots += f / cpw
 		}
 	}
-	j.unfit, j.unfitSlots, j.unfitFreed = true, slots, s.freedCum
+	e.wake = s.freedCum + int64(j.workers()-slots)
 }
 
 // dispatch starts a placed job through the backend.
@@ -1122,7 +1147,6 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	j.estDuration = sim.FromSeconds(est)
 	j.coresNow = j.Cores()
 	j.resizeAt = now
-	j.unfit = false
 	s.charge(t, j, est)
 	s.m.dispatched.Inc()
 	if backfilled {
@@ -1200,7 +1224,7 @@ func (s *Scheduler) dispatchExternal(t *Tenant, j *Job) {
 // popQueued removes j (at the tenant's scan position) from the queue.
 func (s *Scheduler) popQueued(t *Tenant, j *Job) {
 	i := t.scan
-	if i >= len(t.queue) || t.queue[i] != j {
+	if i >= len(t.queue) || t.queue[i].job != j {
 		panic("sched: queue index out of sync")
 	}
 	t.queue = append(t.queue[:i], t.queue[i+1:]...)
