@@ -239,3 +239,72 @@ func TestKillAndRecover(t *testing.T) {
 		t.Fatalf("drained ledger diverges from journal replay:\nlive:\n%s\nrecovered:\n%s", live, rec)
 	}
 }
+
+// quarantineGuard is a SimBackend whose Launch fails the test when any plan
+// member is a cloud the scheduler has quarantined.
+type quarantineGuard struct {
+	*SimBackend
+	t *testing.T
+	s *Scheduler
+}
+
+func (g *quarantineGuard) Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error) {
+	for _, m := range plan.Members {
+		if g.s.Quarantined(m.Cloud) {
+			g.t.Errorf("t=%v: %s (%s) launched on quarantined cloud %s, plan %s",
+				g.s.K.Now(), j.ID, j.Spec.Name, m.Cloud, plan)
+		}
+	}
+	return g.SimBackend.Launch(j, plan, onDone)
+}
+
+// TestPreemptionHonoursQuarantine: an eviction re-snapshots the clouds
+// mid-cycle, and that snapshot must hide quarantined clouds just as the
+// cycle's own does. Cloud b flaps into a long quarantine; then a head job
+// blocked on a behind an overrunning backfill evicts it. With b visible the
+// head would start on b, the cheaper of two equally free clouds.
+func TestPreemptionHonoursQuarantine(t *testing.T) {
+	k := sim.NewKernel(1)
+	sb := NewSimBackend(k)
+	sb.AddCloud("a", 16, 1, 0.10)
+	sb.AddCloud("b", 32, 1, 0.08)
+	sb.Overrun = func(j *Job) float64 {
+		if j.Spec.Name == "liar" {
+			return 4
+		}
+		return 1
+	}
+	g := &quarantineGuard{SimBackend: sb, t: t}
+	s := New(g, Config{EnablePreemption: true})
+	g.s = s
+	s.Start()
+	// Six crashes inside the flap window: the last restore quarantines b
+	// for at least 450 s (the 15-minute cap, jittered down by half).
+	for i := 0; i < 6; i++ {
+		failAt(t, k, sb, s, "b", sim.Time(1+2*i)*sim.Second, sim.Second)
+	}
+	var head, liar string
+	k.At(20*sim.Second, func() {
+		if !s.Quarantined("b") {
+			t.Fatal("b not quarantined after flapping")
+		}
+		submitN(t, s, "t", 1, JobSpec{Name: "hold", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 100})
+		head = submitN(t, s, "t", 1, JobSpec{Name: "head", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 50})[0]
+		liar = submitN(t, s, "t", 1, JobSpec{Name: "liar", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 80})[0]
+	})
+	k.Run()
+	hi, _ := s.Poll(head)
+	li, _ := s.Poll(liar)
+	if hi.State != Done || li.State != Done {
+		t.Fatalf("states: head=%v liar=%v, want both done", hi.State, li.State)
+	}
+	if li.Preemptions != 1 {
+		t.Fatalf("liar preempted %d times, want 1: the eviction path did not run", li.Preemptions)
+	}
+	if hi.Started >= 470*sim.Second {
+		t.Fatalf("head started at %v, after b's quarantine could have lapsed", hi.Started)
+	}
+	if hi.Cloud != "a" {
+		t.Errorf("head ran on %s, want a", hi.Cloud)
+	}
+}

@@ -160,9 +160,11 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): re-snapshot and place the head.
+	// The re-snapshot hides quarantined clouds like the cycle's own, so the
+	// diff below compares the same clouds position by position.
 	// The mid-cycle frees must advance the watermark clock here —
 	// observeFrees only diffs at cycle starts, and whatever the head does
-	// not consume would otherwise never wake other unfit-marked jobs.
+	// not consume would otherwise never wake other blocked jobs.
 	s.evictPrev = append(s.evictPrev[:0], v.free...)
 	v.Reset(s.snapshotClouds())
 	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone

@@ -359,9 +359,16 @@ type Backend interface {
 	Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error)
 }
 
-// snapshotClouds fills the scheduler's snapshot scratch from the backend.
+// snapshotClouds fills the scheduler's snapshot scratch from the backend
+// and hides quarantined clouds from it: every view a cycle decides on, its
+// own and an eviction's mid-cycle re-snapshot alike, comes from here.
 func (s *Scheduler) snapshotClouds() []CloudInfo {
 	s.snapScratch = s.B.AppendClouds(s.snapScratch[:0])
+	if len(s.quarUntil) > 0 {
+		// Readmit lapsed quarantines, hide the rest. Free when no cloud is
+		// quarantined (nil-map len check).
+		return s.pruneQuarantine(s.snapScratch)
+	}
 	return s.snapScratch
 }
 
@@ -879,13 +886,7 @@ func (s *Scheduler) cycle() {
 	s.prevResv, s.resv = s.resv, nil
 	s.dropShields()
 	v := &s.view
-	snap := s.snapshotClouds()
-	if len(s.quarUntil) > 0 {
-		// Readmit lapsed quarantines, hide the rest from every decision this
-		// cycle makes. Free when no cloud is quarantined (nil-map len check).
-		snap = s.pruneQuarantine(snap)
-	}
-	v.Reset(snap)
+	v.Reset(s.snapshotClouds())
 	s.invalidateMemos()
 	s.decayTenants()
 	s.observeFrees(v)
