@@ -205,16 +205,19 @@ func (s *Scheduler) Shares() map[string]float64 {
 	return out
 }
 
-// EntitledShares returns the weight-proportional target shares.
+// EntitledShares returns the weight-proportional target shares. Weights
+// are summed in name-sorted tenant order for the reason Shares gives: with
+// fractional weights a map-order total differs in the last bit between
+// calls.
 func (s *Scheduler) EntitledShares() map[string]float64 {
 	var total float64
-	for _, t := range s.tenants {
+	for _, t := range s.tenantList {
 		total += t.Weight
 	}
-	out := make(map[string]float64, len(s.tenants))
-	for name, t := range s.tenants {
+	out := make(map[string]float64, len(s.tenantList))
+	for _, t := range s.tenantList {
 		if total > 0 {
-			out[name] = t.Weight / total
+			out[t.Name] = t.Weight / total
 		}
 	}
 	return out

@@ -143,3 +143,27 @@ func TestDecayTrueUpDoesNotBankNegativeUsage(t *testing.T) {
 		t.Fatal("usage zero: the completed work left no recent-usage signal at all")
 	}
 }
+
+// TestEntitledSharesSumInNameOrder: with fractional weights the total
+// depends on the order the weights are added in (0.1+0.2+0.3 differs from
+// 0.2+0.3+0.1 in the last bit), so EntitledShares must add them in name
+// order, as Shares does, and answer the same on every call. The shares feed
+// eviction prices, which order victims and are traced.
+func TestEntitledSharesSumInNameOrder(t *testing.T) {
+	s := New(NewSimBackend(sim.NewKernel(1)), Config{})
+	weights := []float64{0.1, 0.2, 0.3}
+	total := 0.0
+	for i, w := range weights {
+		s.AddTenant(string(rune('a'+i)), w)
+		total += w
+	}
+	for call := 0; call < 100; call++ {
+		got := s.EntitledShares()
+		for i, w := range weights {
+			name := string(rune('a' + i))
+			if want := w / total; got[name] != want {
+				t.Fatalf("call %d: share[%s]=%v, want %v (weights summed in name order)", call, name, got[name], want)
+			}
+		}
+	}
+}

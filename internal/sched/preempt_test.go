@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/capacity"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -380,5 +382,110 @@ func TestForcedPreemptionScopedToReservationClouds(t *testing.T) {
 	// ...and the head started the moment "a"'s holder released it.
 	if hi.Started != 100*sim.Second {
 		t.Errorf("head started at %v, want exactly t=100 s", hi.Started)
+	}
+}
+
+// leakyTeardown is a SimBackend whose evicted jobs hand back `stuck` fewer
+// cores than their plans hold, for `lag`: one worker's teardown lags. The
+// scheduler's what-if view credits a victim's whole plan, so the head it
+// evicted for finds less room than it was promised.
+type leakyTeardown struct {
+	*SimBackend
+	stuck int
+	lag   sim.Time
+}
+
+func (b *leakyTeardown) Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error) {
+	h, err := b.SimBackend.Launch(j, plan, onDone)
+	if err != nil {
+		return nil, err
+	}
+	return &leakyHandle{SimHandle: h.(*SimHandle), b: b, cloud: plan.Primary()}, nil
+}
+
+type leakyHandle struct {
+	*SimHandle
+	b     *leakyTeardown
+	cloud string
+}
+
+func (h *leakyHandle) Preempt(at sim.Time) []*capacity.Lease {
+	shields := h.SimHandle.Preempt(at)
+	if le, err := h.b.Ledger().Acquire(h.cloud, h.b.stuck); err == nil {
+		h.b.Kernel().Schedule(h.b.lag, le.Release)
+	}
+	return shields
+}
+
+// TestPreemptionEvictedOnly drives the eviction pass down its under-freeing
+// branch: the victim's teardown returns 2 of its 8 cores late, so the head
+// (14 of 16 cores) still has no plan after the eviction. The victim must be
+// requeued with progress credit, the head must hold a reservation
+// recomputed without the victim's phantom release, and — because the
+// requeue trued up the victim's tenant, moving its fair-share key past the
+// other tenant's — the next job served comes from a fresh tenant pick.
+//
+// Setup on one 16-core cloud: "run" (tenant c, 2 cores, 1000 s) and "hold"
+// (tenant a, 6 cores, 150 s) start at t=0. At t=1 the head (tenant b, 14
+// cores) blocks behind hold and the liar (tenant b, 8 cores, estimate 100 s,
+// actual 400 s) backfills. Once hold ends the reservation rides the liar's
+// overdue release, slips, and ages.
+func TestPreemptionEvictedOnly(t *testing.T) {
+	k := sim.NewKernel(1)
+	sb := liarBackend(k, 16, 4)
+	b := &leakyTeardown{SimBackend: sb, stuck: 2, lag: 30 * sim.Second}
+	tr := obs.NewTracer(1 << 12)
+	s := New(b, Config{EnablePreemption: true, Trace: tr})
+	s.Start()
+	for _, n := range []string{"a", "b", "c"} {
+		s.AddTenant(n, 1)
+	}
+	submitN(t, s, "c", 1, JobSpec{Name: "run", Workers: 2, EstimateSeconds: 1000})
+	submitN(t, s, "a", 1, JobSpec{Name: "hold", Workers: 6, EstimateSeconds: 150})
+	var head, liar, b2, a1 string
+	k.At(sim.Second, func() {
+		head = submitN(t, s, "b", 1, JobSpec{Name: "head", Workers: 14, EstimateSeconds: 50})[0]
+		liar = submitN(t, s, "b", 1, JobSpec{Name: "liar", Workers: 8, EstimateSeconds: 100})[0]
+		b2 = submitN(t, s, "b", 1, JobSpec{Name: "b2", Workers: 2, EstimateSeconds: 10})[0]
+		a1 = submitN(t, s, "a", 1, JobSpec{Name: "a1", Workers: 2, EstimateSeconds: 10})[0]
+	})
+	// Just after the eviction cycle at t=180 (the third slip).
+	k.At(181*sim.Second, func() {
+		lj := s.jobByID(liar)
+		if lj.Preemptions != 1 || lj.creditFrac <= 0 {
+			t.Errorf("liar preemptions=%d credit=%v, want 1 and > 0", lj.Preemptions, lj.creditFrac)
+		}
+		if s.resv == nil || s.resv.job != head || s.resv.at != 1000*sim.Second {
+			t.Errorf("reservation %+v, want the head's at t=1000s, run's release", s.resv)
+		}
+	})
+	k.Run()
+	var got []string
+	cycle := int64(-1)
+	for _, ev := range tr.Events() {
+		if cycle < 0 && ev.Kind == "preempt" {
+			cycle = ev.Cycle
+		}
+		if ev.Cycle == cycle && ev.Kind != "block" && ev.Kind != "wake" {
+			got = append(got, fmt.Sprintf("%s %s %d", ev.Kind, ev.Job, ev.Start/1e6))
+		}
+	}
+	// The liar's requeue trued tenant b up past tenant a, so a1 goes first;
+	// the liar (credited, now short enough to end before t=1000) and b2
+	// follow.
+	want := []string{
+		"preempt " + liar + " 0",
+		"reserve " + head + " 1000",
+		"dispatch_backfill " + a1 + " 0",
+		"dispatch_backfill " + liar + " 0",
+		"dispatch_backfill " + b2 + " 0",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("eviction cycle:\n got %q\nwant %q", got, want)
+	}
+	for _, id := range []string{head, liar, b2, a1} {
+		if ji, _ := s.Poll(id); ji.State != Done {
+			t.Errorf("%s (%s) state=%v, want done", id, ji.Name, ji.State)
+		}
 	}
 }
