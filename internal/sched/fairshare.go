@@ -110,7 +110,10 @@ func (s *Scheduler) TenantQueueLen(name string) int {
 // with an unexamined queued job (each tenant's scan field tracks this
 // cycle's position). The walk is over the name-sorted tenant list — no map
 // iteration — and keeps the first of equal keys, which is exactly the
-// former break-ties-by-name rule.
+// former break-ties-by-name rule. The cycle calls it once per decision, not
+// per visited job: the keys and the candidate set move only when a job
+// dispatches, fails or is evicted, and until then the tenant it picked
+// stays its answer for as long as that tenant has unexamined jobs.
 // Usage is decayed once per cycle (decayTenants) rather than per call:
 // virtual time does not advance inside a cycle, so re-decaying on every
 // scan step of the same cycle is a no-op by construction.

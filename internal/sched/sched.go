@@ -525,9 +525,12 @@ func (c Config) maxSlips() int {
 // set and a finished archive (so no hot path ever walks history), running
 // jobs keep a submission-ordered list and a maintained sorted release list,
 // and per-cycle structures (cloud view, release snapshot, placement member
-// buffers) reuse scheduler-owned scratch. Per-cycle cost is proportional to
-// active work — queued plus running jobs times candidate clouds — not to
-// every job ever submitted.
+// buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
+// already finished. A cycle still pays per queued job: once the blocked
+// head holds its reservation, one comparison against the queue entry's
+// watermark for each job whose watermark is closed, and a visit with a
+// ProvablyUnplaceable check (times candidate clouds) for each job whose
+// watermark is open.
 type Scheduler struct {
 	K   *sim.Kernel
 	B   Backend
@@ -892,139 +895,144 @@ func (s *Scheduler) cycle() {
 	s.observeFrees(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
 	haveReleases := false
-pick:
-	for t := s.nextTenant(); t != nil; t = s.nextTenant() {
+	var t *Tenant // the tenant being served; nil asks nextTenant for one
+	for {
 		// nextTenant's keys and candidates move only when a job dispatches,
-		// fails or is evicted; until then t stays its answer, so serve t's
-		// queue without re-picking and re-pick after any of those.
-		for t.scan < len(t.queue) {
-			if s.resv != nil {
-				// Behind a held reservation a closed watermark decides
-				// nothing — placement would fail and the job be stepped
-				// over — so skip on the queue entry alone. Before the
-				// reservation exists the blocked head must still reach
-				// reserveHead below.
-				q, i := t.queue, t.scan
-				for i < len(q) && q[i].wake > s.freedCum {
-					i++
-				}
-				if t.scan = i; i == len(q) {
-					break
+		// fails or is evicted. Each of those sets t to nil; until then t
+		// stays nextTenant's answer while it has unexamined jobs.
+		if t == nil || t.scan >= len(t.queue) {
+			if t = s.nextTenant(); t == nil {
+				break
+			}
+		}
+		if s.resv != nil {
+			// Behind a held reservation a closed watermark decides nothing
+			// (placement would fail and the job be stepped over), so skip
+			// on the queue entry alone. Before the reservation exists the
+			// blocked head must still reach reserveHead below.
+			q, i := t.queue, t.scan
+			for i < len(q) && q[i].wake > s.freedCum {
+				i++
+			}
+			if t.scan = i; i == len(q) {
+				continue
+			}
+		}
+		e := &t.queue[t.scan]
+		j := e.job
+		if j.retryAt > s.K.Now() {
+			// Transient-launch backoff in progress: leave the job queued (a
+			// kick is already scheduled for when the backoff lapses) and let
+			// the queue behind it proceed.
+			t.scan++
+			continue
+		}
+		if j.Spec.External() {
+			s.dispatchExternal(t, j)
+			t = nil
+			continue
+		}
+		var plan Plan
+		if s.canFit(e) {
+			if e.wake != noWake && s.tr != nil {
+				// The watermark opened: enough cores freed since the block
+				// record to possibly fit the job again.
+				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
+					Workers: j.workers(), Cores: j.Cores()})
+			}
+			if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
+				plan = s.choosePlan(j, v)
+			}
+			if plan.Empty() {
+				s.markUnfit(e, v)
+				if s.tr != nil {
+					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
+						Workers: j.workers(), Cores: j.Cores()})
 				}
 			}
-			e := &t.queue[t.scan]
-			j := e.job
-			if j.retryAt > s.K.Now() {
-				// Transient-launch backoff in progress: leave the job queued
-				// (a kick is already scheduled for when the backoff lapses)
-				// and let the queue behind it proceed.
+		}
+		if !plan.Empty() {
+			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
 				t.scan++
 				continue
 			}
-			if j.Spec.External() {
-				s.dispatchExternal(t, j)
-				continue pick
+			s.dispatch(t, j, plan, s.resv != nil, v)
+			cpw := j.coresPerWorker()
+			for _, m := range plan.Members {
+				v.take(m.Cloud, m.Workers*cpw)
 			}
-			var plan Plan
-			if s.canFit(e) {
-				if e.wake != noWake && s.tr != nil {
-					// The watermark opened: enough cores freed since the
-					// block record to possibly fit the job again.
-					s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
-						Workers: j.workers(), Cores: j.Cores()})
-				}
-				if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
-					plan = s.choosePlan(j, v)
-				}
-				if plan.Empty() {
-					s.markUnfit(e, v)
-					if s.tr != nil {
-						s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
-							Workers: j.workers(), Cores: j.Cores()})
-					}
-				}
-			}
-			if !plan.Empty() {
-				if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
-					t.scan++
-					continue
-				}
-				s.dispatch(t, j, plan, s.resv != nil, v)
-				cpw := j.coresPerWorker()
-				for _, m := range plan.Members {
-					v.take(m.Cloud, m.Workers*cpw)
-				}
-				s.invalidateMemos() // the working free vector moved
-				continue pick
-			}
-			if s.resv == nil {
-				tr0 := s.m.clock()
-				r, ok := s.reserveHead(j, v, &releases, &haveReleases)
-				resvNanos += s.m.clock() - tr0
-				if !ok {
-					if fits, _ := s.fitsFederation(j); !fits {
-						// Even with every running job drained the demand
-						// never fits (capacity shrank since submit) — fail it.
-						s.failQueued(t, j, fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores()))
-						continue pick
-					}
-					// The federation could host the gang but the policy will
-					// never place it (e.g. a single-cloud policy facing a
-					// wider-than-any-cloud job): leave it queued without
-					// blocking the jobs behind it.
-					t.scan++
-					continue
-				}
-				aged := s.trackSlips(&r)
-				evicted := false
-				if aged && s.cfg.EnablePreemption {
-					tp0 := s.m.clock()
-					out := s.preemptFor(t, j, v)
-					preemptNanos += s.m.clock() - tp0
-					switch out {
-					case preemptDispatched:
-						// The head dispatched on evicted cores; the view was
-						// re-snapshotted and the release snapshot
-						// invalidated. Serve the next tenant.
-						continue pick
-					case preemptEvictedOnly:
-						// Victims are gone but the head still has no plan:
-						// the reservation computed above walks their phantom
-						// release entries. Recompute it against the
-						// post-eviction state (the requeues dirtied the
-						// release snapshot, so this walk sees fresh
-						// releases).
-						tr0 = s.m.clock()
-						if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
-							r = r2
-						}
-						resvNanos += s.m.clock() - tr0
-						evicted = true
-					}
-				}
-				// An aged reservation is held for backfill gating but without
-				// its ledger leases this cycle — the drop-and-refail step
-				// that stops a misestimated gang from shading elastic growth
-				// forever.
-				s.holdReservation(&r, j.coresPerWorker(), !aged)
-				s.sumReleasesAt(v, releases, r.at)
-				if s.tr != nil {
-					s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
-						Workers: j.workers(), Cores: j.Cores(),
-						Start: int64(r.at), Plan: r.plan.String()})
-				}
-				if s.cfg.DisableBackfill {
-					break pick
-				}
-				if evicted {
-					// The requeues trued up the victims' tenants: their keys
-					// moved, so the next job comes from a fresh pick.
-					t.scan++
-					continue pick
-				}
-			}
-			t.scan++
+			s.invalidateMemos() // the working free vector moved
+			t = nil
+			continue
 		}
+		if s.resv == nil {
+			tr0 := s.m.clock()
+			r, ok := s.reserveHead(j, v, &releases, &haveReleases)
+			resvNanos += s.m.clock() - tr0
+			if !ok {
+				if fits, _ := s.fitsFederation(j); !fits {
+					// Even with every running job drained the demand never
+					// fits (capacity shrank since submit) — fail it.
+					s.failQueued(t, j, fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores()))
+					t = nil
+					continue
+				}
+				// The federation could host the gang but the policy will
+				// never place it (e.g. a single-cloud policy facing a
+				// wider-than-any-cloud job): leave it queued without
+				// blocking the jobs behind it.
+				t.scan++
+				continue
+			}
+			aged := s.trackSlips(&r)
+			evicted := false
+			if aged && s.cfg.EnablePreemption {
+				tp0 := s.m.clock()
+				out := s.preemptFor(t, j, v)
+				preemptNanos += s.m.clock() - tp0
+				switch out {
+				case preemptDispatched:
+					// The head dispatched on evicted cores; the view was
+					// re-snapshotted and the release snapshot invalidated.
+					// Serve the next tenant.
+					t = nil
+					continue
+				case preemptEvictedOnly:
+					// Victims are gone but the head still has no plan: the
+					// reservation computed above walks their phantom release
+					// entries. Recompute it against the post-eviction state
+					// (the requeues dirtied the release snapshot, so this
+					// walk sees fresh releases).
+					tr0 = s.m.clock()
+					if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
+						r = r2
+					}
+					resvNanos += s.m.clock() - tr0
+					evicted = true
+				}
+			}
+			// An aged reservation is held for backfill gating but without
+			// its ledger leases this cycle — the drop-and-refail step that
+			// stops a misestimated gang from shading elastic growth forever.
+			s.holdReservation(&r, j.coresPerWorker(), !aged)
+			s.sumReleasesAt(v, releases, r.at)
+			if s.tr != nil {
+				s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
+					Workers: j.workers(), Cores: j.Cores(),
+					Start: int64(r.at), Plan: r.plan.String()})
+			}
+			if s.cfg.DisableBackfill {
+				break
+			}
+			if evicted {
+				// The requeues trued up the victims' tenants, moving their
+				// keys: the next job comes from a fresh pick.
+				t.scan++
+				t = nil
+				continue
+			}
+		}
+		t.scan++
 	}
 	s.releasePrevResv()
 	s.saveEndFrees(v)
