@@ -304,10 +304,10 @@ func BenchmarkScaleReplay(b *testing.B) {
 // weeks so the MaxJobs cap can bind (see StandardConfig). CI runs it with
 // -benchtime 1x as its own step and gates allocs/op against the
 // benchmark's own BENCH_scale.json entry: per-job cost is NOT flat from
-// 100k to 1M (the longer trace spends far more of its life in deep
-// diurnal-peak queues, where each dispatch burns more failed placement
-// attempts), so the gate pins the million-job number itself instead of
-// extrapolating from the smoke. The survival floor doubles as the
+// 100k to 1M (the standard mix is overloaded, so the backlog grows for as
+// long as arrivals last and the longer trace ends with a far deeper queue,
+// which every blocked cycle still walks), so the gate pins the million-job
+// number itself instead of extrapolating from the smoke. The survival floor doubles as the
 // correctness assertion.
 func BenchmarkScaleReplay1M(b *testing.B) {
 	if os.Getenv("SCALE_1M") == "" {
