@@ -239,10 +239,10 @@ type cacheablePolicy interface{ PureChoose() bool }
 // take, a mid-cycle re-snapshot) and every cycle start invalidate the whole
 // table. Policies without PureChoose bypass it.
 //
-// A hit hands out the stored plan itself, members included: no code writes
+// A hit hands out the stored plan itself, members included. No code writes
 // a Plan's Members in place (MoveWorkers and the backends copy, and
-// BestScore returns capped slices), so jobs sharing one member slice is
-// safe.
+// BestScore returns capped slices), so jobs may safely share one member
+// slice.
 type planMemo struct {
 	ok            bool
 	workers, cpw  int
