@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/capacity"
 	"repro/internal/sim"
@@ -138,185 +138,63 @@ func (s *Scheduler) reclaimLeaseBuf(buf []*capacity.Lease) {
 	}
 }
 
-// reserveHead computes the blocked head job's reservation, (re)taking the
-// cycle's release snapshot lazily into *releases: a dispatch since the last
-// snapshot (possible when an earlier reservation attempt failed, or after
-// an eviction pass) adds or removes releases the reserve() walk must see.
-func (s *Scheduler) reserveHead(j *Job, v *CloudView, releases *[]coreRelease, have *bool) (reservation, bool) {
-	if !*have || s.relSnapDirty {
-		*releases = s.snapshotReleases()
-		*have, s.relSnapDirty = true, false
-	}
-	return s.reserve(j, v, *releases)
-}
-
 // coreRelease is one running job's estimated hand-back of cores on one
-// member cloud (a spanning job contributes one release per member).
+// member cloud (a spanning job contributes one release per member). It is
+// pointer-free — cloud is a row of the scheduler's cloud table, seq the
+// job's sequence number — so release-list inserts and removals are plain
+// memmoves with no write barriers, and the GC has nothing to scan in the
+// list.
 type coreRelease struct {
 	at    sim.Time
 	cores int
-	// cloudRank indexes the scheduler's sorted cloud-name table
-	// (s.relClouds); jobKey packs the job ID's digits so uint64 order
-	// equals ID-string order (see relJobKey). Both stand in for the
-	// strings the entry used to carry: a pointer-free entry makes every
-	// release-list insert, remove, and snapshot copy a plain memmove with
-	// no write barriers and leaves the GC nothing to scan in the list —
-	// the largest single barrier source on the steady-state hot path.
-	cloudRank int32
-	jobKey    uint64
+	cloud int32
+	seq   int
 }
 
-// relJobKeyMax bounds the job sequence numbers relJobKey can order: eight
-// decimal digits fill the uint64 left-aligned.
-const relJobKeyMax = 100_000_000
-
-// relJobKey maps a job sequence number to a key whose uint64 order equals
-// the lexicographic order of the job's ID string. IDs are "J" + decimal
-// digits, so comparing IDs is comparing digit strings; left-aligning the
-// digit bytes in a big-endian word reproduces that order exactly (padding
-// bytes are 0x00 < '0', so a prefix sorts before its extensions, and equal
-// lengths compare digit-by-digit).
-func relJobKey(seq int) uint64 {
-	if seq >= relJobKeyMax {
-		// 100M jobs in one scheduler instance is far outside the design
-		// envelope (the archive alone would be tens of GB); fail loud
-		// rather than silently misorder the release list.
-		panic("sched: job sequence exceeds release-key capacity")
-	}
-	var buf [8]byte
-	n := len(strconv.AppendInt(buf[:0], int64(seq), 10))
-	key := uint64(0)
-	for i := 0; i < n; i++ {
-		key |= uint64(buf[i]) << (8 * (7 - i))
-	}
-	return key
+// releaseIdx returns the position of the first release-list entry at or
+// after (at, seq), the list's order. A job's entries share both keys, so
+// they sit together, in plan order.
+func (s *Scheduler) releaseIdx(at sim.Time, seq int) int {
+	return sort.Search(len(s.releases), func(k int) bool {
+		r := &s.releases[k]
+		return r.at > at || r.at == at && r.seq >= seq
+	})
 }
-
-// releaseLess is the canonical release order: time, then job ID, then cloud
-// for determinism — both the maintained list and the per-cycle snapshot use
-// it. jobKey and cloudRank compare exactly like the strings they encode.
-func releaseLess(a, b coreRelease) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.jobKey != b.jobKey {
-		return a.jobKey < b.jobKey
-	}
-	return a.cloudRank < b.cloudRank
-}
-
-// cloudRankFor returns the cloud's position in the sorted rank table,
-// inserting it on first sight. An insert shifts the ranks of every name
-// after it, so all live release entries — the maintained list and both
-// snapshot buffers (cycle-local snapshots alias them) — are remapped in
-// the same step.
-func (s *Scheduler) cloudRankFor(name string) int32 {
-	i := sort.SearchStrings(s.relClouds, name)
-	if i < len(s.relClouds) && s.relClouds[i] == name {
-		return int32(i)
-	}
-	s.relClouds = append(s.relClouds, "")
-	copy(s.relClouds[i+1:], s.relClouds[i:])
-	s.relClouds[i] = name
-	for _, rel := range [][]coreRelease{s.releases, s.relScratch, s.overScratch} {
-		for k := range rel {
-			if rel[k].cloudRank >= int32(i) {
-				rel[k].cloudRank++
-			}
-		}
-	}
-	return int32(i)
-}
-
-// relCloudName resolves a release entry's cloud name from its rank.
-func (s *Scheduler) relCloudName(rank int32) string { return s.relClouds[rank] }
 
 // insertReleases adds one entry per plan member at the job's estimated
-// completion, keeping s.releases sorted — the maintained counterpart of the
-// former rebuild-and-sort-per-blocked-cycle pendingReleases scan over every
-// job ever submitted. External jobs contribute nothing (their capacity is
-// caller-owned and never returns to the pool).
+// completion, keeping s.releases sorted. External jobs contribute nothing
+// (their capacity is caller-owned and never returns to the pool).
 func (s *Scheduler) insertReleases(j *Job) {
 	if j.Spec.External() {
 		return
 	}
 	eta := j.Started + j.estDuration
 	cpw := j.coresPerWorker()
-	key := relJobKey(j.seq)
+	i := s.releaseIdx(eta, j.seq)
 	for _, m := range j.Plan.Members {
-		e := coreRelease{at: eta, cores: m.Workers * cpw, cloudRank: s.cloudRankFor(m.Cloud), jobKey: key}
-		i := sort.Search(len(s.releases), func(k int) bool { return releaseLess(e, s.releases[k]) })
-		s.releases = append(s.releases, coreRelease{})
-		copy(s.releases[i+1:], s.releases[i:])
-		s.releases[i] = e
+		s.releases = slices.Insert(s.releases, i, coreRelease{at: eta, cores: m.Workers * cpw,
+			cloud: s.cloudIdx(m.Cloud, -1), seq: j.seq})
+		i++
 	}
-	s.relSnapDirty = true
 }
 
-// removeReleases drops the job's entries (contiguous: they share eta and
-// job ID) when it completes.
+// removeReleases drops the job's entries when it completes or requeues.
 func (s *Scheduler) removeReleases(j *Job) {
 	eta := j.Started + j.estDuration
-	key := relJobKey(j.seq)
-	probe := coreRelease{at: eta, jobKey: key, cloudRank: -1}
-	i := sort.Search(len(s.releases), func(k int) bool { return !releaseLess(s.releases[k], probe) })
+	i := s.releaseIdx(eta, j.seq)
 	n := i
-	for n < len(s.releases) && s.releases[n].at == eta && s.releases[n].jobKey == key {
+	for n < len(s.releases) && s.releases[n].at == eta && s.releases[n].seq == j.seq {
 		n++
 	}
-	if n > i {
-		s.releases = append(s.releases[:i], s.releases[n:]...)
-	}
+	s.releases = slices.Delete(s.releases, i, n)
 }
 
-// snapshotReleases returns this cycle's release view with the standard EASY
-// overdue remap: entries at or before now are assumed to release one second
-// from now. The maintained list is already sorted; only the overdue prefix
-// needs reordering — it is remapped to now+1s, re-sorted by (job, cloud),
-// and merged with any entries genuinely estimated at that instant,
-// reproducing exactly the order the full rebuild used to produce. The
-// result lives in scheduler scratch, valid for the current cycle.
-func (s *Scheduler) snapshotReleases() []coreRelease {
-	now := s.K.Now()
-	rel := s.releases
-	k := sort.Search(len(rel), func(i int) bool { return rel[i].at > now })
-	if k == 0 {
-		// Nothing overdue: the maintained order is the answer — but copy it
-		// out, because backfill dispatches later this cycle insert into
-		// s.releases in place while the snapshot may still be read (a later
-		// blocked job after a failed reservation).
-		s.relScratch = append(s.relScratch[:0], rel...)
-		return s.relScratch
+// addRelease adds a release entry's cores to dst, a vector indexed like
+// the view, at its cloud's position.
+func (s *Scheduler) addRelease(v *CloudView, dst []int, r coreRelease) {
+	if p := v.Pos(s.clouds[r.cloud].name); p >= 0 {
+		dst[p] += r.cores
 	}
-	remap := now + sim.Second
-	over := append(s.overScratch[:0], rel[:k]...)
-	s.overScratch = over
-	for i := range over {
-		over[i].at = remap
-	}
-	sort.Slice(over, func(i, j int) bool { return releaseLess(over[i], over[j]) })
-	out := s.relScratch[:0]
-	// Entries strictly between now and the remap instant keep their spot…
-	rest := rel[k:]
-	for len(rest) > 0 && rest[0].at < remap {
-		out = append(out, rest[0])
-		rest = rest[1:]
-	}
-	// …then the remapped overdue entries merge with genuine remap-instant
-	// entries, then the tail follows unchanged.
-	for len(over) > 0 && len(rest) > 0 && rest[0].at == remap {
-		if releaseLess(rest[0], over[0]) {
-			out = append(out, rest[0])
-			rest = rest[1:]
-		} else {
-			out = append(out, over[0])
-			over = over[1:]
-		}
-	}
-	out = append(out, over...)
-	out = append(out, rest...)
-	s.relScratch = out
-	return out
 }
 
 // reserve computes the blocked job's earliest feasible start: walk the
@@ -326,17 +204,33 @@ func (s *Scheduler) snapshotReleases() []coreRelease {
 // when even a fully drained federation yields no plan (either capacity
 // shrank below the gang, or a single-cloud policy faces a spanning-only
 // job).
-func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reservation, bool) {
+//
+// The walk reads s.releases in place and applies EASY's overdue rule as it
+// goes: an estimate at or before now counts from now + 1 s. So the entries
+// due before now + 1 s come first, then the overdue prefix together with
+// any entry due exactly at now + 1 s, then the rest. Every entry of an
+// instant is added before the policy is asked, so the order inside an
+// instant reaches no decision.
+func (s *Scheduler) reserve(j *Job, v *CloudView) (reservation, bool) {
 	av := &s.resvView
 	av.shareIndex(v)
-	i := 0
-	for i < len(releases) {
-		at := releases[i].at
-		for i < len(releases) && releases[i].at == at {
-			if p := av.Pos(s.relCloudName(releases[i].cloudRank)); p >= 0 {
-				av.free[p] += releases[i].cores
+	rel := s.releases
+	now := s.K.Now()
+	overdueAt := now + sim.Second
+	overdue := sort.Search(len(rel), func(i int) bool { return rel[i].at > now })
+	pending := overdue > 0 // the overdue prefix, not yet added
+	for i := overdue; i < len(rel) || pending; {
+		at := overdueAt
+		if i < len(rel) && (!pending || rel[i].at < overdueAt) {
+			at = rel[i].at
+		} else {
+			for _, r := range rel[:overdue] {
+				s.addRelease(av, av.free, r)
 			}
-			i++
+			pending = false
+		}
+		for ; i < len(rel) && rel[i].at == at; i++ {
+			s.addRelease(av, av.free, rel[i])
 		}
 		// Instants whose accumulated frees provably still cannot host the
 		// gang skip the policy walk: the precheck is one pass over the free
@@ -355,19 +249,21 @@ func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reser
 // sumReleasesAt fills the per-cloud release totals at the reservation
 // instant (s.relSumAtResv, indexed like the view) once per cycle, so every
 // backfill check reads them O(members) instead of rescanning the release
-// list per candidate.
-func (s *Scheduler) sumReleasesAt(v *CloudView, releases []coreRelease, at sim.Time) {
+// list per candidate. Overdue entries count from now + 1 s, as in reserve.
+func (s *Scheduler) sumReleasesAt(v *CloudView, at sim.Time) {
 	s.relSumAtResv = s.relSumAtResv[:0]
 	for range v.Clouds {
 		s.relSumAtResv = append(s.relSumAtResv, 0)
 	}
-	for _, r := range releases {
+	now := s.K.Now()
+	for _, r := range s.releases {
 		if r.at > at {
 			break // sorted by time: nothing later counts
 		}
-		if p := v.Pos(s.relCloudName(r.cloudRank)); p >= 0 {
-			s.relSumAtResv[p] += r.cores
+		if r.at <= now && at < now+sim.Second {
+			continue // overdue: not released before now + 1 s
 		}
+		s.addRelease(v, s.relSumAtResv, r)
 	}
 }
 

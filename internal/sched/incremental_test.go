@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -168,12 +168,34 @@ func TestWatermarkAccumulatesFrees(t *testing.T) {
 	}
 }
 
-// oracleReleases is the original rebuild-and-sort pendingReleases
-// definition, kept as the oracle the maintained release list is checked
-// against.
-func oracleReleases(s *Scheduler) []coreRelease {
+// recordingPolicy places nothing: it records every free vector reserve's
+// walk asks about, so a test can read the walk's per-instant frees.
+type recordingPolicy struct{ frees [][]int }
+
+func (*recordingPolicy) Name() string { return "recording" }
+
+func (p *recordingPolicy) ProvablyUnplaceable(_ *Job, v *CloudView) bool {
+	p.frees = append(p.frees, append([]int(nil), v.free...))
+	return true
+}
+
+func (*recordingPolicy) Choose(*Scheduler, *Job, *CloudView) Plan { return Plan{} }
+
+// releaseStep is one instant of the release walk: its time and the
+// per-cloud cores released by then, indexed like the view.
+type releaseStep struct {
+	at  sim.Time
+	cum []int
+}
+
+// oracleSteps rebuilds the release walk from s.running: each running job's
+// plan members free their cores at its estimated completion, an estimate at
+// or before now counting from now + 1 s. Instants come in time order with
+// cumulative per-cloud frees.
+func oracleSteps(s *Scheduler, v *CloudView) []releaseStep {
 	now := s.K.Now()
-	var out []coreRelease
+	byAt := map[sim.Time][]int{}
+	var ats []sim.Time
 	for _, j := range s.running {
 		if j.State != Running || j.Spec.External() {
 			continue
@@ -182,39 +204,79 @@ func oracleReleases(s *Scheduler) []coreRelease {
 		if eta <= now {
 			eta = now + sim.Second
 		}
-		cpw := j.coresPerWorker()
+		if byAt[eta] == nil {
+			byAt[eta] = make([]int, len(v.Clouds))
+			ats = append(ats, eta)
+		}
 		for _, m := range j.Plan.Members {
-			// cloudRankFor is idempotent here: every cloud a running job
-			// occupies is already in the rank table via insertReleases.
-			out = append(out, coreRelease{at: eta, cores: m.Workers * cpw,
-				cloudRank: s.cloudRankFor(m.Cloud), jobKey: relJobKey(j.seq)})
+			if p := v.Pos(m.Cloud); p >= 0 {
+				byAt[eta][p] += m.Workers * j.coresPerWorker()
+			}
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return releaseLess(out[i], out[k]) })
+	slices.Sort(ats)
+	cum := make([]int, len(v.Clouds))
+	var out []releaseStep
+	for _, at := range ats {
+		for p, c := range byAt[at] {
+			cum[p] += c
+		}
+		out = append(out, releaseStep{at: at, cum: append([]int(nil), cum...)})
+	}
 	return out
 }
 
-func sameReleases(a, b []coreRelease) bool {
-	if len(a) != len(b) {
-		return false
+// checkReleaseReaders compares the release list's two readers with the
+// rebuild: reserve must walk exactly the rebuild's instants, with the same
+// cumulative per-cloud frees at each, and sumReleasesAt must return those
+// frees at each instant. It returns the number of instants and how many
+// running jobs are overdue.
+func checkReleaseReaders(t *testing.T, s *Scheduler) (instants, overdue int) {
+	t.Helper()
+	var v CloudView
+	v.Reset(s.B.AppendClouds(nil))
+	clear(v.free) // the walk's frees are then the release sums alone
+	want := oracleSteps(s, &v)
+	rec := &recordingPolicy{}
+	placement := s.cfg.Placement
+	s.cfg.Placement = rec
+	_, ok := s.reserve(&Job{Spec: JobSpec{Workers: 1}}, &v)
+	s.cfg.Placement = placement
+	if ok {
+		t.Fatal("reserve found a plan under a policy that never places")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	now := s.K.Now()
+	if len(rec.frees) != len(want) {
+		t.Fatalf("at %v: reserve walked %d instants, the rebuild has %d", now, len(rec.frees), len(want))
+	}
+	for i, st := range want {
+		if !slices.Equal(rec.frees[i], st.cum) {
+			t.Errorf("at %v: reserve's frees at instant %v = %v, rebuild %v", now, st.at, rec.frees[i], st.cum)
+		}
+		s.sumReleasesAt(&v, st.at)
+		if !slices.Equal(s.relSumAtResv, st.cum) {
+			t.Errorf("at %v: sumReleasesAt(%v) = %v, rebuild %v", now, st.at, s.relSumAtResv, st.cum)
 		}
 	}
-	return true
+	for _, j := range s.running {
+		if j.Started+j.estDuration <= now {
+			overdue++
+		}
+	}
+	return len(want), overdue
 }
 
 // TestReleaseListMatchesRebuild: under churn (staggered arrivals, spanning
-// jobs, completions) the maintained sorted release list snapshot must equal
-// the full rebuild at every checkpoint.
+// jobs, completions, runs that overrun their estimates) the maintained
+// release list must feed reserve and sumReleasesAt exactly what a rebuild
+// from the running jobs gives, at every checkpoint.
 func TestReleaseListMatchesRebuild(t *testing.T) {
 	k := sim.NewKernel(7)
 	b := NewSimBackend(k)
 	for c := 0; c < 3; c++ {
 		b.AddCloud(fmt.Sprintf("c%d", c), 16, 1.0+0.5*float64(c), 0.10)
 	}
+	b.UseLogNormalOverrun(0, 0.5)
 	s := New(b, Config{})
 	s.AddTenant("a", 2)
 	s.AddTenant("b", 1)
@@ -231,27 +293,25 @@ func TestReleaseListMatchesRebuild(t *testing.T) {
 			}
 		})
 	}
-	checks := 0
+	checks, withOverdue := 0, 0
 	for at := sim.Time(20) * sim.Second; at < 600*sim.Second; at += 37 * sim.Second {
 		k.At(at, func() {
-			got := append([]coreRelease(nil), s.snapshotReleases()...)
-			want := oracleReleases(s)
-			if !sameReleases(got, want) {
-				t.Errorf("at %v: snapshot %v != rebuild %v", s.K.Now(), got, want)
+			if _, overdue := checkReleaseReaders(t, s); overdue > 0 {
+				withOverdue++
 			}
 			checks++
 		})
 	}
 	k.Run()
-	if checks == 0 || s.Completed() != 30 {
-		t.Fatalf("checks=%d completed=%d, want >0 and 30", checks, s.Completed())
+	if checks == 0 || withOverdue == 0 || s.Completed() != 30 {
+		t.Fatalf("checks=%d (with overdue jobs %d) completed=%d, want >0, >0 and 30",
+			checks, withOverdue, s.Completed())
 	}
 }
 
-// TestSnapshotReleasesOverdueMerge: entries whose estimate has blown remap
-// to now+1s and interleave with genuine entries exactly as the old
-// rebuild-and-sort produced — including the (job, cloud) tie-break inside
-// the remap instant.
+// TestSnapshotReleasesOverdueMerge: estimates that have blown count from
+// now + 1 s, together with the entries genuinely due then and after one due
+// between now and now + 1 s — in reserve's walk and in sumReleasesAt alike.
 func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
@@ -275,23 +335,16 @@ func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 	// Advance the clock to t=100s so earlier ETAs are overdue.
 	k.At(100*sim.Second, func() {})
 	k.Run()
-	// Overdue: J10 (eta 50s, spanning) and J7 (eta 80s) remap to 101s —
-	// and must come back sorted J10 before J7 (string order), interleaved
+	// Overdue: J10 (eta 50s, spanning) and J7 (eta 80s) count at 101s,
 	// with J3's genuine 101s entry and after J2's genuine 100.5s one.
 	mk("J10", 0, 50*sim.Second, Member{Cloud: "c1", Workers: 2}, Member{Cloud: "c0", Workers: 1})
 	mk("J7", 0, 80*sim.Second, Member{Cloud: "c0", Workers: 3})
 	mk("J2", 0, 100*sim.Second+500*sim.Millisecond, Member{Cloud: "c0", Workers: 4})
 	mk("J3", 0, 101*sim.Second, Member{Cloud: "c1", Workers: 5})
 	mk("J9", 0, 200*sim.Second, Member{Cloud: "c0", Workers: 6})
-	got := append([]coreRelease(nil), s.snapshotReleases()...)
-	want := oracleReleases(s)
-	if !sameReleases(got, want) {
-		t.Fatalf("overdue merge:\n got %v\nwant %v", got, want)
-	}
-	// Sanity on the expected shape itself: J2 first, then the 101s group
-	// ordered J10, J10, J3, J7 by (job, cloud)… i.e. string order.
-	if got[0].jobKey != relJobKey(2) || got[len(got)-1].jobKey != relJobKey(9) {
-		t.Fatalf("unexpected envelope: %v", got)
+	if instants, overdue := checkReleaseReaders(t, s); instants != 3 || overdue != 2 {
+		t.Fatalf("walk checked %d instants with %d overdue jobs, want 3 (100.5s, 101s, 200s) and 2",
+			instants, overdue)
 	}
 }
 

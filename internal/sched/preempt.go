@@ -233,7 +233,6 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	s.trueUp(t, j, now)
 	s.removeReleases(j)
 	s.dropRunning(j)
-	s.relSnapDirty = true
 	// Progress credit compounds across evictions: the last dispatch ran
 	// (1 − creditFrac) of the original work, of which progressFrac finished.
 	if progressFrac > 0 {

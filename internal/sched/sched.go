@@ -524,9 +524,8 @@ func (c Config) maxSlips() int {
 // Its state is indexed for incremental cycles: jobs split into an active
 // set and a finished archive (so no hot path ever walks history), running
 // jobs keep a submission-ordered list and a maintained sorted release list,
-// and per-cycle structures (cloud view, release snapshot, placement member
-// buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
-// already finished. A cycle still pays per queued job: once the blocked
+// and per-cycle structures (cloud view, placement member buffers) reuse
+// scheduler-owned scratch, so no cycle pays for jobs that already finished. A cycle still pays per queued job: once the blocked
 // head holds its reservation, one comparison against the queue entry's
 // watermark for each job whose watermark is closed, and a visit with a
 // ProvablyUnplaceable check (times candidate clouds) for each job whose
@@ -577,26 +576,21 @@ type Scheduler struct {
 	shields []*capacity.Lease
 
 	// releases is the maintained pending-release list: one entry per
-	// running job's plan member, sorted by (eta, job, cloud). dispatch
-	// inserts and complete removes, so blocked cycles snapshot it instead
-	// of rebuilding it from a full job scan (see backfill.go).
-	// relSnapDirty marks a mid-cycle insert, telling the cycle its release
-	// snapshot is stale.
-	releases     []coreRelease
-	relClouds    []string // sorted cloud-name table backing coreRelease.cloudRank
-	relSnapDirty bool
+	// running job's plan member, sorted by (eta, job sequence number).
+	// dispatch inserts and complete removes; reserve and sumReleasesAt walk
+	// it in place (see backfill.go).
+	releases []coreRelease
 
-	// Blocked-head watermark: freedCum is a cumulative clock of free-core
-	// gains observed at cycle starts (completions, shrinks, revocations,
+	// clouds is the cloud table, append-only in first-seen order: release
+	// entries name their cloud by row, and each row keeps the cloud's free
+	// cores at the end of the last cycle whose view held it.
+	clouds []cloudRow
+
+	// freedCum is the blocked-head watermark's clock: the cumulative free
+	// cores gained at cycle starts (completions, shrinks, revocations,
 	// resizes — measured as snapshot-vs-previous-cycle-end, so capacity
-	// added behind the scheduler's back counts too); prevFreeNames/Vals are
-	// the previous cycle's end-of-cycle free vector it diffs against, kept
-	// as parallel slices in first-seen cloud order (view order in practice,
-	// so the per-cycle diff and save run on index matches instead of map
-	// hashes).
-	freedCum      int64
-	prevFreeNames []string
-	prevFreeVals  []int
+	// added behind the scheduler's back counts too).
+	freedCum int64
 
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
@@ -605,12 +599,10 @@ type Scheduler struct {
 	evictCand    []*Job    // preemption victim-candidate scratch
 	evictPrev    []int     // pre-eviction free vector (watermark credit)
 	snapScratch  []CloudInfo
-	relScratch   []coreRelease // snapshotReleases output buffer
-	overScratch  []coreRelease // snapshotReleases overdue-remap buffer
-	runScratch   []*Job        // elasticTick iteration copy
-	relSumAtResv []int         // per-cloud release sum at resv.at (backfill)
-	idBuf        []byte        // Submit's job-ID formatting buffer
-	jobArena     []Job         // current Job allocation chunk (see Submit)
+	runScratch   []*Job // elasticTick iteration copy
+	relSumAtResv []int  // per-cloud release sum at resv.at (backfill)
+	idBuf        []byte // Submit's job-ID formatting buffer
+	jobArena     []Job  // current Job allocation chunk (see Submit)
 	doneCB       func(*Job, Outcome)
 	leaseSpare   []*capacity.Lease // retired reservation-lease backing array, reused by holdReservation
 
@@ -893,8 +885,6 @@ func (s *Scheduler) cycle() {
 	s.invalidateMemos()
 	s.decayTenants()
 	s.observeFrees(v)
-	var releases []coreRelease // running-job ETA snapshot, built on first block
-	haveReleases := false
 	var t *Tenant // the tenant being served; nil asks nextTenant for one
 	for {
 		// nextTenant's keys and candidates move only when a job dispatches,
@@ -909,7 +899,7 @@ func (s *Scheduler) cycle() {
 			// Behind a held reservation a closed watermark decides nothing
 			// (placement would fail and the job be stepped over), so skip
 			// on the queue entry alone. Before the reservation exists the
-			// blocked head must still reach reserveHead below.
+			// blocked head must still reach reserve below.
 			q, i := t.queue, t.scan
 			for i < len(q) && q[i].wake > s.freedCum {
 				i++
@@ -967,7 +957,7 @@ func (s *Scheduler) cycle() {
 		}
 		if s.resv == nil {
 			tr0 := s.m.clock()
-			r, ok := s.reserveHead(j, v, &releases, &haveReleases)
+			r, ok := s.reserve(j, v)
 			resvNanos += s.m.clock() - tr0
 			if !ok {
 				if fits, _ := s.fitsFederation(j); !fits {
@@ -992,19 +982,17 @@ func (s *Scheduler) cycle() {
 				preemptNanos += s.m.clock() - tp0
 				switch out {
 				case preemptDispatched:
-					// The head dispatched on evicted cores; the view was
-					// re-snapshotted and the release snapshot invalidated.
-					// Serve the next tenant.
+					// The head dispatched on evicted cores and the view was
+					// re-snapshotted. Serve the next tenant.
 					t = nil
 					continue
 				case preemptEvictedOnly:
 					// Victims are gone but the head still has no plan: the
-					// reservation computed above walks their phantom release
-					// entries. Recompute it against the post-eviction state
-					// (the requeues dirtied the release snapshot, so this
-					// walk sees fresh releases).
+					// reservation computed above walked their phantom release
+					// entries, which the requeues removed. Recompute it
+					// against the post-eviction state.
 					tr0 = s.m.clock()
-					if r2, ok2 := s.reserveHead(j, v, &releases, &haveReleases); ok2 {
+					if r2, ok2 := s.reserve(j, v); ok2 {
 						r = r2
 					}
 					resvNanos += s.m.clock() - tr0
@@ -1015,7 +1003,7 @@ func (s *Scheduler) cycle() {
 			// its ledger leases this cycle — the drop-and-refail step that
 			// stops a misestimated gang from shading elastic growth forever.
 			s.holdReservation(&r, j.coresPerWorker(), !aged)
-			s.sumReleasesAt(v, releases, r.at)
+			s.sumReleasesAt(v, r.at)
 			if s.tr != nil {
 				s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
 					Workers: j.workers(), Cores: j.Cores(),
@@ -1063,53 +1051,49 @@ func (s *Scheduler) dropShields() {
 	s.shields = s.shields[:0]
 }
 
+// cloudRow is one row of the scheduler's cloud table.
+type cloudRow struct {
+	name string
+	// endFree is the cloud's free cores at the end of the last cycle whose
+	// view held it: the baseline the next cycle's watermark diffs against.
+	endFree int
+}
+
+// cloudIdx returns the cloud's row in the cloud table, appending one on
+// first sight. pos is tried first: rows follow first-seen order, which is
+// view order while the federation keeps its shape (-1 when the caller has
+// no guess).
+func (s *Scheduler) cloudIdx(name string, pos int) int32 {
+	if pos >= 0 && pos < len(s.clouds) && s.clouds[pos].name == name {
+		return int32(pos)
+	}
+	for i := range s.clouds {
+		if s.clouds[i].name == name {
+			return int32(i)
+		}
+	}
+	s.clouds = append(s.clouds, cloudRow{name: name})
+	return int32(len(s.clouds) - 1)
+}
+
 // observeFrees advances the watermark clock by the free cores gained since
 // the previous cycle's end — completions, elastic shrinks, revocations, and
 // capacity added behind the scheduler's back all surface here as
-// snapshot-vs-saved-vector gains.
+// snapshot-vs-saved-vector gains. A cloud never saved diffs against zero.
 func (s *Scheduler) observeFrees(v *CloudView) {
 	for i, c := range v.Clouds {
-		prev := 0
-		if i < len(s.prevFreeNames) && s.prevFreeNames[i] == c.Name {
-			prev = s.prevFreeVals[i]
-		} else if j := s.prevFreeIdx(c.Name); j >= 0 {
-			prev = s.prevFreeVals[j]
-		}
-		if d := v.free[i] - prev; d > 0 {
+		if d := v.free[i] - s.clouds[s.cloudIdx(c.Name, i)].endFree; d > 0 {
 			s.freedCum += int64(d)
 		}
 	}
 }
 
-// prevFreeIdx finds a cloud's slot in the saved free vector (-1 when the
-// cloud has never appeared in a snapshot). Linear: federations are small
-// and the caller's index fast path already covers the steady state.
-func (s *Scheduler) prevFreeIdx(name string) int {
-	for i, n := range s.prevFreeNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // saveEndFrees records the end-of-cycle free vector the next cycle diffs
-// against. Slots for clouds that left the snapshot are kept, matching the
-// old map semantics: a cloud that reappears diffs against its last known
-// value, not zero.
+// against. Rows of clouds that left the snapshot are kept, so a cloud that
+// reappears diffs against its last known value, not zero.
 func (s *Scheduler) saveEndFrees(v *CloudView) {
 	for i, c := range v.Clouds {
-		switch {
-		case i < len(s.prevFreeNames) && s.prevFreeNames[i] == c.Name:
-			s.prevFreeVals[i] = v.free[i]
-		default:
-			if j := s.prevFreeIdx(c.Name); j >= 0 {
-				s.prevFreeVals[j] = v.free[i]
-			} else {
-				s.prevFreeNames = append(s.prevFreeNames, c.Name)
-				s.prevFreeVals = append(s.prevFreeVals, v.free[i])
-			}
-		}
+		s.clouds[s.cloudIdx(c.Name, i)].endFree = v.free[i]
 	}
 }
 
