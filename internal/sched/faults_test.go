@@ -163,6 +163,9 @@ func TestTransientLaunchRetry(t *testing.T) {
 	if got := s.LaunchRetries(); got != 2 {
 		t.Fatalf("LaunchRetries=%d, want 2", got)
 	}
+	if got := s.Dispatched(); got != 1 {
+		t.Fatalf("Dispatched=%d, want 1: a failed launch is not a dispatch", got)
+	}
 	// The retries are backoff-delayed, not same-instant churn.
 	if ji.Started == 0 {
 		t.Fatal("job started at t=0 despite two faulted launches")
@@ -184,6 +187,9 @@ func TestTransientLaunchRetriesExhausted(t *testing.T) {
 	}
 	if got := s.LaunchRetries(); got != 3 {
 		t.Fatalf("LaunchRetries=%d, want the default budget of 3", got)
+	}
+	if got := s.Dispatched(); got != 0 {
+		t.Fatalf("Dispatched=%d for a job that never ran, want 0", got)
 	}
 }
 

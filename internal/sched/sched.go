@@ -1126,7 +1126,9 @@ func (s *Scheduler) markUnfit(e *queueEntry, v *CloudView) {
 	e.wake = s.freedCum + int64(j.workers()-slots)
 }
 
-// dispatch starts a placed job through the backend.
+// dispatch starts a placed job through the backend. Only a launch that
+// succeeds counts as a dispatch (and as a backfill or spanning dispatch): a
+// failed one is requeued for a retry or fails the job.
 func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *CloudView) {
 	s.popQueued(t, j)
 	now := s.K.Now()
@@ -1141,13 +1143,6 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	j.coresNow = j.Cores()
 	j.resizeAt = now
 	s.charge(t, j, est)
-	s.m.dispatched.Inc()
-	if backfilled {
-		s.m.backfills.Inc()
-	}
-	if plan.Spanning() {
-		s.m.spanningDispatched.Inc()
-	}
 	if s.tr != nil {
 		kind := "dispatch"
 		if backfilled {
@@ -1184,6 +1179,13 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	}
 	j.handle = h
 	j.launchRetries = 0
+	s.m.dispatched.Inc()
+	if backfilled {
+		s.m.backfills.Inc()
+	}
+	if plan.Spanning() {
+		s.m.spanningDispatched.Inc()
+	}
 	if j.outageRequeuedAt > 0 {
 		// The gang an outage tore down is running again: the gap is the
 		// scheduler's recovery time for this job.
