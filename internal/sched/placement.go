@@ -422,7 +422,7 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 	}
 	if len(members) > 1 && !s.cfg.DisableShuffleCost {
 		if secs := crossShuffleSeconds(s.B, j, members); secs > 0 {
-			p.Shuffle = s.cfg.ShuffleWeight * boost * secs / (secs + refShuffleSeconds)
+			p.Shuffle = boost * secs / (secs + refShuffleSeconds)
 		}
 	}
 	p.Score = p.Locality + p.Capacity + p.Input - p.Shuffle

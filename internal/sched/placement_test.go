@@ -255,8 +255,7 @@ func TestNegativeScorePlanStillPlaces(t *testing.T) {
 	b.AddCloud("c0", 16, 1, 0.10)
 	b.AddCloud("c1", 16, 1, 0.10)
 	b.SetBandwidth("c0", "c1", 1<<20) // 1 MB/s: enormous shuffle penalty
-	// Boost the penalty weight past every positive term.
-	s := New(b, Config{ShuffleWeight: 4})
+	s := New(b, Config{})
 	s.AddTenant("t", 1)
 	id := submitN(t, s, "t", 1, JobSpec{Workers: 12, CoresPerWorker: 2, EstimateSeconds: 50,
 		MR: mapreduce.Job{NumMaps: 24, NumReduces: 8, ShuffleBytesPerMapPerReduce: 8 << 20}})[0]

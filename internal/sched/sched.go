@@ -432,9 +432,6 @@ const (
 type Config struct {
 	// Placement policy; nil means BestScore (locality-aware).
 	Placement PlacementPolicy
-	// ShuffleWeight scores the cross-site shuffle penalty of spanning
-	// plans. Zero means 1.0.
-	ShuffleWeight float64
 	// DisableShuffleCost drops the cross-site shuffle term from plan
 	// scoring — the bandwidth-oblivious spanning baseline (E11).
 	DisableShuffleCost bool
@@ -494,9 +491,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Placement == nil {
 		c.Placement = BestScore{}
-	}
-	if c.ShuffleWeight == 0 {
-		c.ShuffleWeight = 1.0
 	}
 	if c.ElasticInterval == 0 {
 		c.ElasticInterval = 15 * sim.Second
