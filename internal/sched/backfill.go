@@ -39,19 +39,6 @@ type reservation struct {
 	shaded bool
 }
 
-// membersEqual reports whether two plans place identically.
-func membersEqual(a, b []Member) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // holdReservation registers the blocked head job's future claim in the
 // capacity ledger (one lease per member cloud) and makes it the
 // scheduler's current reservation, replacing any previous one. With shade
@@ -61,7 +48,7 @@ func membersEqual(a, b []Member) bool {
 func (s *Scheduler) holdReservation(r *reservation, cpw int, shade bool) {
 	if pr := s.prevResv; pr != nil && pr.job == r.job && pr.at == r.at &&
 		pr.shaded == shade && (!shade || len(pr.leases) == len(r.plan.Members)) &&
-		membersEqual(pr.plan.Members, r.plan.Members) {
+		slices.Equal(pr.plan.Members, r.plan.Members) {
 		// Identical claim to the one the previous cycle held: adopt its
 		// live ledger leases. Reserve/Release never move the ledger
 		// generation or the free vector, so the only observable difference

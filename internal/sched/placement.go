@@ -26,7 +26,7 @@ type Member struct {
 type Plan struct {
 	Members []Member
 
-	// Cost breakdown (see Scheduler.ScorePlan).
+	// Cost breakdown (see Scheduler.scorePlanIdx).
 	Locality float64 // input residency covered by members
 	Capacity float64 // cores-weighted free-capacity headroom
 	Input    float64 // inter-site bandwidth term for uncovered input
@@ -326,11 +326,13 @@ func (j *Job) inputFraction(cloud string) float64 {
 	return 0
 }
 
-// ScorePlan rates a candidate plan for a job, returning the plan with its
-// cost breakdown filled in; a plan that does not fit the given free cores
+// scorePlanIdx rates a candidate plan for a job, returning the plan with its
+// cost breakdown filled in; a plan that does not fit the view's free cores
 // comes back infeasible (Score = -Inf; check Plan.Feasible, not the sign —
-// a feasible shuffle-heavy plan can legitimately score below zero). Four
-// terms, per the federation design:
+// a feasible shuffle-heavy plan can legitimately score below zero). idxs[k]
+// is members[k]'s view position (-1 for unknown), so the caller's loop
+// scores without name→position lookups. Four terms, per the federation
+// design:
 //
 //   - data locality: the fraction of the job's input bytes on some member
 //     cloud (1 when a member is the whole-file InputSite, else 0) — input
@@ -350,35 +352,8 @@ func (j *Job) inputFraction(cloud string) float64 {
 //     thin-pipe one.
 //
 // Single-member plans have zero shuffle cost and score identically to the
-// pre-plan single-cloud scorer.
-//
-// This is the compatibility wrapper over an ad-hoc (clouds, free) pair; the
-// scheduler's cycles call scorePlan with the per-cycle CloudView instead.
-func (s *Scheduler) ScorePlan(j *Job, members []Member, clouds []CloudInfo, free map[string]int) Plan {
-	v := viewOf(clouds, free)
-	return s.scorePlan(j, members, &v)
-}
-
-// scorePlan is ScorePlan over the cycle's indexed view: no per-call map
-// builds, every cloud lookup a single index hit. The returned plan's
-// Members field aliases the caller's slice.
-func (s *Scheduler) scorePlan(j *Job, members []Member, v *CloudView) Plan {
-	var buf [8]int
-	idxs := buf[:0]
-	if len(members) > len(buf) {
-		idxs = make([]int, 0, len(members))
-	}
-	for _, m := range members {
-		idxs = append(idxs, v.Pos(m.Cloud))
-	}
-	return s.scorePlanIdx(j, members, idxs, v)
-}
-
-// scorePlanIdx is scorePlan when the caller already holds each member's view
-// position (idxs[k] = members[k]'s position, -1 for unknown): identical
-// arithmetic in identical order with the name→position lookups elided, so
-// scores stay bit-identical. growPlan's inner loop lives here — it evaluates
-// the same candidate clouds it just indexed over.
+// pre-plan single-cloud scorer. The returned plan's Members field aliases
+// the caller's slice.
 func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudView) Plan {
 	p := Plan{Members: members, Score: math.Inf(-1)}
 	if len(members) == 0 {
@@ -433,7 +408,7 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 // across cloud boundaries: with workers split share₁..shareₙ and shuffle
 // traffic all-to-all, the fraction 1 - Σ shareᵢ² of the job's map-output
 // volume crosses sites, through the bottleneck link between members. One
-// model shared by plan scoring (ScorePlan) and runtime estimation
+// model shared by plan scoring (scorePlanIdx) and runtime estimation
 // (planEstimateSeconds), so reservations agree with the scores that made
 // them.
 func crossShuffleSeconds(b Backend, j *Job, members []Member) float64 {
@@ -473,21 +448,9 @@ func crossShuffleSeconds(b Backend, j *Job, members []Member) float64 {
 	return volume * crossFrac / minBW
 }
 
-// planPrice returns the per-core-hour cost of the plan (the tie-breaker:
-// cheaper capacity wins among equal scores). One index hit per member
-// instead of the former members × clouds scan.
-func planPrice(members []Member, v *CloudView, cpw int) float64 {
-	price := 0.0
-	for _, m := range members {
-		if i := v.Pos(m.Cloud); i >= 0 {
-			price += float64(m.Workers*cpw) * v.Clouds[i].Price
-		}
-	}
-	return price
-}
-
-// planPriceIdx is planPrice with the member positions supplied — same sum,
-// same order, no lookups.
+// planPriceIdx returns the per-core-hour cost of the plan (the tie-breaker:
+// cheaper capacity wins among equal scores), given each member's view
+// position as in scorePlanIdx.
 func planPriceIdx(members []Member, idxs []int, v *CloudView, cpw int) float64 {
 	price := 0.0
 	for k, m := range members {
@@ -581,7 +544,7 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 		if !ok {
 			continue
 		}
-		price := planPrice(p.Members, v, cpw)
+		price := planPriceIdx(p.Members, ps.growIdxs, v, cpw)
 		if best.Empty() || ps.betterPlan(p, best, price, bestPrice) {
 			ps.bestMembers = append(ps.bestMembers[:0], p.Members...)
 			p.Members = ps.bestMembers
@@ -595,10 +558,10 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 }
 
 // scanSingleClouds scores every single-cloud candidate and returns the best
-// plan — the common-case fast path, scored index-first: the four scorePlan
+// plan — the common-case fast path, scored index-first: the four scorePlanIdx
 // terms specialised to one member whose cores-weighted share is exactly 1,
 // so no name→position lookups and no shuffle term. Float operation order
-// matches scorePlan term for term (share = 1 multiplications are exact),
+// matches scorePlanIdx term for term (share = 1 multiplications are exact),
 // keeping scores bit-identical to the general path. The returned members
 // alias ps.bestMembers; the caller copies what it keeps.
 func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int, boost float64) Plan {
@@ -647,8 +610,9 @@ func planHasIdx(idxs []int, i int) bool {
 // greedily — each step adds the cloud that maximises the partial plan's
 // score — until the demand is met. ok is false when even all clouds
 // together cannot host the gang. The returned plan's Members alias the
-// evaluation's scratch, valid only until the next growPlan call with the
-// same scratch — callers copy what they keep.
+// evaluation's scratch, and ps.growIdxs holds their view positions, both
+// valid only until the next growPlan call with the same scratch — callers
+// copy what they keep.
 func (s *Scheduler) growPlan(j *Job, anchor string, anchorIdx, workers, cpw int, v *CloudView, ps *placeScratch) (Plan, bool) {
 	take := func(idx, remaining int) int {
 		n := v.free[idx] / cpw

@@ -204,11 +204,13 @@ func TestScoreRejectsOverCapacity(t *testing.T) {
 	s := New(b, Config{})
 	s.AddTenant("t", 1)
 	j := &Job{Spec: JobSpec{Tenant: "t", Workers: 8, CoresPerWorker: 2}}
-	clouds := s.B.AppendClouds(nil)
-	free := map[string]int{"c0": 8}
-	p := s.ScorePlan(j, []Member{{Cloud: "c0", Workers: 8}}, clouds, free)
+	var v CloudView
+	v.Reset(s.B.AppendClouds(nil))
+	c0 := v.Pos("c0")
+	v.free[c0] = 8
+	p := s.scorePlanIdx(j, []Member{{Cloud: "c0", Workers: 8}}, []int{c0}, &v)
 	if p.Score >= 0 {
-		t.Fatalf("ScorePlan = %v for a 16-core plan slice on 8 free cores, want < 0", p.Score)
+		t.Fatalf("scorePlanIdx = %v for a 16-core plan slice on 8 free cores, want < 0", p.Score)
 	}
 }
 
@@ -499,12 +501,9 @@ func TestPatternBiasesPlacement(t *testing.T) {
 	j := &Job{Spec: JobSpec{Tenant: "t", Workers: 2, CoresPerWorker: 2,
 		InputSite: "data", InputBytes: 1 << 30}}
 	score := func(name string) float64 {
-		clouds := s.B.AppendClouds(nil)
-		free := make(map[string]int)
-		for _, c := range clouds {
-			free[c.Name] = c.FreeCores
-		}
-		return s.ScorePlan(j, []Member{{Cloud: name, Workers: 2}}, clouds, free).Score
+		var v CloudView
+		v.Reset(s.B.AppendClouds(nil))
+		return s.scorePlanIdx(j, []Member{{Cloud: name, Workers: 2}}, []int{v.Pos(name)}, &v).Score
 	}
 	beforeBig, beforeFat := score("big"), score("fat")
 	s.Notify(Event{Kind: EventPatternDetected, Tenant: "t", Pattern: PatternAllToAll})

@@ -4,9 +4,7 @@ package sched
 // the cloud snapshot in backend order, a name→position index, and the
 // working free-core vector the cycle decrements as it dispatches. One view
 // is built per scheduling cycle and shared by every placement score, price
-// lookup, and runtime estimate in that cycle — before it existed, ScorePlan
-// rebuilt a name→info map per candidate plan and planPrice /
-// planEstimateSeconds ran O(members × clouds) nested scans.
+// lookup, and runtime estimate in that cycle.
 //
 // The scheduler owns its views and reuses their storage across cycles; the
 // name index is rebuilt only when the cloud list changes shape.
@@ -84,16 +82,4 @@ func (v *CloudView) take(name string, cores int) {
 	if i := v.Pos(name); i >= 0 {
 		v.free[i] -= cores
 	}
-}
-
-// viewOf wraps an ad-hoc (clouds, free-map) pair as a CloudView — the
-// compatibility path for the exported ScorePlan signature tests use;
-// the scheduler's own cycles build views with Reset instead.
-func viewOf(clouds []CloudInfo, free map[string]int) CloudView {
-	var v CloudView
-	v.Reset(clouds)
-	for i, c := range clouds {
-		v.free[i] = free[c.Name]
-	}
-	return v
 }
