@@ -141,7 +141,9 @@ func (tr *Trace) SaveFile(path string) error {
 
 // Load reads a JSONL trace and validates it: known version, known event
 // kinds, submit events with a tenant and positive workers, non-decreasing
-// timestamps (the replay driver streams events in file order).
+// timestamps (the replay driver streams events in file order), and no
+// value Replay would have to reinterpret (see Event.validate). A bad line
+// is rejected with its line number, never coerced.
 func Load(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -166,25 +168,8 @@ func Load(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return nil, fmt.Errorf("workload: line %d: %w", line, err)
 		}
-		switch ev.Kind {
-		case KindSubmit:
-			if ev.Tenant == "" || ev.Workers <= 0 {
-				return nil, fmt.Errorf("workload: line %d: submit needs tenant and workers", line)
-			}
-		case KindRevoke:
-			if ev.Cloud == "" {
-				return nil, fmt.Errorf("workload: line %d: revoke needs cloud", line)
-			}
-		case KindOutage, KindRestore, KindDeployFault:
-			if ev.Cloud == "" {
-				return nil, fmt.Errorf("workload: line %d: %s needs cloud", line, ev.Kind)
-			}
-		case KindDegrade:
-			if ev.Cloud == "" || ev.Peer == "" || ev.Factor <= 0 {
-				return nil, fmt.Errorf("workload: line %d: degrade needs cloud, peer, and factor", line)
-			}
-		default:
-			return nil, fmt.Errorf("workload: line %d: unknown kind %q", line, ev.Kind)
+		if err := ev.validate(); err != nil {
+			return nil, fmt.Errorf("workload: line %d: %v", line, err)
 		}
 		if ev.At < last {
 			return nil, fmt.Errorf("workload: line %d: timestamps out of order", line)
@@ -196,6 +181,47 @@ func Load(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// validate checks one event's fields against its kind. Zero keeps its
+// documented meaning (cores 0 = 1 per worker, est 0 = derived, strikes 0 =
+// every job for revoke and 1 for deployfault, partial 0 = full crash), but
+// a value outside a field's range is an error: Replay would otherwise read
+// a negative partial as a full crash, a degrade factor above 1 as the end
+// of the episode, and a negative strikes, cores, est, bid or at as a
+// default.
+func (ev *Event) validate() error {
+	if ev.At < 0 {
+		return fmt.Errorf("negative at %d", ev.At)
+	}
+	switch ev.Kind {
+	case KindSubmit:
+		switch {
+		case ev.Tenant == "" || ev.Workers <= 0:
+			return fmt.Errorf("submit needs tenant and workers")
+		case ev.Cores < 0:
+			return fmt.Errorf("negative cores %d", ev.Cores)
+		case ev.EstimateSeconds < 0:
+			return fmt.Errorf("negative est %g", ev.EstimateSeconds)
+		case ev.Bid < 0:
+			return fmt.Errorf("negative bid %g", ev.Bid)
+		}
+		return nil
+	case KindRevoke, KindOutage, KindRestore, KindDeployFault, KindDegrade:
+	default:
+		return fmt.Errorf("unknown kind %q", ev.Kind)
+	}
+	switch {
+	case ev.Cloud == "":
+		return fmt.Errorf("%s needs cloud", ev.Kind)
+	case ev.Strikes < 0:
+		return fmt.Errorf("negative strikes %d", ev.Strikes)
+	case ev.Partial < 0:
+		return fmt.Errorf("negative partial %d", ev.Partial)
+	case ev.Kind == KindDegrade && (ev.Peer == "" || ev.Factor <= 0 || ev.Factor > 1):
+		return fmt.Errorf("degrade needs cloud, peer, and a factor in (0, 1], got %g", ev.Factor)
+	}
+	return nil
 }
 
 // LoadFile reads a trace from path.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -145,21 +146,83 @@ func TestReplayDeterminism100k(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadInput covers the validation paths.
+// badTraces are inputs Load must reject, one per validation rule.
+var badTraces = map[string]string{
+	"empty":            "",
+	"bad version":      `{"version":9,"seed":1,"tenants":[]}`,
+	"bad kind":         "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"x\"}",
+	"no tenant":        "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"submit\",\"workers\":1}",
+	"out of order":     "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":5,\"kind\":\"revoke\",\"cloud\":\"c\"}\n{\"at\":4,\"kind\":\"revoke\",\"cloud\":\"c\"}",
+	"revoke cloud?":    "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"revoke\"}",
+	"negative at":      "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":-1,\"kind\":\"restore\",\"cloud\":\"c\"}",
+	"negative cores":   "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"submit\",\"tenant\":\"t\",\"workers\":1,\"cores\":-2}",
+	"negative est":     "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"submit\",\"tenant\":\"t\",\"workers\":1,\"est\":-5}",
+	"negative bid":     "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"submit\",\"tenant\":\"t\",\"workers\":1,\"spot\":true,\"bid\":-0.1}",
+	"revoke strikes":   "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"revoke\",\"cloud\":\"c\",\"strikes\":-1}",
+	"deploy strikes":   "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"deployfault\",\"cloud\":\"c\",\"strikes\":-3}",
+	"negative partial": "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"outage\",\"cloud\":\"c\",\"partial\":-8}",
+	"degrade above 1":  "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"degrade\",\"cloud\":\"c\",\"peer\":\"d\",\"factor\":1.5}",
+}
+
+// TestLoadRejectsBadInput covers the validation paths: each bad input is
+// rejected, and an event's error names its line.
 func TestLoadRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"bad version":   `{"version":9,"seed":1,"tenants":[]}`,
-		"bad kind":      "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"x\"}",
-		"no tenant":     "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"submit\",\"workers\":1}",
-		"out of order":  "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":5,\"kind\":\"revoke\",\"cloud\":\"c\"}\n{\"at\":4,\"kind\":\"revoke\",\"cloud\":\"c\"}",
-		"revoke cloud?": "{\"version\":1,\"seed\":1,\"tenants\":[]}\n{\"at\":0,\"kind\":\"revoke\"}",
-	}
-	for name, in := range cases {
-		if _, err := Load(bytes.NewReader([]byte(in))); err == nil {
+	for name, in := range badTraces {
+		_, err := Load(bytes.NewReader([]byte(in)))
+		if err == nil {
 			t.Errorf("%s: Load accepted invalid input", name)
+			continue
+		}
+		if strings.Contains(in, "\n") && !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: error %q names no line", name, err)
 		}
 	}
+}
+
+// faultTrace is a small valid trace with every fault kind, a seed for
+// FuzzTraceLoad next to the generated submit-only trace.
+const faultTrace = `{"version":1,"seed":7,"tenants":[{"name":"t","weight":1}]}
+{"at":0,"kind":"submit","tenant":"t","name":"j","workers":2,"cores":2,"est":30,"spot":true,"bid":0.05}
+{"at":5,"kind":"outage","cloud":"c0","partial":8}
+{"at":6,"kind":"degrade","cloud":"c0","peer":"c1","factor":0.25}
+{"at":7,"kind":"deployfault","cloud":"c1","strikes":2}
+{"at":8,"kind":"revoke","cloud":"c1"}
+{"at":9,"kind":"restore","cloud":"c0"}
+`
+
+// FuzzTraceLoad feeds arbitrary bytes to Load. It must never panic, and any
+// trace Load accepts must save to bytes that load again and re-save to the
+// same bytes.
+func FuzzTraceLoad(f *testing.F) {
+	var gen bytes.Buffer
+	if err := Generate(StandardConfig(5, 50)).Save(&gen); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gen.Bytes())
+	f.Add([]byte(faultTrace))
+	for _, in := range badTraces {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := tr.Save(&once); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		back, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("the saved trace does not load: %v\n%s", err, once.Bytes())
+		}
+		if err := back.Save(&twice); err != nil {
+			t.Fatalf("re-save: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-save differs:\n%s\nfirst save:\n%s", twice.Bytes(), once.Bytes())
+		}
+	})
 }
 
 // TestPercentileRank pins the survival tables' percentile rule — 1-based
