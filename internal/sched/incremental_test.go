@@ -351,8 +351,8 @@ func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 // TestReleaseSnapshotRefreshAfterFailedReserve: when the head job's
 // reservation attempt fails (policy can never place it) and a later job
 // dispatches in the same cycle, the NEXT blocked job's reserve() must see
-// the dispatched job's release — a stale snapshot would hand it a
-// wrong-cloud reservation and let a long backfill job slip in front of it.
+// the dispatched job's release — missing it would hand it a wrong-cloud
+// reservation and let a long backfill job slip in front of it.
 func TestReleaseSnapshotRefreshAfterFailedReserve(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
@@ -386,8 +386,8 @@ func TestReleaseSnapshotRefreshAfterFailedReserve(t *testing.T) {
 			bi.Started, ai.Finished)
 	}
 	if ci.Started < bi.Started {
-		t.Errorf("long backfill job started at %v, before the reserved job's start %v — the cycle's "+
-			"release snapshot missed A's dispatch and reserved the wrong cloud", ci.Started, bi.Started)
+		t.Errorf("long backfill job started at %v, before the reserved job's start %v — the "+
+			"reservation walk missed A's dispatch and reserved the wrong cloud", ci.Started, bi.Started)
 	}
 }
 

@@ -519,9 +519,10 @@ func (c Config) maxSlips() int {
 // set and a finished archive (so no hot path ever walks history), running
 // jobs keep a submission-ordered list and a maintained sorted release list,
 // and per-cycle structures (cloud view, placement member buffers) reuse
-// scheduler-owned scratch, so no cycle pays for jobs that already finished. A cycle still pays per queued job: once the blocked
-// head holds its reservation, one comparison against the queue entry's
-// watermark for each job whose watermark is closed, and a visit with a
+// scheduler-owned scratch, so no cycle pays for jobs that already
+// finished. A cycle still pays per queued job: once the blocked head holds
+// its reservation, one comparison against the queue entry's watermark for
+// each job whose watermark is closed, and a visit with a
 // ProvablyUnplaceable check (times candidate clouds) for each job whose
 // watermark is open.
 type Scheduler struct {
