@@ -299,7 +299,7 @@ func (h *fedHandle) Progress() (int, int, int, int) {
 	return h.lj.vc.MapReduce().Progress()
 }
 
-// Preemptible implements sched.Preemptor: a job whose cluster is still
+// Preemptible implements sched.Handle: a job whose cluster is still
 // provisioning cannot free its cores synchronously, and one with a worker
 // migration in flight has its capacity split across clouds — neither is a
 // victim candidate.
@@ -307,7 +307,7 @@ func (h *fedHandle) Preemptible() bool {
 	return h.lj.vc != nil && !h.lj.preempted && h.lj.relocations == 0
 }
 
-// Preempt implements sched.Preemptor: the gang's committed cores convert
+// Preempt implements sched.Handle: the gang's committed cores convert
 // per cloud into beneficiary shield reservations through the ledger's
 // atomic eviction transition, then the worker VMs tear down through the
 // ledger-skipping release (their ledger side already moved). No Outcome is
@@ -342,7 +342,7 @@ func (h *fedHandle) Preempt(at sim.Time) []*capacity.Lease {
 	return shields
 }
 
-// Relocate implements sched.Relocator: `workers` of the job's workers on
+// Relocate implements sched.Handle: `workers` of the job's workers on
 // `from` live-migrate to `to` (or suspend/resume, per SchedulerOptions),
 // with the secure handshake, the atomic committed-core retarget, overlay
 // reconfiguration, and MapReduce rebinding per VM; the backend's own plan

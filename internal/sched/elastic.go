@@ -43,7 +43,7 @@ func (s *Scheduler) elasticTick() {
 		// overrunners actually in the reservation's way: evicting a gang on
 		// clouds the reserved plan never touches frees nothing the head can
 		// use, so such jobs run on (see feedsReservation).
-		if s.cfg.EnablePreemption && s.resv != nil && s.preemptible(j) &&
+		if s.cfg.EnablePreemption && s.resv != nil && preemptible(j) &&
 			float64(s.K.Now()-j.Started) > preemptOverrunFactor*float64(j.estDuration) &&
 			s.feedsReservation(j) {
 			var price float64
@@ -58,10 +58,8 @@ func (s *Scheduler) elasticTick() {
 		// Consolidation pass: a spanning gang whose whole worker set now
 		// fits one of its member clouds migrates onto it (see relocate.go).
 		if s.cfg.EnableConsolidation && j.Plan.Spanning() && !j.relocating {
-			if rel, ok := j.handle.(Relocator); ok {
-				if to := s.consolidationTarget(j); to != "" {
-					s.startConsolidation(j, rel, to)
-				}
+			if to := s.consolidationTarget(j); to != "" {
+				s.startConsolidation(j, to)
 			}
 		}
 		md, mt, rd, rt := j.handle.Progress()

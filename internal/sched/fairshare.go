@@ -177,7 +177,7 @@ func (s *Scheduler) trueUp(t *Tenant, j *Job, now sim.Time) {
 // (including running jobs' elapsed time at the sizes they actually held),
 // the quantity that converges to the configured weights under saturation.
 // Finished work is read from the per-tenant delivered aggregates and live
-// work from the running list — no walk over archived history.
+// work from the running list — no walk over finished jobs.
 func (s *Scheduler) Shares() map[string]float64 {
 	now := s.K.Now()
 	raw := make(map[string]float64, len(s.tenants))

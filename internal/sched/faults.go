@@ -142,31 +142,21 @@ func Backoff(base sim.Time, doublings int, rng *rand.Rand) sim.Time {
 func (s *Scheduler) requeueOn(cloud string, now sim.Time) {
 	victims := s.runScratch[:0]
 	for _, j := range s.running {
-		if j.Spec.External() || j.handle == nil || j.relocating {
-			continue
+		if j.Plan.WorkersOn(cloud) > 0 && tearable(j) {
+			victims = append(victims, j)
 		}
-		if j.Plan.WorkersOn(cloud) == 0 {
-			continue
-		}
-		p, ok := j.handle.(Preemptor)
-		if !ok || !p.Preemptible() {
-			continue
-		}
-		victims = append(victims, j)
 	}
 	s.runScratch = victims
 	for _, j := range victims {
 		credit := 0.0
 		if !s.cfg.NaiveFaultMode {
-			if md, mt, rd, rt := j.handle.Progress(); mt+rt > 0 {
-				credit = float64(md+rd) / float64(mt+rt)
-			}
+			credit = progressCredit(j.handle)
 		}
 		if s.tr != nil {
 			s.trace(obs.TraceEvent{Kind: "requeue", Tenant: j.Spec.Tenant, Job: j.ID,
 				Cloud: cloud, Workers: j.workers(), Cores: j.coresNow, Plan: j.Plan.String()})
 		}
-		for _, sh := range j.handle.(Preemptor).Preempt(now) {
+		for _, sh := range j.handle.Preempt(now) {
 			sh.Release()
 		}
 		s.m.outageRequeues.Inc()

@@ -9,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Tests for the incremental scheduler core: the active/archive job split,
-// the maintained release list, and the blocked-head watermark.
+// Tests for the incremental scheduler core: finished jobs' visibility, the
+// maintained release list, and the blocked-head watermark.
 
-// TestArchiveVisibility: finished jobs move to the archive but stay fully
-// visible through Poll and Jobs(), in submission order, alongside active
-// ones.
+// TestArchiveVisibility: finished jobs stay fully visible through Poll,
+// alongside queued and running ones.
 func TestArchiveVisibility(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
@@ -42,9 +41,6 @@ func TestArchiveVisibility(t *testing.T) {
 			t.Errorf("job %s state = %v, want %v", id, ji.State, wantStates[i])
 		}
 	}
-	if got := s.Jobs(); len(got) != 3 || got[0] != ids[0] || got[1] != ids[1] || got[2] != ids[2] {
-		t.Errorf("Jobs() = %v, want %v in submission order", got, ids)
-	}
 	k.Run()
 	for _, id := range ids {
 		ji, ok := s.Poll(id)
@@ -55,8 +51,8 @@ func TestArchiveVisibility(t *testing.T) {
 			t.Errorf("archived job %s lost its outcome: finished=%v result=%q", id, ji.Finished, ji.Result.Job)
 		}
 	}
-	if s.Completed() != 3 || len(s.Jobs()) != 3 {
-		t.Errorf("completed=%d jobs=%d, want 3/3", s.Completed(), len(s.Jobs()))
+	if s.Completed() != 3 {
+		t.Errorf("completed=%d, want 3", s.Completed())
 	}
 }
 
@@ -327,7 +323,7 @@ func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 		j := &Job{ID: id, seq: seq, Spec: JobSpec{Tenant: "t", Workers: 1}, State: Running,
 			Started: started, estDuration: est, dispatched: true,
 			Plan: Plan{Members: members}}
-		s.active[id] = j
+		s.jobs[id] = j
 		s.addRunning(j)
 		s.insertReleases(j)
 		return j

@@ -28,33 +28,31 @@ import (
 // (capacity.Ledger.Evict) in one step, so nothing can probe the freed cores
 // away between the eviction and the head's dispatch.
 
-// Preemptor is the optional Handle extension backends implement to support
-// eviction: Preempt tears the job's workers down immediately — without
-// delivering an Outcome — and returns the shield leases minted by the
-// ledger eviction transitions (Reserved at `at` for the beneficiary). The
-// scheduler releases the shields once the beneficiary has its capacity.
-type Preemptor interface {
-	// Preemptible reports whether the job can be torn down right now (a
-	// cluster still provisioning cannot free its cores synchronously).
-	Preemptible() bool
-	Preempt(at sim.Time) []*capacity.Lease
+// tearable reports whether a running job's workers can be torn down right
+// now, by eviction or by an outage requeue: it runs on capacity the
+// scheduler manages, holds a live handle, is not mid-relocation (tearing
+// down a half-migrated gang would split its accounting across two clouds),
+// and its backend can free the cores synchronously.
+func tearable(j *Job) bool {
+	return !j.Spec.External() && j.handle != nil && !j.relocating && j.handle.Preemptible()
+}
+
+// progressCredit is the fraction of the job's tasks the handle reports
+// done: the progress credit a torn-down job requeues with.
+func progressCredit(h Handle) float64 {
+	md, mt, rd, rt := h.Progress()
+	if mt+rt <= 0 {
+		return 0
+	}
+	return float64(md+rd) / float64(mt+rt)
 }
 
 // preemptible reports whether a running job is an eviction candidate: only
 // backfilled jobs (they slid past the blocked head; evicting an in-order
-// dispatch would break fair ordering), on capacity the scheduler manages,
-// under the per-job preemption cap, not mid-relocation (tearing down a
-// half-migrated gang would split its accounting across two clouds), with a
-// backend that can tear them down.
-func (s *Scheduler) preemptible(j *Job) bool {
-	if j.State != Running || !j.Backfilled || j.Spec.External() || j.handle == nil || j.relocating {
-		return false
-	}
-	if j.Preemptions >= maxPreemptions {
-		return false
-	}
-	p, ok := j.handle.(Preemptor)
-	return ok && p.Preemptible()
+// dispatch would break fair ordering), under the per-job preemption cap,
+// that can be torn down right now.
+func preemptible(j *Job) bool {
+	return j.State == Running && j.Backfilled && j.Preemptions < maxPreemptions && tearable(j)
 }
 
 // evictPrice prices evicting j now: estimated remaining core-seconds scaled
@@ -83,7 +81,7 @@ func (s *Scheduler) evictPrice(j *Job, now sim.Time, shares, entitled map[string
 func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]float64) {
 	cand := s.evictCand[:0]
 	for _, j := range s.running {
-		if j != head && s.preemptible(j) {
+		if j != head && preemptible(j) {
 			cand = append(cand, j)
 		}
 	}
@@ -146,7 +144,7 @@ const (
 // preemptFor runs the eviction pass for the blocked head job at the front
 // of tenant t's queue. On preemptDispatched the victims are torn down and
 // requeued and the head runs on their cores; the caller's cycle continues
-// with a re-snapshotted view. preemptNone leaves everything as it was (no
+// with a refreshed view. preemptNone leaves everything as it was (no
 // victim is evicted unless the head provably starts).
 func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcome {
 	victims, prices := s.chooseVictims(head, v)
@@ -159,22 +157,12 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 		shields = append(shields, s.evict(victim, now, prices[victim], "preempt")...)
 	}
 	// Backend teardown freed the cores synchronously (admission is
-	// synchronous since the unified ledger): re-snapshot and place the head.
-	// The re-snapshot hides quarantined clouds like the cycle's own, so the
-	// diff below compares the same clouds position by position.
-	// The mid-cycle frees must advance the watermark clock here —
-	// observeFrees only diffs at cycle starts, and whatever the head does
-	// not consume would otherwise never wake other blocked jobs.
-	s.evictPrev = append(s.evictPrev[:0], v.free...)
-	v.Reset(s.snapshotClouds())
-	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
-	for i := range v.Clouds {
-		if i < len(s.evictPrev) {
-			if d := v.free[i] - s.evictPrev[i]; d > 0 {
-				s.freedCum += int64(d)
-			}
-		}
-	}
+	// synchronous since the unified ledger): refresh the view, which hides
+	// quarantined clouds like the cycle start's, and place the head. The
+	// refresh also advances the watermark clock by the mid-cycle frees:
+	// whatever the head does not consume would otherwise never wake other
+	// blocked jobs.
+	s.refreshView(v)
 	plan := s.cfg.Placement.Choose(s, head, v)
 	if plan.Empty() {
 		// Cannot happen while the what-if view mirrors backend frees; if a
@@ -186,11 +174,6 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 		return preemptEvictedOnly
 	}
 	s.dispatch(t, head, plan, false, v)
-	cpw := head.coresPerWorker()
-	for _, m := range plan.Members {
-		v.take(m.Cloud, m.Workers*cpw)
-	}
-	s.invalidateMemos()
 	for _, le := range shields {
 		le.Release()
 	}
@@ -205,16 +188,13 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 // eviction price (for the decision trace); kind names the path that chose
 // it ("preempt" for head-driven, "forced_preempt" for elastic overrun).
 func (s *Scheduler) evict(victim *Job, at sim.Time, price float64, kind string) []*capacity.Lease {
-	var credit float64
-	if md, mt, rd, rt := victim.handle.Progress(); mt+rt > 0 {
-		credit = float64(md+rd) / float64(mt+rt)
-	}
+	credit := progressCredit(victim.handle)
 	if s.tr != nil {
 		s.trace(obs.TraceEvent{Kind: kind, Tenant: victim.Spec.Tenant, Job: victim.ID,
 			Cloud: victim.Cloud, Workers: victim.workers(), Cores: victim.coresNow,
 			Price: price, Plan: victim.Plan.String()})
 	}
-	shields := victim.handle.(Preemptor).Preempt(at)
+	shields := victim.handle.Preempt(at)
 	s.m.preemptions.Inc()
 	victim.Preemptions++
 	s.requeue(victim, credit)
@@ -226,13 +206,10 @@ func (s *Scheduler) evict(victim *Job, at sim.Time, price float64, kind string) 
 // ahead of everything submitted after it) and progress credit (the executed
 // fraction of the original work discounts the next dispatch's estimate).
 func (s *Scheduler) requeue(j *Job, progressFrac float64) {
-	t := s.tenants[j.Spec.Tenant]
-	now := s.K.Now()
-	// Bank the work actually delivered and back out the unused remainder of
-	// the dispatch-time charge — the same true-up a completion performs.
-	s.trueUp(t, j, now)
-	s.removeReleases(j)
-	s.dropRunning(j)
+	// Leaving Running banks the work actually delivered and backs out the
+	// unused remainder of the dispatch-time charge — the same true-up a
+	// completion performs.
+	s.setState(s.tenants[j.Spec.Tenant], j, Queued)
 	// Progress credit compounds across evictions: the last dispatch ran
 	// (1 − creditFrac) of the original work, of which progressFrac finished.
 	if progressFrac > 0 {
@@ -241,7 +218,6 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 			j.creditFrac = 0.95 // keep the re-estimate strictly positive
 		}
 	}
-	j.State = Queued
 	j.handle = nil
 	j.dispatched = false
 	j.Backfilled = false
@@ -250,17 +226,4 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	j.coresNow, j.accrued, j.charged = 0, 0, 0
 	j.deadlineGrown, j.spotReplaced, j.shrunk = 0, 0, false
 	j.relocating = false
-	// Submission-order insert: everything the victim originally preceded,
-	// it still precedes.
-	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
-	t.queue = append(t.queue, queueEntry{})
-	copy(t.queue[i+1:], t.queue[i:])
-	t.queue[i] = queueEntry{job: j, wake: noWake}
-	// Keep this cycle's scan position pointing at the same next-unexamined
-	// entry (and the head job it is about to dispatch).
-	if t.scanCycle == s.cycleNum && i <= t.scan {
-		t.scan++
-	}
-	s.nQueued++
-	s.m.queuedJobs.SetInt(int64(s.nQueued))
 }

@@ -13,16 +13,6 @@ import "repro/internal/obs"
 // ledger; SimBackend retargets its ledger leases), and reports back so the
 // job's plan, its release-list entries, and the anchor cloud follow.
 
-// Relocator is the optional Handle extension backends implement to support
-// consolidation: Relocate moves `workers` of the job's workers from one
-// member cloud to another while the job keeps running, then calls onDone.
-// On success the backend has already moved its own capacity accounting
-// (ledger lease or committed-core retarget); the scheduler rewrites the
-// job's plan when the callback reports nil.
-type Relocator interface {
-	Relocate(from, to string, workers int, onDone func(error))
-}
-
 // consolidationTarget returns the member cloud that could host the job's
 // whole gang right now, or "". Candidates must have physical room for
 // every worker arriving from the other members AND pass a ledger probe, so
@@ -47,10 +37,10 @@ func (s *Scheduler) consolidationTarget(j *Job) string {
 	return best
 }
 
-// startConsolidation issues one Relocate per non-target member and rewrites
-// the plan as each move completes. The job's relocating flag keeps the
-// elastic pass from stacking a second consolidation on an in-flight one.
-func (s *Scheduler) startConsolidation(j *Job, rel Relocator, to string) {
+// startConsolidation issues one Handle.Relocate per non-target member and
+// rewrites the plan as each move completes. The job's relocating flag keeps
+// the elastic pass from stacking a second consolidation on an in-flight one.
+func (s *Scheduler) startConsolidation(j *Job, to string) {
 	j.relocating = true
 	s.m.consolidationRequests.Inc()
 	if s.tr != nil {
@@ -71,7 +61,7 @@ func (s *Scheduler) startConsolidation(j *Job, rel Relocator, to string) {
 	failed := false
 	for _, mv := range moves {
 		mv := mv
-		rel.Relocate(mv.from, to, mv.workers, func(err error) {
+		j.handle.Relocate(mv.from, to, mv.workers, func(err error) {
 			if err == nil && j.State == Running {
 				s.jobRelocated(j, mv.from, to, mv.workers)
 			} else if err != nil {

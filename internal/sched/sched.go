@@ -359,19 +359,6 @@ type Backend interface {
 	Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error)
 }
 
-// snapshotClouds fills the scheduler's snapshot scratch from the backend
-// and hides quarantined clouds from it: every view a cycle decides on, its
-// own and an eviction's mid-cycle re-snapshot alike, comes from here.
-func (s *Scheduler) snapshotClouds() []CloudInfo {
-	s.snapScratch = s.B.AppendClouds(s.snapScratch[:0])
-	if len(s.quarUntil) > 0 {
-		// Readmit lapsed quarantines, hide the rest. Free when no cloud is
-		// quarantined (nil-map len check).
-		return s.pruneQuarantine(s.snapScratch)
-	}
-	return s.snapScratch
-}
-
 // Handle controls one running job's capacity.
 type Handle interface {
 	// Grow adds n on-demand workers (elastic growth or spot replacement).
@@ -380,6 +367,20 @@ type Handle interface {
 	Shrink(n int) int
 	// Progress mirrors mapreduce.Cluster.Progress for the job.
 	Progress() (mapsDone, mapsTotal, reducesDone, reducesTotal int)
+	// Preemptible reports whether the job can be torn down right now (a
+	// cluster still provisioning cannot free its cores synchronously).
+	Preemptible() bool
+	// Preempt tears the job's workers down immediately, without delivering
+	// an Outcome, and returns the shield leases the ledger eviction minted
+	// (Reserved at `at` for the beneficiary). The scheduler releases the
+	// shields once the beneficiary has its capacity (preempt.go).
+	Preempt(at sim.Time) []*capacity.Lease
+	// Relocate moves `workers` of the job's workers from one member cloud
+	// to another while the job keeps running, then calls onDone. On success
+	// the backend has already moved its own capacity accounting; the
+	// scheduler rewrites the job's plan when the callback reports nil
+	// (relocate.go).
+	Relocate(from, to string, workers int, onDone func(error))
 }
 
 // Fixed scheduler constants: the weights and bounds no caller tunes.
@@ -468,8 +469,8 @@ type Config struct {
 	ReservationMaxSlips int
 	// EnableConsolidation turns on the elastic consolidation pass: a
 	// running spanning gang whose whole worker set fits on one of its
-	// member clouds is live-migrated onto it (backends exposing Relocator),
-	// cutting its cross-site shuffle to zero. Off by default.
+	// member clouds is live-migrated onto it (Handle.Relocate), cutting its
+	// cross-site shuffle to zero. Off by default.
 	EnableConsolidation bool
 	// NaiveFaultMode is the E14 baseline: outage victims requeue with zero
 	// progress credit and restored clouds are never quarantined, however
@@ -515,14 +516,14 @@ func (c Config) maxSlips() int {
 
 // Scheduler is the federation-wide arbiter.
 //
-// Its state is indexed for incremental cycles: jobs split into an active
-// set and a finished archive (so no hot path ever walks history), running
-// jobs keep a submission-ordered list and a maintained sorted release list,
-// and per-cycle structures (cloud view, placement member buffers) reuse
-// scheduler-owned scratch, so no cycle pays for jobs that already
-// finished. A cycle still pays per queued job: once the blocked head holds
-// its reservation, one comparison against the queue entry's watermark for
-// each job whose watermark is closed, and a visit with a
+// Its state is indexed for incremental cycles: queued jobs sit in their
+// tenants' queues, running jobs keep a submission-ordered list and a
+// maintained sorted release list, setState keeps all three in step with
+// each job's State, and per-cycle structures (cloud view, placement member
+// buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
+// already finished. A cycle still pays per queued job: once the blocked
+// head holds its reservation, one comparison against the queue entry's
+// watermark for each job whose watermark is closed, and a visit with a
 // ProvablyUnplaceable check (times candidate clouds) for each job whose
 // watermark is open.
 type Scheduler struct {
@@ -534,13 +535,10 @@ type Scheduler struct {
 	tenantList []*Tenant // name-sorted; nextTenant scans this, not the map
 	seq        int
 
-	// active holds queued and running jobs; archive holds finished ones
-	// (done or failed). order lists every job ever in submission order —
-	// the Jobs() view — and running lists running jobs in submission order
-	// (the elastic pass and Shares iterate it instead of scanning history).
-	active  map[string]*Job
-	archive map[string]*Job
-	order   []*Job
+	// jobs finds every job ever submitted by ID (Poll, events); no cycle
+	// walks it. running lists running jobs in submission order (the elastic
+	// pass and Shares iterate it instead of scanning history).
+	jobs    map[string]*Job
 	running []*Job
 	nQueued int
 
@@ -572,19 +570,19 @@ type Scheduler struct {
 
 	// releases is the maintained pending-release list: one entry per
 	// running job's plan member, sorted by (eta, job sequence number).
-	// dispatch inserts and complete removes; reserve and sumReleasesAt walk
-	// it in place (see backfill.go).
+	// setState inserts and removes a job's entries; reserve and
+	// sumReleasesAt walk it in place (see backfill.go).
 	releases []coreRelease
 
 	// clouds is the cloud table, append-only in first-seen order: release
 	// entries name their cloud by row, and each row keeps the cloud's free
-	// cores at the end of the last cycle whose view held it.
+	// cores in the last working view that held it (see refreshView).
 	clouds []cloudRow
 
 	// freedCum is the blocked-head watermark's clock: the cumulative free
-	// cores gained at cycle starts (completions, shrinks, revocations,
-	// resizes — measured as snapshot-vs-previous-cycle-end, so capacity
-	// added behind the scheduler's back counts too).
+	// cores gained at view refreshes (completions, shrinks, revocations,
+	// resizes, evictions — measured as snapshot-vs-previous-working-view,
+	// so capacity added behind the scheduler's back counts too).
 	freedCum int64
 
 	// Per-cycle scratch, reused across cycles.
@@ -592,7 +590,6 @@ type Scheduler struct {
 	resvView     CloudView // reserve()'s what-if copy of the view
 	evictView    CloudView // preemption's what-if copy (freed victim cores)
 	evictCand    []*Job    // preemption victim-candidate scratch
-	evictPrev    []int     // pre-eviction free vector (watermark credit)
 	snapScratch  []CloudInfo
 	runScratch   []*Job // elasticTick iteration copy
 	relSumAtResv []int  // per-cloud release sum at resv.at (backfill)
@@ -666,8 +663,7 @@ func New(b Backend, cfg Config) *Scheduler {
 		B:         b,
 		cfg:       cfg.withDefaults(),
 		tenants:   make(map[string]*Tenant),
-		active:    make(map[string]*Job),
-		archive:   make(map[string]*Job),
+		jobs:      make(map[string]*Job),
 		patternOf: make(map[string]string),
 		m:         newSchedMetrics(cfg.Obs),
 		tr:        cfg.Trace,
@@ -694,13 +690,8 @@ func (s *Scheduler) Sync(fn func()) {
 	fn()
 }
 
-// jobByID looks a job up in the active set, then the archive.
-func (s *Scheduler) jobByID(id string) *Job {
-	if j := s.active[id]; j != nil {
-		return j
-	}
-	return s.archive[id]
-}
+// jobByID looks a job up by ID, whatever its state.
+func (s *Scheduler) jobByID(id string) *Job { return s.jobs[id] }
 
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
@@ -737,7 +728,7 @@ func (s *Scheduler) ensureElastic() {
 }
 
 // hasActiveJobs reports whether any job is queued or running — O(1) from
-// the active-set counters, no job scan.
+// the queue counter and the running list, no job scan.
 func (s *Scheduler) hasActiveJobs() bool {
 	return s.nQueued > 0 || len(s.running) > 0
 }
@@ -756,7 +747,8 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	s.idBuf = strconv.AppendInt(append(s.idBuf[:0], 'J'), int64(s.seq), 10)
 	// Jobs are carved from an arena chunk: one allocation per 128 jobs
 	// instead of one each. A chunk is never appended past its capacity, so
-	// &chunk[i] stays stable for the job's lifetime.
+	// &chunk[i] stays stable for the job's lifetime. A new job is Queued,
+	// the zero State.
 	if len(s.jobArena) == cap(s.jobArena) {
 		s.jobArena = make([]Job, 0, 128)
 	}
@@ -765,7 +757,6 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 		seq:       s.seq,
 		tref:      t,
 		Spec:      spec,
-		State:     Queued,
 		Submitted: s.K.Now(),
 	})
 	j := &s.jobArena[len(s.jobArena)-1]
@@ -775,11 +766,8 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 			return "", fmt.Errorf("sched: job needs %d cores; the whole federation can gang at most %d", j.Cores(), have)
 		}
 	}
-	s.active[j.ID] = j
-	s.order = append(s.order, j)
-	s.nQueued++
-	s.m.queuedJobs.SetInt(int64(s.nQueued))
-	t.queue = append(t.queue, queueEntry{job: j, wake: noWake})
+	s.jobs[j.ID] = j
+	s.enqueue(t, j)
 	s.ensureElastic()
 	s.kick()
 	return j.ID, nil
@@ -793,7 +781,7 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 // resize bumps it), so per-submission checks stop snapshotting the backend.
 func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
 	if gen := s.B.Ledger().Generation(); !s.slotsOK || gen != s.slotsGen {
-		// Own snapshot buffer, not snapshotClouds: a refresh can be
+		// Own snapshot buffer, not snapScratch: a refresh can be
 		// triggered mid-cycle (reserve failure) and must not clobber the
 		// snapshot buffer the cycle's view aliases.
 		s.slotsSnap = s.B.AppendClouds(s.slotsSnap[:0])
@@ -811,7 +799,7 @@ func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
 	return slots >= j.workers(), slots * cpw
 }
 
-// Poll returns the current view of a job, whether active or archived.
+// Poll returns the current view of a job, whatever its state.
 func (s *Scheduler) Poll(id string) (JobInfo, bool) {
 	j := s.jobByID(id)
 	if j == nil {
@@ -826,16 +814,6 @@ func (s *Scheduler) Poll(id string) (JobInfo, bool) {
 		Preemptions: j.Preemptions,
 		Result:      j.Outcome.Result, Err: j.Outcome.Err,
 	}, true
-}
-
-// Jobs returns all job IDs (finished ones included), in submission order —
-// read off the append-only order list, no scan-and-sort.
-func (s *Scheduler) Jobs() []string {
-	out := make([]string, len(s.order))
-	for i, j := range s.order {
-		out[i] = j.ID
-	}
-	return out
 }
 
 // QueueLen returns the total number of queued jobs.
@@ -876,10 +854,8 @@ func (s *Scheduler) cycle() {
 	s.prevResv, s.resv = s.resv, nil
 	s.dropShields()
 	v := &s.view
-	v.Reset(s.snapshotClouds())
-	s.invalidateMemos()
+	s.refreshView(v)
 	s.decayTenants()
-	s.observeFrees(v)
 	var t *Tenant // the tenant being served; nil asks nextTenant for one
 	for {
 		// nextTenant's keys and candidates move only when a job dispatches,
@@ -913,7 +889,7 @@ func (s *Scheduler) cycle() {
 			continue
 		}
 		if j.Spec.External() {
-			s.dispatchExternal(t, j)
+			s.dispatch(t, j, Plan{}, false, v)
 			t = nil
 			continue
 		}
@@ -942,11 +918,6 @@ func (s *Scheduler) cycle() {
 				continue
 			}
 			s.dispatch(t, j, plan, s.resv != nil, v)
-			cpw := j.coresPerWorker()
-			for _, m := range plan.Members {
-				v.take(m.Cloud, m.Workers*cpw)
-			}
-			s.invalidateMemos() // the working free vector moved
 			t = nil
 			continue
 		}
@@ -958,7 +929,7 @@ func (s *Scheduler) cycle() {
 				if fits, _ := s.fitsFederation(j); !fits {
 					// Even with every running job drained the demand never
 					// fits (capacity shrank since submit) — fail it.
-					s.failQueued(t, j, fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores()))
+					s.finish(t, j, Outcome{Err: fmt.Errorf("sched: no plan can ever fit %d cores", j.Cores())})
 					t = nil
 					continue
 				}
@@ -1018,7 +989,6 @@ func (s *Scheduler) cycle() {
 		t.scan++
 	}
 	s.releasePrevResv()
-	s.saveEndFrees(v)
 	s.m.observePhases(s.m.clock()-t0, resvNanos, preemptNanos)
 }
 
@@ -1049,8 +1019,8 @@ func (s *Scheduler) dropShields() {
 // cloudRow is one row of the scheduler's cloud table.
 type cloudRow struct {
 	name string
-	// endFree is the cloud's free cores at the end of the last cycle whose
-	// view held it: the baseline the next cycle's watermark diffs against.
+	// endFree is the cloud's free cores in the last working view that held
+	// it: the baseline the next refreshView's watermark diffs against.
 	endFree int
 }
 
@@ -1071,24 +1041,32 @@ func (s *Scheduler) cloudIdx(name string, pos int) int32 {
 	return int32(len(s.clouds) - 1)
 }
 
-// observeFrees advances the watermark clock by the free cores gained since
-// the previous cycle's end — completions, elastic shrinks, revocations, and
-// capacity added behind the scheduler's back all surface here as
-// snapshot-vs-saved-vector gains. A cloud never saved diffs against zero.
-func (s *Scheduler) observeFrees(v *CloudView) {
+// refreshView points the view at a fresh backend snapshot, with
+// quarantined clouds hidden, and clears the plan memos (their view is
+// gone). It serves the cycle start and an eviction's mid-cycle re-snapshot
+// alike, and advances the watermark clock by the free cores each cloud
+// gained since the outgoing working vector: completions, shrinks,
+// revocations, evictions, and capacity added behind the scheduler's back
+// all surface here. The outgoing vector is saved to the cloud table first,
+// so a cloud that left the snapshot and reappears diffs against its last
+// known value; a cloud never seen diffs against zero.
+func (s *Scheduler) refreshView(v *CloudView) {
+	for i, c := range v.Clouds {
+		s.clouds[s.cloudIdx(c.Name, i)].endFree = v.free[i]
+	}
+	snap := s.B.AppendClouds(s.snapScratch[:0])
+	s.snapScratch = snap
+	if len(s.quarUntil) > 0 {
+		// Readmit lapsed quarantines, hide the rest. Free when no cloud is
+		// quarantined (nil-map len check).
+		snap = s.pruneQuarantine(snap)
+	}
+	v.Reset(snap)
+	s.invalidateMemos()
 	for i, c := range v.Clouds {
 		if d := v.free[i] - s.clouds[s.cloudIdx(c.Name, i)].endFree; d > 0 {
 			s.freedCum += int64(d)
 		}
-	}
-}
-
-// saveEndFrees records the end-of-cycle free vector the next cycle diffs
-// against. Rows of clouds that left the snapshot are kept, so a cloud that
-// reappears diffs against its last known value, not zero.
-func (s *Scheduler) saveEndFrees(v *CloudView) {
-	for i, c := range v.Clouds {
-		s.clouds[s.cloudIdx(c.Name, i)].endFree = v.free[i]
 	}
 }
 
@@ -1099,7 +1077,7 @@ func (s *Scheduler) saveEndFrees(v *CloudView) {
 // only shrink within a cycle, and every freed core adds at most one slot —
 // so a clock short of wake proves placement would fail without running it.
 // Sound, never stale: capacity appearing from outside the scheduler's own
-// bookkeeping still advances the clock via observeFrees.
+// bookkeeping still advances the clock via refreshView.
 //
 // The test skips placement, not the visit: a blocked cycle still pays one
 // comparison per queued job behind its reservation (the cycle's skip loop),
@@ -1121,14 +1099,14 @@ func (s *Scheduler) markUnfit(e *queueEntry, v *CloudView) {
 	e.wake = s.freedCum + int64(j.workers()-slots)
 }
 
-// dispatch starts a placed job through the backend. Only a launch that
-// succeeds counts as a dispatch (and as a backfill or spanning dispatch): a
-// failed one is requeued for a retry or fails the job.
+// dispatch starts a placed job. An external job starts through its Run
+// callback on capacity the caller owns; any other takes its plan's cores
+// from the cycle's working view and launches through the backend. Only a
+// launch that succeeds counts as a dispatch (and as a backfill or spanning
+// dispatch): a failed one is requeued for a retry or fails the job.
 func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *CloudView) {
-	s.popQueued(t, j)
 	now := s.K.Now()
 	est := s.estimateAt(j, plan, v)
-	j.State = Running
 	j.Plan = plan
 	j.Cloud = plan.Primary()
 	j.Started = now
@@ -1139,15 +1117,29 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	j.resizeAt = now
 	s.charge(t, j, est)
 	if s.tr != nil {
-		kind := "dispatch"
+		ev := obs.TraceEvent{Kind: "dispatch", Tenant: t.Name, Job: j.ID,
+			Cloud: j.Cloud, Workers: j.workers(), Cores: j.Cores()}
 		if backfilled {
-			kind = "dispatch_backfill"
+			ev.Kind = "dispatch_backfill"
 		}
-		s.trace(obs.TraceEvent{Kind: kind, Tenant: t.Name, Job: j.ID,
-			Cloud: j.Cloud, Workers: j.workers(), Cores: j.Cores(), Plan: plan.String()})
+		if !plan.Empty() {
+			ev.Plan = plan.String()
+		}
+		s.trace(ev)
 	}
-	s.addRunning(j)
-	s.insertReleases(j)
+	s.setState(t, j, Running)
+	if j.Spec.External() {
+		// The caller's capacity runs it: no view take, no launch.
+		run := j.Spec.Run
+		s.K.Schedule(0, func() { run(func(err error) { s.complete(j, Outcome{Err: err}) }) })
+		s.m.dispatched.Inc()
+		return
+	}
+	cpw := j.coresPerWorker()
+	for _, m := range plan.Members {
+		v.take(m.Cloud, m.Workers*cpw)
+	}
+	s.invalidateMemos() // the working free vector moved
 	h, err := s.B.Launch(j, plan, s.doneCB)
 	if err != nil {
 		if errors.Is(err, ErrTransientLaunch) && j.launchRetries < LaunchRetryBudget {
@@ -1189,26 +1181,50 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	}
 }
 
-// dispatchExternal starts an external (gate-admitted) job: fair-share
-// ordering applies, capacity accounting is the caller's (no release-list
-// entries — external capacity never returns to the pool).
-func (s *Scheduler) dispatchExternal(t *Tenant, j *Job) {
-	s.popQueued(t, j)
-	j.State = Running
-	j.Started = s.K.Now()
-	j.dispatched = true
-	j.coresNow = j.Cores()
-	j.resizeAt = j.Started
-	j.estDuration = sim.FromSeconds(j.estimate())
-	s.charge(t, j, j.estimate())
-	s.m.dispatched.Inc()
-	if s.tr != nil {
-		s.trace(obs.TraceEvent{Kind: "dispatch", Tenant: t.Name, Job: j.ID,
-			Workers: j.workers(), Cores: j.Cores()})
+// setState moves j to state `to` and keeps every structure that mirrors
+// the state in step; it is the only code that writes Job.State. Leaving
+// Queued pops the job from its tenant queue at the cycle's scan position;
+// leaving Running trues up the tenant's usage and drops the job's
+// running-list and release-list entries. Entering Queued re-inserts the job
+// in submission order; entering Running adds both entries, so callers set
+// the plan, start and estimate first; Done and Failed count the outcome.
+func (s *Scheduler) setState(t *Tenant, j *Job, to State) {
+	switch j.State {
+	case Queued:
+		s.popQueued(t, j)
+	case Running:
+		s.trueUp(t, j, s.K.Now())
+		s.removeReleases(j)
+		s.dropRunning(j)
 	}
-	s.addRunning(j)
-	run := j.Spec.Run
-	s.K.Schedule(0, func() { run(func(err error) { s.complete(j, Outcome{Err: err}) }) })
+	j.State = to
+	switch to {
+	case Queued:
+		s.enqueue(t, j)
+	case Running:
+		s.addRunning(j)
+		s.insertReleases(j)
+	case Done:
+		s.m.completed.Inc()
+	case Failed:
+		s.m.failures.Inc()
+	}
+}
+
+// enqueue inserts j into its tenant's queue in submission order: a new job
+// goes at the tail, and a requeued one re-enters ahead of everything
+// submitted after it. Within a cycle the tenant's scan position keeps
+// pointing at the same next-unexamined entry.
+func (s *Scheduler) enqueue(t *Tenant, j *Job) {
+	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
+	t.queue = append(t.queue, queueEntry{})
+	copy(t.queue[i+1:], t.queue[i:])
+	t.queue[i] = queueEntry{job: j, wake: noWake}
+	if t.scanCycle == s.cycleNum && i <= t.scan {
+		t.scan++
+	}
+	s.nQueued++
+	s.m.queuedJobs.SetInt(int64(s.nQueued))
 }
 
 // popQueued removes j (at the tenant's scan position) from the queue.
@@ -1242,44 +1258,26 @@ func (s *Scheduler) dropRunning(j *Job) {
 	}
 }
 
-// complete finalises a job: true-up the fair-share charge, move it from the
-// active set to the archive, and trigger the next cycle for the freed
-// capacity.
+// complete is the backend's completion callback: it finishes a running job
+// and triggers the next cycle for the freed capacity. A report for a job
+// that is no longer running is ignored.
 func (s *Scheduler) complete(j *Job, out Outcome) {
 	if j.State != Running {
 		return
 	}
-	t := s.tenants[j.Spec.Tenant]
-	now := s.K.Now()
-	j.Finished = now
-	j.Outcome = out
-	j.handle = nil
-	s.trueUp(t, j, now)
-	s.removeReleases(j)
-	s.dropRunning(j)
-	s.toArchive(j)
-	if out.Err != nil {
-		j.State = Failed
-		s.m.failures.Inc()
-	} else {
-		j.State = Done
-		s.m.completed.Inc()
-	}
+	s.finish(s.tenants[j.Spec.Tenant], j, out)
 	s.kick()
 }
 
-// toArchive moves a finishing job from the active set to the archive.
-func (s *Scheduler) toArchive(j *Job) {
-	delete(s.active, j.ID)
-	s.archive[j.ID] = j
-}
-
-// failQueued fails a job still in the queue.
-func (s *Scheduler) failQueued(t *Tenant, j *Job, err error) {
-	s.popQueued(t, j)
-	j.State = Failed
+// finish ends a queued or running job with its outcome: Failed when the
+// outcome carries an error, Done otherwise.
+func (s *Scheduler) finish(t *Tenant, j *Job, out Outcome) {
 	j.Finished = s.K.Now()
-	j.Outcome = Outcome{Err: err}
-	s.toArchive(j)
-	s.m.failures.Inc()
+	j.Outcome = out
+	j.handle = nil
+	to := Done
+	if out.Err != nil {
+		to = Failed
+	}
+	s.setState(t, j, to)
 }

@@ -259,11 +259,11 @@ func (h *SimHandle) growTarget(per int) string {
 	return h.b.ledger.PickGrowTarget(members, spill, per, h.b.k.Now(), nil)
 }
 
-// Preemptible implements Preemptor: a synthetic job can always be torn
+// Preemptible implements Handle: a synthetic job can always be torn
 // down while it runs (capacity is plain ledger leases).
 func (h *SimHandle) Preemptible() bool { return !h.finished }
 
-// Preempt implements Preemptor: every lease the job holds converts to a
+// Preempt implements Handle: every lease the job holds converts to a
 // beneficiary reservation at `at` through the ledger's atomic eviction
 // transition, and the scheduled completion is disarmed — the job delivers
 // no Outcome (the scheduler requeues it instead).
@@ -287,7 +287,7 @@ func (h *SimHandle) Preempt(at sim.Time) []*capacity.Lease {
 	return shields
 }
 
-// Relocate implements Relocator: the job's base leases on `from` retarget
+// Relocate implements Handle: the job's base leases on `from` retarget
 // to `to` through the ledger's atomic move (estimated ends carry over), and
 // the handle's plan copy follows — mirroring what the federation backend
 // does with live VM migration, so sched-layer consolidation tests need no
