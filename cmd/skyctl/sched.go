@@ -106,7 +106,10 @@ func runSched(args []string) {
 	}
 
 	ids := map[string][]string{}
-	for name := range weights {
+	// Submit in tenant-name order, not map order: job IDs follow submission
+	// order, so map order would number the jobs differently from run to run
+	// and two identical runs would write different -trace-out traces.
+	for _, name := range s.Tenants() {
 		for i := 0; i < *jobs; i++ {
 			id, err := s.Submit(sched.JobSpec{
 				Tenant: name, Name: fmt.Sprintf("%s-%03d", name, i),
