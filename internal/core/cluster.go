@@ -222,22 +222,14 @@ func (vc *VirtualCluster) removeWorker(name string) {
 
 // MigrateWorkers live-migrates cluster members to dstCloud while the
 // cluster keeps computing (the §III-C scenario: relocating subsets of a
-// virtual cluster). Worker node bindings are updated at completion so
-// future shuffle traffic uses the new location.
+// virtual cluster). Each VM goes through the secure inter-cloud handshake,
+// the atomic committed-core retarget, and overlay reconfiguration
+// (MigrateVM), with the shared destination registry deduplicating
+// inter-VM content across the set. Worker node bindings are updated at
+// completion so future shuffle traffic uses the new location.
 func (vc *VirtualCluster) MigrateWorkers(names []string, dstCloud string, concurrency int,
 	onDone func([]migration.Result, error)) {
-	vc.MigrateWorkersOpts(names, dstCloud, DefaultMigrate(), concurrency, onDone)
-}
-
-// MigrateWorkersOpts is MigrateWorkers with explicit migration options —
-// the scheduler's consolidation path selects live pre-copy or
-// suspend/resume by policy here. Each VM still goes through the secure
-// inter-cloud handshake, the atomic committed-core retarget, and overlay
-// reconfiguration (MigrateVM), with the shared destination registry
-// deduplicating inter-VM content across the set.
-func (vc *VirtualCluster) MigrateWorkersOpts(names []string, dstCloud string, opts MigrateOptions,
-	concurrency int, onDone func([]migration.Result, error)) {
-	vc.f.MigrateSet(names, dstCloud, opts, concurrency, func(rs []migration.Result, err error) {
+	vc.f.MigrateSet(names, dstCloud, DefaultMigrate(), concurrency, func(rs []migration.Result, err error) {
 		dst := vc.f.clouds[dstCloud]
 		if dst != nil {
 			for _, name := range names {

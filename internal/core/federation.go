@@ -240,24 +240,21 @@ func (f *Federation) unwindRetarget(src, dst *nimbus.Cloud, v *vm.VM) {
 
 // MigrateOptions tunes a federation-level migration.
 type MigrateOptions struct {
-	// Live selects pre-copy live migration (true) or suspend/resume.
-	Live bool
-	// WithDisk transfers the disk image (no shared storage across clouds).
-	WithDisk bool
 	// Reconfigure runs the ViNe route update at completion.
 	Reconfigure bool
 }
 
-// DefaultMigrate is live migration with disk and overlay reconfiguration —
-// the full mechanism the thesis assembles.
+// DefaultMigrate is live migration with overlay reconfiguration — the full
+// mechanism the thesis assembles.
 func DefaultMigrate() MigrateOptions {
-	return MigrateOptions{Live: true, WithDisk: true, Reconfigure: true}
+	return MigrateOptions{Reconfigure: true}
 }
 
 // MigrateVM live-migrates a VM to another cloud through the cloud API
-// (§IV: "adding support for live migration at the cloud API level"),
-// including the secure inter-cloud handshake, Shrinker dedup against the
-// destination's registry (when UseShrinker), and overlay reconfiguration.
+// (§IV: "adding support for live migration at the cloud API level"):
+// pre-copy, with the disk image (the clouds share no storage), the secure
+// inter-cloud handshake, Shrinker dedup against the destination's registry
+// (when UseShrinker), and overlay reconfiguration.
 func (f *Federation) MigrateVM(name, dstCloud string, opts MigrateOptions, onDone func(migration.Result, error)) {
 	finish := func(r migration.Result, err error) {
 		if onDone != nil {
@@ -314,8 +311,8 @@ func (f *Federation) MigrateVM(name, dstCloud string, opts MigrateOptions, onDon
 	}
 	mopts := migration.Options{
 		Registry:    reg,
-		MigrateDisk: opts.WithDisk,
-		DedupDisk:   opts.WithDisk && f.UseShrinker,
+		MigrateDisk: true,
+		DedupDisk:   f.UseShrinker,
 	}
 	migStart := f.K.Now()
 	run := func() {
@@ -326,18 +323,10 @@ func (f *Federation) MigrateVM(name, dstCloud string, opts MigrateOptions, onDon
 			f.m.migrations.Inc()
 			f.m.migrationBytes.Add(r.WireBytes)
 			f.m.migrationSeconds.Observe((f.K.Now() - migStart).Seconds())
-			if opts.Reconfigure {
-				f.Overlay.VMMoved(v.VirtualIP, dstHost.Node, true, nil)
-			} else {
-				f.Overlay.VMMoved(v.VirtualIP, dstHost.Node, false, nil)
-			}
+			f.Overlay.VMMoved(v.VirtualIP, dstHost.Node, opts.Reconfigure, nil)
 			finish(r, nil)
 		}
-		if opts.Live {
-			migration.Live(f.Net, v, srcHost.Node, dstHost.Node, mopts, done)
-		} else {
-			migration.SuspendResume(f.Net, v, srcHost.Node, dstHost.Node, mopts, done)
-		}
+		migration.Live(f.Net, v, srcHost.Node, dstHost.Node, mopts, done)
 	}
 	// §IV secure handshake: mutual authentication between the hypervisors
 	// before any VM state crosses the cloud boundary. Rejected credentials

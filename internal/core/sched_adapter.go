@@ -33,11 +33,6 @@ type SchedulerOptions struct {
 	// MemPagesPerWorker sizes worker VMs. Zero means 8192 (32 MiB), which
 	// keeps simulations fast.
 	MemPagesPerWorker int
-	// SuspendResumeMigration makes scheduler-driven relocations (the
-	// consolidation pass, autonomic Actions on scheduler jobs) use the
-	// suspend/resume transfer instead of live pre-copy — cheaper on the
-	// WAN, at the price of downtime for the moved workers.
-	SuspendResumeMigration bool
 	// Sched tunes the scheduler itself.
 	Sched sched.Config
 }
@@ -343,10 +338,10 @@ func (h *fedHandle) Preempt(at sim.Time) []*capacity.Lease {
 }
 
 // Relocate implements sched.Handle: `workers` of the job's workers on
-// `from` live-migrate to `to` (or suspend/resume, per SchedulerOptions),
-// with the secure handshake, the atomic committed-core retarget, overlay
-// reconfiguration, and MapReduce rebinding per VM; the backend's own plan
-// copy and extras bookkeeping follow on success.
+// `from` live-migrate to `to`, with the secure handshake, the atomic
+// committed-core retarget, overlay reconfiguration, and MapReduce
+// rebinding per VM; the backend's own plan copy and extras bookkeeping
+// follow on success.
 func (h *fedHandle) Relocate(from, to string, workers int, onDone func(error)) {
 	lj := h.lj
 	if lj.vc == nil {
@@ -376,12 +371,8 @@ func (h *fedHandle) Relocate(from, to string, workers int, onDone func(error)) {
 // autonomic Actions) and for partial scheduler-initiated ones (whose own
 // completion callback skips the plan rewrite on error).
 func (b *fedBackend) relocateWorkers(lj *launchedJob, from, to string, names []string, notify bool, onDone func(error)) {
-	opts := DefaultMigrate()
-	if b.opt.SuspendResumeMigration {
-		opts.Live = false
-	}
 	lj.relocations++
-	lj.vc.MigrateWorkersOpts(names, to, opts, 2, func(rs []migration.Result, err error) {
+	lj.vc.MigrateWorkers(names, to, 2, func(rs []migration.Result, err error) {
 		lj.relocations--
 		// MigrateSet reports one Result per VM that completed the move.
 		if moved := len(rs); moved > 0 && !lj.preempted {

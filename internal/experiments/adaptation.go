@@ -42,9 +42,7 @@ func E5NetworkTransparency(seed int64) []*metrics.Table {
 		}
 		reconfig := reconfig
 		f.K.Schedule(5*sim.Second, func() {
-			f.MigrateVM(target.Name, "cloud1", core.MigrateOptions{
-				Live: true, WithDisk: true, Reconfigure: reconfig,
-			}, nil)
+			f.MigrateVM(target.Name, "cloud1", core.MigrateOptions{Reconfigure: reconfig}, nil)
 		})
 		f.K.RunUntil(3 * sim.Minute)
 		survived := 0
