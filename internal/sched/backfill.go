@@ -149,12 +149,10 @@ func (s *Scheduler) releaseIdx(at sim.Time, seq int) int {
 }
 
 // insertReleases adds one entry per plan member at the job's estimated
-// completion, keeping s.releases sorted. External jobs contribute nothing
-// (their capacity is caller-owned and never returns to the pool).
+// completion, keeping s.releases sorted. An external job's plan is empty,
+// so it adds none: its capacity is caller-owned and never returns to the
+// pool.
 func (s *Scheduler) insertReleases(j *Job) {
-	if j.Spec.External() {
-		return
-	}
 	eta := j.Started + j.estDuration
 	cpw := j.coresPerWorker()
 	i := s.releaseIdx(eta, j.seq)

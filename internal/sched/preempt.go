@@ -29,12 +29,13 @@ import (
 // away between the eviction and the head's dispatch.
 
 // tearable reports whether a running job's workers can be torn down right
-// now, by eviction or by an outage requeue: it runs on capacity the
-// scheduler manages, holds a live handle, is not mid-relocation (tearing
-// down a half-migrated gang would split its accounting across two clouds),
-// and its backend can free the cores synchronously.
+// now, by eviction or by an outage requeue: it holds a live backend handle
+// (an external job, on capacity the caller owns, never does), is not
+// mid-relocation (tearing down a half-migrated gang would split its
+// accounting across two clouds), and its backend can free the cores
+// synchronously.
 func tearable(j *Job) bool {
-	return !j.Spec.External() && j.handle != nil && !j.relocating && j.handle.Preemptible()
+	return j.handle != nil && !j.relocating && j.handle.Preemptible()
 }
 
 // progressCredit is the fraction of the job's tasks the handle reports

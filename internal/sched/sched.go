@@ -1213,8 +1213,9 @@ func (s *Scheduler) setState(t *Tenant, j *Job, to State) {
 
 // enqueue inserts j into its tenant's queue in submission order: a new job
 // goes at the tail, and a requeued one re-enters ahead of everything
-// submitted after it. Within a cycle the tenant's scan position keeps
-// pointing at the same next-unexamined entry.
+// submitted after it. A requeue inside a cycle keeps the tenant's scan
+// position on the same next-unexamined entry; Submit runs between cycles,
+// and the next cycle resets the position before reading it.
 func (s *Scheduler) enqueue(t *Tenant, j *Job) {
 	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
 	t.queue = append(t.queue, queueEntry{})
