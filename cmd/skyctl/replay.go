@@ -24,6 +24,9 @@ var replayPolicies = []struct {
 	{"backfill", sched.Config{}},
 	{"aging", sched.Config{ReservationMaxSlips: 3}},
 	{"preempt", sched.Config{EnablePreemption: true}},
+	// Consolidation runs in the elastic pass, which a replay never starts
+	// (workload.Replay does not call Scheduler.Start), so this bundle
+	// prints preempt's row exactly.
 	{"preempt+consolidate", sched.Config{EnablePreemption: true, EnableConsolidation: true}},
 }
 

@@ -26,7 +26,7 @@ func All() []Experiment {
 		{"E10", "federation scheduler: fair shares converge to weights; locality-aware placement beats random (§II+§IV synthesis)", E10SchedulerContention},
 		{"E11", "gang placement: wider-than-any-cloud jobs span clouds; shuffle-cost-aware plans beat bandwidth-oblivious spanning (§II gang scheduling)", E11GangPlacement},
 		{"E12", "revocable placement: spot-priced preemption starts a blocked head >=2x sooner than wait-for-release; consolidation zeroes a spanning gang's cross-site shuffle (§III-C adaptation + §IV synthesis)", E12Preemption},
-		{"E13", "scale survival: under a heavy-tailed diurnal trace with mis-calibrated estimates, preemption (+aging, +consolidation) caps the p99 wait and fair-share drift that plain backfill lets blow up (§IV at scale)", E13ScaleSurvival},
+		{"E13", "scale survival: under a heavy-tailed diurnal trace with mis-calibrated estimates, preemption (+aging) caps the p99 wait and fair-share drift that plain backfill lets blow up (§IV at scale); consolidation never runs, since replays do not start the elastic pass", E13ScaleSurvival},
 		{"E14", "fault tolerance: under an outage storm, degraded-mode handling (progress credit + flap quarantine + launch retry) beats naive zero-credit requeue on p99 wait and goodput (§IV robustness)", E14FaultTolerance},
 		{"A1", "ablation: Shrinker registry scope (site-wide vs per-VM vs none)", A1RegistryScope},
 		{"A2", "ablation: dirty-rate sensitivity of pre-copy vs Shrinker", A2DirtyRateSweep},

@@ -19,9 +19,10 @@ import (
 // reservation aging alone drops the slipped holds (thousands of agings
 // fire) yet moves no headline number, because with no elastic growth to
 // unshade it is only preemption's trigger; preemption spends p50 (victims
-// requeue) to cap the p99 wait and pull the makespan in; consolidation
-// rides along, rewriting spanning gangs onto one cloud when churn frees
-// their anchor.
+// requeue) to cap the p99 wait and pull the makespan in. The consolidate
+// row repeats the preempt row exactly: workload.Replay never calls
+// Scheduler.Start, so the elastic pass that consolidation runs in (with
+// forced preemption and deadline growth) never runs in a replay.
 func E13ScaleSurvival(seed int64) []*metrics.Table {
 	tr := workload.Generate(workload.StandardConfig(seed, 6000))
 	variants := []struct {

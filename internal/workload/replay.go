@@ -34,7 +34,9 @@ type ReplayConfig struct {
 	// Clouds is the federation (nil = DefaultClouds).
 	Clouds []CloudSpec
 	// Sched carries the policy knobs under test (preemption, aging,
-	// consolidation, backfill...).
+	// backfill...). Replay never calls Scheduler.Start, so the knobs that
+	// act through the elastic pass (EnableConsolidation, and preemption's
+	// forced evictions of overrunning jobs) change nothing here.
 	Sched sched.Config
 	// OverrunSigma > 0 installs SimBackend.UseLogNormalOverrun(OverrunMu,
 	// OverrunSigma): estimates stay exact at the median while the right
