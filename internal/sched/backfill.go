@@ -15,7 +15,10 @@ import (
 // vector, not a single cloud), and later queue entries may start now only
 // if they cannot delay that reserved start: either their plan shares no
 // cloud with the reservation, they finish (by estimate) before it, or they
-// leave every reserved member's cores intact at the reservation time.
+// leave every reserved member's cores intact at the reservation time. Most
+// tries that fail this gate are refused before placement, from the job's
+// width and estimate alone (EASY's extra nodes and shadow time; see
+// backfillDoomed).
 //
 // The reservation is not a cycle-local artifact: holdReservation registers
 // it as future leases in the backend's capacity ledger, where it persists
@@ -255,9 +258,11 @@ func (s *Scheduler) sumReleasesAt(v *CloudView, at sim.Time) {
 // backfillOK reports whether starting job b under plan now cannot delay the
 // reservation: the plan shares no cloud with it, b finishes (by estimate)
 // before the reserved start, or every shared member cloud keeps the
-// reserved cores with b's slice taken. Available-at-reservation is the live
-// working free plus the cycle's per-cloud release sum at the reservation
-// instant (s.relSumAtResv, fixed while the reservation stands).
+// reserved cores with b's slice taken. A shared member's room is its spare
+// cores in the fit table (live working free plus the cycle's release sum at
+// the reservation instant, minus the reserved cores), the same numbers
+// backfillDoomed's bound reads, so the gate and the bound cannot drift. resv
+// is the held reservation the table was built for.
 func (s *Scheduler) backfillOK(b *Job, plan Plan, resv *reservation, v *CloudView) bool {
 	shared := false
 	for _, m := range plan.Members {
@@ -273,23 +278,145 @@ func (s *Scheduler) backfillOK(b *Job, plan Plan, resv *reservation, v *CloudVie
 	if finish <= resv.at {
 		return true
 	}
+	spare := s.spareCores(v)
 	bcpw := b.coresPerWorker()
-	rcpw := 1
-	if resv.jref != nil {
-		rcpw = resv.jref.coresPerWorker()
-	}
 	for _, m := range plan.Members {
-		need := resv.plan.WorkersOn(m.Cloud) * rcpw
-		if need == 0 {
+		if resv.plan.WorkersOn(m.Cloud) == 0 {
 			continue
 		}
-		p := v.Pos(m.Cloud)
-		if p < 0 {
-			return false
-		}
-		if v.free[p]+s.relSumAtResv[p]-m.Workers*bcpw < need {
+		if p := v.Pos(m.Cloud); p < 0 || spare[p] < m.Workers*bcpw {
 			return false
 		}
 	}
 	return true
+}
+
+// fitTable holds what the cycle's scan asks of its frozen working free
+// vector, so a blocked cycle sums the vector once per worker size instead
+// of once per visited job. invalidateMemos drops it with the plan memos,
+// whenever the vector moves; holdFit refills its reservation part when the
+// head's reservation is held.
+type fitTable struct {
+	// rows holds one entry per worker size asked about since the vector
+	// last moved.
+	rows []fitRow
+	// reserved is the held reservation's cores per view position (0 on the
+	// clouds it does not use), and speedMax the fastest view cloud's speed,
+	// a cloud with Speed ≤ 0 counting as 1 as planEstimateSeconds counts
+	// it. Both are fixed while the reservation stands.
+	reserved []int
+	speedMax float64
+	// spare is, per view position, free + relSumAtResv − reserved: the
+	// cores a reserved cloud has left at the reserved start once the
+	// reservation takes its share. spareOK says it matches the current
+	// working vector.
+	spare   []int
+	spareOK bool
+}
+
+// fitRow is the fit table's answer for one worker size.
+type fitRow struct {
+	cpw int
+	// slots is Σ⌊free/cpw⌋: no plan that fits the view places more cpw-core
+	// workers.
+	slots int
+	// extra is EASY's extra nodes behind the held reservation (Mu'alem and
+	// Feitelson, IEEE TPDS 12(6), 2001): Σ⌊free/cpw⌋ over the clouds the
+	// reservation does not use, plus min(⌊free/cpw⌋, ⌊max(0, spare)/cpw⌋)
+	// on each reserved cloud. A plan backfillOK accepts without finishing
+	// by the reserved start places at most extra workers. Before a
+	// reservation is held it equals slots.
+	extra int
+}
+
+// dropFit forgets every row and the spare vector: the working vector moved.
+func (s *Scheduler) dropFit() {
+	s.fit.rows = s.fit.rows[:0]
+	s.fit.spareOK = false
+}
+
+// holdFit fills the fit table's reservation part for the just-held
+// reservation, after sumReleasesAt: the reserved cores per view position
+// and the speed ceiling. It drops the rows built without them.
+func (s *Scheduler) holdFit(v *CloudView) {
+	ft := &s.fit
+	ft.reserved = ft.reserved[:0]
+	for range v.Clouds {
+		ft.reserved = append(ft.reserved, 0)
+	}
+	rcpw := 1
+	if s.resv.jref != nil {
+		rcpw = s.resv.jref.coresPerWorker()
+	}
+	for _, m := range s.resv.plan.Members {
+		if p := v.Pos(m.Cloud); p >= 0 {
+			ft.reserved[p] = m.Workers * rcpw
+		}
+	}
+	ft.speedMax = 0
+	for _, c := range v.Clouds {
+		sp := c.Speed
+		if sp <= 0 {
+			sp = 1
+		}
+		ft.speedMax = max(ft.speedMax, sp)
+	}
+	s.dropFit()
+}
+
+// spareCores returns the fit table's spare vector, rebuilding it on the
+// first ask since the working vector last moved.
+func (s *Scheduler) spareCores(v *CloudView) []int {
+	ft := &s.fit
+	if !ft.spareOK {
+		ft.spare = ft.spare[:0]
+		for p, f := range v.free {
+			ft.spare = append(ft.spare, f+s.relSumAtResv[p]-ft.reserved[p])
+		}
+		ft.spareOK = true
+	}
+	return ft.spare
+}
+
+// fitRow returns the fit table's row for worker size cpw, summing the
+// working free vector on the first ask since it last moved.
+func (s *Scheduler) fitRow(v *CloudView, cpw int) fitRow {
+	for _, r := range s.fit.rows {
+		if r.cpw == cpw {
+			return r
+		}
+	}
+	held := s.resv != nil
+	var spare []int
+	if held {
+		spare = s.spareCores(v)
+	}
+	r := fitRow{cpw: cpw}
+	for p, f := range v.free {
+		n := 0
+		if f > 0 {
+			n = f / cpw
+		}
+		r.slots += n
+		if held && s.fit.reserved[p] > 0 {
+			n = min(n, max(spare[p], 0)/cpw)
+		}
+		r.extra += n
+	}
+	s.fit.rows = append(s.fit.rows, r)
+	return r
+}
+
+// backfillDoomed reports whether backfillOK would refuse every plan for j
+// that fits the view, behind the held reservation, so the cycle can step
+// over j without placing it. A plan backfillOK accepts either avoids every
+// reserved cloud or keeps each shared member within its spare cores, and
+// so places at most r.extra workers, or finishes by the reserved start.
+// The last is ruled out from j alone: planEstimateSeconds divides
+// j.estimate() by a member speed of at most speedMax and adds only
+// non-negative input and shuffle terms, and float division, float addition
+// and FromSeconds are monotone (within sim.Time's range).
+func (s *Scheduler) backfillDoomed(j *Job, r fitRow) bool {
+	return j.workers() > r.extra &&
+		s.K.Now()+sim.FromSeconds(j.estimate()/s.fit.speedMax) > s.resv.at
 }

@@ -160,15 +160,21 @@ func SingleCloudPlan(cloud string, workers int) Plan {
 // means nothing fits. The returned plan must own its Members slice — it
 // outlives the call (job records, reservations).
 //
+// A non-empty plan must fit the view: it names only view clouds, each at
+// most once, and fits each in whole workers (Workers × cores per worker ≤
+// that cloud's working free cores). The scheduler's arithmetic shortcuts
+// rest on this: the watermark (canFit), the cycle's slot test, which skips
+// every job wider than Σ⌊free/cpw⌋ under any policy, and the backfill
+// bound (backfillDoomed).
+//
 // ProvablyUnplaceable is the exact fit precheck: it must return true only
 // when Choose would certainly return an empty plan for j against v — a
-// cheap arithmetic proof, no scoring. The scheduler uses it to skip Choose
-// entirely on the hot blocked paths (the cycle's backfill scan over jobs
-// that cannot fit, and every non-viable instant of the reservation walk),
-// where growPlan's greedy extension dominated the cycle profile. Soundness
-// is what matters: a false negative just means Choose runs and discovers
-// emptiness itself, so decisions are identical with or without the
-// precheck.
+// cheap arithmetic proof, no scoring. The scheduler calls it to skip Choose
+// on the blocked paths: in the cycle after the slot test, and on the
+// what-if views of the reservation walk (every non-viable instant) and of
+// chooseVictims. Soundness is what matters: a false negative just means
+// Choose runs and discovers emptiness itself, so decisions are identical
+// with or without the precheck.
 type PlacementPolicy interface {
 	Name() string
 	Choose(s *Scheduler, j *Job, v *CloudView) Plan
@@ -224,8 +230,9 @@ const planMemoSlots = 4
 
 // cacheablePolicy marks placement policies whose Choose is a pure function
 // of (job, view) — no RNG draws, no mutable internal state. Only these let
-// the plan memo engage (reusing a RandomPlacement answer would skip a draw
-// and desynchronize the kernel RNG stream).
+// the plan memo and the backfill bound skip Choose (reusing or skipping a
+// RandomPlacement answer would skip a draw and desynchronize the kernel RNG
+// stream).
 type cacheablePolicy interface{ PureChoose() bool }
 
 // planMemo is one entry of the frozen-view placement memo: between two
@@ -265,13 +272,15 @@ func (s *Scheduler) boostedTenant(j *Job) bool {
 	return pt == PatternAllToAll || pt == PatternRing
 }
 
-// invalidateMemos drops every plan memo entry: a new cycle started or the
-// working free vector moved (a dispatch's take, a mid-cycle re-snapshot),
-// so no memoized plan is known to still be Choose's answer.
+// invalidateMemos drops every plan memo entry and the fit table: a new
+// cycle started or the working free vector moved (a dispatch's take, a
+// mid-cycle re-snapshot), so no memoized plan is known to still be Choose's
+// answer and no fit row its vector's sum.
 func (s *Scheduler) invalidateMemos() {
 	for i := range s.memos {
 		s.memos[i].ok = false
 	}
+	s.dropFit()
 }
 
 // memoLookup returns the memo entry holding this job shape's plan, or nil.

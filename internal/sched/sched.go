@@ -523,9 +523,12 @@ func (c Config) maxSlips() int {
 // buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
 // already finished. A cycle still pays per queued job: once the blocked
 // head holds its reservation, one comparison against the queue entry's
-// watermark for each job whose watermark is closed, and a visit with a
-// ProvablyUnplaceable check (times candidate clouds) for each job whose
-// watermark is open.
+// watermark for each job whose watermark is closed, and a visit for each
+// job whose watermark is open. The visit reads its slot sum from the fit
+// table, which sums the free vector once per worker size after each
+// dispatch rather than once per job; only a job the slot test passes pays
+// ProvablyUnplaceable and, behind the reservation, the backfill bound
+// before any placement.
 type Scheduler struct {
 	K   *sim.Kernel
 	B   Backend
@@ -604,11 +607,14 @@ type Scheduler struct {
 
 	// memos is the plan memo table (see planMemo): one entry per recently
 	// scored job shape, evicted round-robin, all invalidated at every cycle
-	// start and whenever the working free vector moves. memoable gates it
-	// on placement-policy purity.
+	// start and whenever the working free vector moves. memoable gates it,
+	// and the backfill bound, on placement-policy purity.
 	memos    [planMemoSlots]planMemo
 	memoNext int
 	memoable bool
+
+	// fit is the cycle's fit table (see fitTable), dropped with the memos.
+	fit fitTable
 
 	// extMu serializes external drivers (Sync): goroutines outside the
 	// kernel thread submit and poll through it under -race stress.
@@ -838,7 +844,9 @@ func (s *Scheduler) kick() {
 // The pass runs over the per-cycle CloudView (one indexed snapshot shared
 // by every score, price, and estimate) and the maintained release list;
 // jobs recorded as unplaceable skip placement entirely until enough cores
-// have been freed to possibly fit them (the blocked-head watermark).
+// have been freed to possibly fit them (the blocked-head watermark), and
+// behind the reservation a job the backfill bound proves the gate would
+// refuse skips it too (backfillDoomed).
 func (s *Scheduler) cycle() {
 	s.cyclePending = false
 	s.cycleNum++
@@ -901,11 +909,20 @@ func (s *Scheduler) cycle() {
 				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
 					Workers: j.workers(), Cores: j.Cores()})
 			}
-			if !s.cfg.Placement.ProvablyUnplaceable(j, v) {
+			w, fr := j.workers(), s.fitRow(v, j.coresPerWorker())
+			if fr.slots >= w && !s.cfg.Placement.ProvablyUnplaceable(j, v) {
+				if s.resv != nil && s.memoable && s.backfillDoomed(j, fr) {
+					// backfillOK would refuse whatever Choose returns: step
+					// over the job as that refusal below does, unplaced.
+					t.scan++
+					continue
+				}
 				plan = s.choosePlan(j, v)
 			}
 			if plan.Empty() {
-				s.markUnfit(e, v)
+				// The watermark: the freed-core clock reading at which the
+				// slot gap could first close.
+				e.wake = s.freedCum + int64(w-fr.slots)
 				if s.tr != nil {
 					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
 						Workers: j.workers(), Cores: j.Cores()})
@@ -970,6 +987,7 @@ func (s *Scheduler) cycle() {
 			// stops a misestimated gang from shading elastic growth forever.
 			s.holdReservation(&r, j.coresPerWorker(), !aged)
 			s.sumReleasesAt(v, r.at)
+			s.holdFit(v)
 			if s.tr != nil {
 				s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
 					Workers: j.workers(), Cores: j.Cores(),
@@ -1081,23 +1099,10 @@ func (s *Scheduler) refreshView(v *CloudView) {
 //
 // The test skips placement, not the visit: a blocked cycle still pays one
 // comparison per queued job behind its reservation (the cycle's skip loop),
-// and a full visit for each job whose watermark is open, whether or not
-// ProvablyUnplaceable then rejects it.
+// and for each job whose watermark is open a visit: the job's first load, a
+// fit-table lookup for the slot test and the watermark write, and, if the
+// slot test passes, ProvablyUnplaceable and the backfill bound.
 func (s *Scheduler) canFit(e *queueEntry) bool { return e.wake <= s.freedCum }
-
-// markUnfit records the failed placement on the queue entry: the freed-core
-// clock reading at which the slot gap could first close.
-func (s *Scheduler) markUnfit(e *queueEntry, v *CloudView) {
-	j := e.job
-	cpw := j.coresPerWorker()
-	slots := 0
-	for _, f := range v.free {
-		if f > 0 {
-			slots += f / cpw
-		}
-	}
-	e.wake = s.freedCum + int64(j.workers()-slots)
-}
 
 // dispatch starts a placed job. An external job starts through its Run
 // callback on capacity the caller owns; any other takes its plan's cores
