@@ -340,10 +340,7 @@ func (s *Scheduler) dropFit() {
 // and the speed ceiling. It drops the rows built without them.
 func (s *Scheduler) holdFit(v *CloudView) {
 	ft := &s.fit
-	ft.reserved = ft.reserved[:0]
-	for range v.Clouds {
-		ft.reserved = append(ft.reserved, 0)
-	}
+	ft.reserved = append(ft.reserved[:0], make([]int, len(v.Clouds))...)
 	rcpw := 1
 	if s.resv.jref != nil {
 		rcpw = s.resv.jref.coresPerWorker()
@@ -369,7 +366,7 @@ func (s *Scheduler) holdFit(v *CloudView) {
 func (s *Scheduler) spareCores(v *CloudView) []int {
 	ft := &s.fit
 	if !ft.spareOK {
-		ft.spare = ft.spare[:0]
+		ft.spare = slices.Grow(ft.spare[:0], len(v.free))
 		for p, f := range v.free {
 			ft.spare = append(ft.spare, f+s.relSumAtResv[p]-ft.reserved[p])
 		}
