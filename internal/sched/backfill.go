@@ -409,10 +409,11 @@ func (s *Scheduler) fitRow(v *CloudView, cpw int) fitRow {
 // over j without placing it. A plan backfillOK accepts either avoids every
 // reserved cloud or keeps each shared member within its spare cores, and
 // so places at most r.extra workers, or finishes by the reserved start.
-// The last is ruled out from j alone: planEstimateSeconds divides
-// j.estimate() by a member speed of at most speedMax and adds only
-// non-negative input and shuffle terms, and float division, float addition
-// and FromSeconds are monotone (within sim.Time's range).
+// No plan for j finishes by then once j's estimate at speedMax ends past
+// it: planEstimateSeconds divides j.estimate() by a member speed of at most
+// speedMax and adds only non-negative input and shuffle terms, and float
+// division, float addition and FromSeconds are monotone (within sim.Time's
+// range). Like canFit, this holds for plans that fit the view.
 func (s *Scheduler) backfillDoomed(j *Job, r fitRow) bool {
 	return j.workers() > r.extra &&
 		s.K.Now()+sim.FromSeconds(j.estimate()/s.fit.speedMax) > s.resv.at
