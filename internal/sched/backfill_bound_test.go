@@ -13,9 +13,9 @@ import (
 // stands in for, on random views behind random reservations: whenever a job
 // passes the slot test and ProvablyUnplaceable and backfillDoomed refuses
 // it, backfillOK must refuse the plan Choose returns. Views mix speeds of 0
-// and below 1, free vectors and release sums fall short of the reserved
-// cores as often as not, and jobs carry progress credit, input sites and
-// shuffle volumes. Every plan Choose returns must also fit the view, the
+// and below 1, free vectors and release sums often fall short of the
+// reserved cores, and jobs carry progress credit, input sites and shuffle
+// volumes. Every plan Choose returns must also fit the view, the
 // assumption the bound rests on.
 func TestBackfillBoundSound(t *testing.T) {
 	speeds := []float64{0, 0.25, 0.5, 0.8, 1, 1.2, 1.5, 3}
@@ -33,8 +33,8 @@ func TestBackfillBoundSound(t *testing.T) {
 				for i := range snap {
 					snap[i] = CloudInfo{Name: fmt.Sprintf("c%d", i), FreeCores: rng.Intn(40),
 						TotalCores: 64, Speed: speeds[rng.Intn(len(speeds))], Price: 0.05 + 0.01*float64(rng.Intn(8))}
-					for k := 0; k < i; k++ {
-						b.SetBandwidth(snap[k].Name, snap[i].Name, float64(1+rng.Intn(200))*(1<<20))
+					for o := 0; o < i; o++ {
+						b.SetBandwidth(snap[o].Name, snap[i].Name, float64(1+rng.Intn(200))*(1<<20))
 					}
 				}
 				v.Reset(snap)
