@@ -22,6 +22,10 @@ var replayPolicies = []struct {
 }{
 	{"fifo", sched.Config{DisableBackfill: true}},
 	{"backfill", sched.Config{}},
+	// Reservation aging is audited only on the cycles the trace's events
+	// trigger (a replay starts no elastic ticker). Without preemption, the
+	// ledger leases an aged reservation drops reach only the growth probes
+	// of spot replacements.
 	{"aging", sched.Config{ReservationMaxSlips: 3}},
 	{"preempt", sched.Config{EnablePreemption: true}},
 	// Consolidation runs in the elastic pass, which a replay never starts

@@ -117,9 +117,7 @@ func TestFederationSchedulerGangSpansClouds(t *testing.T) {
 // job's spot workers; the scheduler replaces them on-demand and the job
 // still completes with its work preserved.
 func TestFederationSchedulerSpotRevocation(t *testing.T) {
-	f, s := schedFederation(t, 23, 2, 2, sched.Config{
-		ElasticInterval: 10 * sim.Second,
-	})
+	f, s := schedFederation(t, 23, 2, 2, sched.Config{})
 	f.WireSchedulerSpot("cloud0")
 	f.WireSchedulerSpot("cloud1")
 	s.AddTenant("a", 1)

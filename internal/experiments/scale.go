@@ -17,12 +17,14 @@ import (
 // line as optimism compounds: backfill beats FIFO on p50 but inherits its
 // tail — the wide science gangs stay blocked behind overrunning backfills;
 // reservation aging alone drops the slipped holds (thousands of agings
-// fire) yet moves no headline number, because with no elastic growth to
-// unshade it is only preemption's trigger; preemption spends p50 (victims
-// requeue) to cap the p99 wait and pull the makespan in. The consolidate
-// row repeats the preempt row exactly: workload.Replay never calls
-// Scheduler.Start, so the elastic pass that consolidation runs in (with
-// forced preemption and deadline growth) never runs in a replay.
+// fire, audited only on the cycles the trace's events trigger) yet moves
+// no headline number, because without preemption the dropped ledger leases
+// reach only the growth probes of spot replacements, so aging is in effect
+// only preemption's trigger; preemption spends p50 (victims requeue) to cap
+// the p99 wait and pull the makespan in. The consolidate row repeats the
+// preempt row exactly: workload.Replay never calls Scheduler.Start, so the
+// elastic pass that consolidation runs in (with forced preemption and
+// deadline growth) never runs in a replay.
 func E13ScaleSurvival(seed int64) []*metrics.Table {
 	tr := workload.Generate(workload.StandardConfig(seed, 6000))
 	variants := []struct {

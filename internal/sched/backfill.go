@@ -186,12 +186,11 @@ func (s *Scheduler) addRelease(v *CloudView, dst []int, r coreRelease) {
 }
 
 // reserve computes the blocked job's earliest feasible start: walk the
-// estimated release instants in order and, at each, ask the placement
-// policy whether a plan exists with the capacity available by then. The
-// first instant that yields a plan becomes the reservation. ok is false
-// when even a fully drained federation yields no plan (either capacity
-// shrank below the gang, or a single-cloud policy faces a spanning-only
-// job).
+// estimated release instants in order and, at each, ask whatIfPlan whether
+// a plan exists with the capacity available by then. The first instant that
+// yields a plan becomes the reservation. ok is false when even a fully
+// drained federation yields no plan (either capacity shrank below the gang,
+// or a single-cloud policy faces a spanning-only job).
 //
 // The walk reads s.releases in place and applies EASY's overdue rule as it
 // goes: an estimate at or before now counts from now + 1 s. So the entries
@@ -200,7 +199,7 @@ func (s *Scheduler) addRelease(v *CloudView, dst []int, r coreRelease) {
 // instant is added before the policy is asked, so the order inside an
 // instant reaches no decision.
 func (s *Scheduler) reserve(j *Job, v *CloudView) (reservation, bool) {
-	av := &s.resvView
+	av := &s.whatIf
 	av.shareIndex(v)
 	rel := s.releases
 	now := s.K.Now()
@@ -220,14 +219,10 @@ func (s *Scheduler) reserve(j *Job, v *CloudView) (reservation, bool) {
 		for ; i < len(rel) && rel[i].at == at; i++ {
 			s.addRelease(av, av.free, rel[i])
 		}
-		// Instants whose accumulated frees provably still cannot host the
-		// gang skip the policy walk: the precheck is one pass over the free
-		// vector, so a long release list costs O(instants × clouds) until
-		// the first genuinely viable instant, not O(instants × Choose).
-		if s.cfg.Placement.ProvablyUnplaceable(j, av) {
-			continue
-		}
-		if plan := s.cfg.Placement.Choose(s, j, av); !plan.Empty() {
+		// whatIfPlan's slot test is one pass over the free vector, so a long
+		// release list costs O(instants × clouds) until the first instant
+		// whose frees cover the gang, not O(instants × Choose).
+		if plan := s.whatIfPlan(j, av); !plan.Empty() {
 			return reservation{job: j.ID, jref: j, plan: plan, at: at}, true
 		}
 	}
@@ -274,7 +269,7 @@ func (s *Scheduler) backfillOK(b *Job, plan Plan, resv *reservation, v *CloudVie
 	if !shared {
 		return true
 	}
-	finish := s.K.Now() + sim.FromSeconds(s.estimateAt(b, plan, v))
+	finish := s.K.Now() + sim.FromSeconds(planEstimateSeconds(s.B, b, plan, v))
 	if finish <= resv.at {
 		return true
 	}
@@ -317,8 +312,8 @@ type fitTable struct {
 // fitRow is the fit table's answer for one worker size.
 type fitRow struct {
 	cpw int
-	// slots is Σ⌊free/cpw⌋: no plan that fits the view places more cpw-core
-	// workers.
+	// slots is slotSum(free, cpw): no plan that fits the view places more
+	// cpw-core workers.
 	slots int
 	// extra is EASY's extra nodes behind the held reservation (Mu'alem and
 	// Feitelson, IEEE TPDS 12(6), 2001): Σ⌊free/cpw⌋ over the clouds the
@@ -383,22 +378,18 @@ func (s *Scheduler) fitRow(v *CloudView, cpw int) fitRow {
 			return r
 		}
 	}
-	held := s.resv != nil
-	var spare []int
-	if held {
-		spare = s.spareCores(v)
-	}
-	r := fitRow{cpw: cpw}
-	for p, f := range v.free {
-		n := 0
-		if f > 0 {
-			n = f / cpw
+	r := fitRow{cpw: cpw, slots: slotSum(v.free, cpw)}
+	r.extra = r.slots
+	if s.resv != nil {
+		spare := s.spareCores(v)
+		r.extra = 0
+		for p, f := range v.free {
+			n := max(f, 0) / cpw
+			if s.fit.reserved[p] > 0 {
+				n = min(n, max(spare[p], 0)/cpw)
+			}
+			r.extra += n
 		}
-		r.slots += n
-		if held && s.fit.reserved[p] > 0 {
-			n = min(n, max(spare[p], 0)/cpw)
-		}
-		r.extra += n
 	}
 	s.fit.rows = append(s.fit.rows, r)
 	return r

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -10,13 +11,16 @@ import (
 )
 
 // TestBackfillBoundSound checks the backfill bound against the gate it
-// stands in for, on random views behind random reservations: whenever a job
-// passes the slot test and ProvablyUnplaceable and backfillDoomed refuses
-// it, backfillOK must refuse the plan Choose returns. Views mix speeds of 0
-// and below 1, free vectors and release sums often fall short of the
-// reserved cores, and jobs carry progress credit, input sites and shuffle
-// volumes. Every plan Choose returns must also fit the view, the
-// assumption the bound rests on.
+// stands in for, on random views behind random reservations: whenever
+// Choose places a job and backfillDoomed refuses it, backfillOK must refuse
+// the plan. Views mix speeds of 0 and below 1, free vectors and release
+// sums often fall short of the reserved cores, and jobs carry progress
+// credit, input sites and shuffle volumes. It also checks the slot test
+// the scheduler makes before every Choose call. A job that fails it must
+// get no plan from either policy (the fact whatIfPlan and the cycle rely
+// on to skip Choose). A job that passes it must get a plan that fits the
+// view, the assumption the bound rests on, from BestScore always and from
+// RandomPlacement whenever some cloud has the job's cores free.
 func TestBackfillBoundSound(t *testing.T) {
 	speeds := []float64{0, 0.25, 0.5, 0.8, 1, 1.2, 1.5, 3}
 	for _, pol := range []PlacementPolicy{BestScore{}, RandomPlacement{}} {
@@ -26,7 +30,7 @@ func TestBackfillBoundSound(t *testing.T) {
 			b := NewSimBackend(k)
 			s := New(b, Config{Placement: pol})
 			v := &s.view
-			tries, refused := 0, 0
+			tries, refused, short := 0, 0, 0
 			for c := 0; c < 5000; c++ {
 				n := 1 + rng.Intn(8)
 				snap := make([]CloudInfo, n)
@@ -47,14 +51,22 @@ func TestBackfillBoundSound(t *testing.T) {
 				for q := 0; q < 8; q++ {
 					j := randomBackfillJob(rng, snap)
 					fr := s.fitRow(v, j.coresPerWorker())
-					if fr.slots < j.workers() || pol.ProvablyUnplaceable(j, v) {
+					plan := pol.Choose(s, j, v)
+					if fr.slots < j.workers() {
+						short++
+						if !plan.Empty() {
+							t.Fatalf("case %d: Choose placed %d×%d cores as %v, past slot sum %d of free %v",
+								c, j.workers(), j.coresPerWorker(), plan, fr.slots, v.free)
+						}
 						continue
 					}
-					tries++
-					doomed := s.backfillDoomed(j, fr)
-					plan := pol.Choose(s, j, v)
+					if plan.Empty() && pol.Name() == "random" && !slices.ContainsFunc(v.free,
+						func(f int) bool { return f >= j.Cores() }) {
+						continue // no single cloud holds the gang
+					}
 					checkPlanFits(t, j, plan, v)
-					if !doomed {
+					tries++
+					if !s.backfillDoomed(j, fr) {
 						continue
 					}
 					refused++
@@ -65,8 +77,9 @@ func TestBackfillBoundSound(t *testing.T) {
 					}
 				}
 			}
-			if refused < 200 {
-				t.Fatalf("the bound refused %d of %d tries: too few to test it", refused, tries)
+			if refused < 200 || short < 200 {
+				t.Fatalf("the bound refused %d of %d tries and %d jobs failed the slot test: too few to test them",
+					refused, tries, short)
 			}
 		})
 	}
@@ -109,7 +122,7 @@ func randomBackfillJob(rng *rand.Rand, snap []CloudInfo) *Job {
 func checkPlanFits(t *testing.T, j *Job, plan Plan, v *CloudView) {
 	t.Helper()
 	if plan.Empty() {
-		t.Fatalf("Choose returned no plan for %d×%d cores past the slot test and ProvablyUnplaceable, free %v",
+		t.Fatalf("Choose returned no plan for %d×%d cores past the slot test, free %v",
 			j.workers(), j.coresPerWorker(), v.free)
 	}
 	seen := map[int]bool{}

@@ -22,7 +22,7 @@ func raceBackend(t *testing.T) (*sim.Kernel, *SimBackend, *Scheduler, string, st
 	b := NewSimBackend(k)
 	b.AddCloud("a", 8, 1, 0.10)
 	b.AddCloud("b", 8, 1, 0.10)
-	s := New(b, Config{ElasticInterval: 10 * sim.Second, DeadlineMargin: 10 * sim.Second})
+	s := New(b, Config{})
 	s.Start()
 	s.AddTenant("t", 1)
 	// Holder: 6 of a's 8 cores until t=200.
@@ -78,7 +78,7 @@ func TestGrowSpillsWithoutReservation(t *testing.T) {
 	b := NewSimBackend(k)
 	b.AddCloud("a", 8, 1, 0.10)
 	b.AddCloud("b", 8, 1, 0.10)
-	s := New(b, Config{ElasticInterval: 10 * sim.Second, DeadlineMargin: 10 * sim.Second})
+	s := New(b, Config{})
 	s.Start()
 	s.AddTenant("t", 1)
 	submitN(t, s, "t", 1, JobSpec{Workers: 3, CoresPerWorker: 2, EstimateSeconds: 200})

@@ -65,7 +65,7 @@ func (s *Scheduler) elasticTick() {
 		md, mt, rd, rt := j.handle.Progress()
 		if j.Spec.Deadline > 0 {
 			eta := s.predictETA(j, md, mt, rd, rt)
-			if eta > j.Spec.Deadline-s.cfg.DeadlineMargin &&
+			if eta > j.Spec.Deadline-deadlineMargin &&
 				(j.Spec.MaxExtraWorkers == 0 || j.deadlineGrown < j.Spec.MaxExtraWorkers) {
 				j.deadlineGrown++
 				s.m.growRequests.Inc()

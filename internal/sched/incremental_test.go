@@ -165,17 +165,15 @@ func TestWatermarkAccumulatesFrees(t *testing.T) {
 }
 
 // recordingPolicy places nothing: it records every free vector reserve's
-// walk asks about, so a test can read the walk's per-instant frees.
+// walk asks it about, so a test can read the walk's per-instant frees.
 type recordingPolicy struct{ frees [][]int }
 
 func (*recordingPolicy) Name() string { return "recording" }
 
-func (p *recordingPolicy) ProvablyUnplaceable(_ *Job, v *CloudView) bool {
+func (p *recordingPolicy) Choose(_ *Scheduler, _ *Job, v *CloudView) Plan {
 	p.frees = append(p.frees, append([]int(nil), v.free...))
-	return true
+	return Plan{}
 }
-
-func (*recordingPolicy) Choose(*Scheduler, *Job, *CloudView) Plan { return Plan{} }
 
 // releaseStep is one instant of the release walk: its time and the
 // per-cloud cores released by then, indexed like the view.
@@ -236,6 +234,8 @@ func checkReleaseReaders(t *testing.T, s *Scheduler) (instants, overdue int) {
 	rec := &recordingPolicy{}
 	placement := s.cfg.Placement
 	s.cfg.Placement = rec
+	// A one-core job: every instant releases at least one core, so the
+	// walk's slot test passes and Choose sees every instant.
 	_, ok := s.reserve(&Job{Spec: JobSpec{Workers: 1}}, &v)
 	s.cfg.Placement = placement
 	if ok {

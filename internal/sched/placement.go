@@ -9,9 +9,9 @@ import (
 
 // Gang placement: a job's workers may span clouds (over the ViNe overlay)
 // when no single cloud can hold them. Policies return a Plan — an ordered
-// set of {cloud, workers} members plus the cost breakdown that justified
-// it — instead of a single cloud name. Single-cloud plans remain the common
-// case and score exactly as the pre-plan scorer did, so established results
+// set of {cloud, workers} members plus the score that justified it —
+// instead of a single cloud name. Single-cloud plans remain the common case
+// and score exactly as the pre-plan scorer did, so established results
 // (E10) are preserved; spanning is attempted only when no single cloud fits.
 
 // Member is one cloud's slice of a gang placement.
@@ -22,16 +22,10 @@ type Member struct {
 
 // Plan is a (possibly multi-cloud) placement for one job: ordered members —
 // the first is the anchor, where elastic growth is tried first — plus the
-// scored cost breakdown.
+// placement score (see Scheduler.scorePlanIdx).
 type Plan struct {
 	Members []Member
-
-	// Cost breakdown (see Scheduler.scorePlanIdx).
-	Locality float64 // input residency covered by members
-	Capacity float64 // cores-weighted free-capacity headroom
-	Input    float64 // inter-site bandwidth term for uncovered input
-	Shuffle  float64 // cross-site shuffle penalty (subtracted)
-	Score    float64
+	Score   float64
 }
 
 // Empty reports whether the plan places nothing.
@@ -93,8 +87,8 @@ func (p Plan) GrowCandidates(clouds []string) (members, spill []string) {
 
 // MoveWorkers returns a copy of the plan with up to `workers` workers moved
 // from one member onto another (merged into an existing member or appended
-// as a new one; a fully drained member disappears). The cost-breakdown
-// fields are zeroed — they described the old shape. Shared by the
+// as a new one; a fully drained member disappears). The copy's Score is
+// zero — the old one described the old shape. Shared by the
 // scheduler's relocation bookkeeping and the backends' own plan copies so
 // the two cannot drift.
 func (p Plan) MoveWorkers(from, to string, workers int) Plan {
@@ -162,23 +156,41 @@ func SingleCloudPlan(cloud string, workers int) Plan {
 //
 // A non-empty plan must fit the view: it names only view clouds, each at
 // most once, and fits each in whole workers (Workers × cores per worker ≤
-// that cloud's working free cores). The scheduler's arithmetic shortcuts
-// rest on this: the watermark (canFit), the cycle's slot test, which skips
-// every job wider than Σ⌊free/cpw⌋ under any policy, and the backfill
-// bound (backfillDoomed).
-//
-// ProvablyUnplaceable is the exact fit precheck: it must return true only
-// when Choose would certainly return an empty plan for j against v — a
-// cheap arithmetic proof, no scoring. The scheduler calls it to skip Choose
-// on the blocked paths: in the cycle after the slot test, and on the
-// what-if views of the reservation walk (every non-viable instant) and of
-// chooseVictims. Soundness is what matters: a false negative just means
-// Choose runs and discovers emptiness itself, so decisions are identical
-// with or without the precheck.
+// that cloud's working free cores). Such a plan places at most
+// slotSum(free, cpw) workers, so the scheduler answers "can this gang fit?"
+// itself and calls Choose only when the slot sum covers the job: the
+// watermark (canFit), the cycle's slot test, the what-if views of the
+// reservation walk and of chooseVictims (whatIfPlan), and the backfill
+// bound (backfillDoomed) all rest on this.
 type PlacementPolicy interface {
 	Name() string
 	Choose(s *Scheduler, j *Job, v *CloudView) Plan
-	ProvablyUnplaceable(j *Job, v *CloudView) bool
+}
+
+// slotSum returns Σ⌊f/cpw⌋ over the positive entries of free: the most
+// cpw-core workers any plan that fits those free cores can place.
+func slotSum(free []int, cpw int) int {
+	slots := 0
+	for _, f := range free {
+		if f > 0 {
+			slots += f / cpw
+		}
+	}
+	return slots
+}
+
+// whatIfPlan asks the placement policy for j's plan on a what-if view (the
+// reservation walk's future frees, chooseVictims' evicted cores), after the
+// slot test: a view whose slot sum falls short of the gang gets no Choose
+// call. That decides nothing differently. BestScore places whenever the
+// slot sum covers the gang, and RandomPlacement, which needs one cloud with
+// room for the whole gang, has none when the slot sum falls short, and then
+// returns before its RNG draw.
+func (s *Scheduler) whatIfPlan(j *Job, v *CloudView) Plan {
+	if slotSum(v.free, j.coresPerWorker()) < j.workers() {
+		return Plan{}
+	}
+	return s.cfg.Placement.Choose(s, j, v)
 }
 
 // placeScratch holds the buffers placement evaluations score plans in. The
@@ -187,6 +199,7 @@ type PlacementPolicy interface {
 // every call.
 type placeScratch struct {
 	oneMember   [1]Member
+	oneIdx      [1]int
 	bestMembers []Member
 	growMembers []Member
 	growCand    []Member
@@ -336,9 +349,9 @@ func (j *Job) inputFraction(cloud string) float64 {
 }
 
 // scorePlanIdx rates a candidate plan for a job, returning the plan with its
-// cost breakdown filled in; a plan that does not fit the view's free cores
-// comes back infeasible (Score = -Inf; check Plan.Feasible, not the sign —
-// a feasible shuffle-heavy plan can legitimately score below zero). idxs[k]
+// score filled in; a plan that does not fit the view's free cores comes
+// back infeasible (Score = -Inf; check Plan.Feasible, not the sign — a
+// feasible shuffle-heavy plan can legitimately score below zero). idxs[k]
 // is members[k]'s view position (-1 for unknown), so the caller's loop
 // scores without name→position lookups. Four terms, per the federation
 // design:
@@ -381,17 +394,18 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 	if s.boostedTenant(j) {
 		boost = patternBoost
 	}
+	var locality, capacity, input, shuffle float64
 	for k, m := range members {
 		i := idxs[k]
 		share := float64(m.Workers*cpw) / float64(totalCores)
-		p.Capacity += capacityWeight * share * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
-		p.Locality += j.inputFraction(m.Cloud)
+		capacity += capacityWeight * share * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
+		locality += j.inputFraction(m.Cloud)
 	}
-	if p.Locality > 1 {
-		p.Locality = 1
+	if locality > 1 {
+		locality = 1
 	}
-	uncovered := 1 - p.Locality
-	p.Locality *= localityWeight
+	uncovered := 1 - locality
+	locality *= localityWeight
 	if j.Spec.InputSite != "" && uncovered > 0 {
 		// The uncovered input streams from the input site; each member pays
 		// its cores-weighted share of the bandwidth term.
@@ -401,15 +415,15 @@ func (s *Scheduler) scorePlanIdx(j *Job, members []Member, idxs []int, v *CloudV
 				continue
 			}
 			bw := s.B.Bandwidth(j.Spec.InputSite, m.Cloud)
-			p.Input += bandwidthWeight * boost * uncovered * share * bw / (bw + refBandwidth)
+			input += bandwidthWeight * boost * uncovered * share * bw / (bw + refBandwidth)
 		}
 	}
 	if len(members) > 1 && !s.cfg.DisableShuffleCost {
 		if secs := crossShuffleSeconds(s.B, j, members); secs > 0 {
-			p.Shuffle = boost * secs / (secs + refShuffleSeconds)
+			shuffle = boost * secs / (secs + refShuffleSeconds)
 		}
 	}
-	p.Score = p.Locality + p.Capacity + p.Input - p.Shuffle
+	p.Score = locality + capacity + input - shuffle
 	return p
 }
 
@@ -504,24 +518,6 @@ func (BestScore) Name() string { return "best-score" }
 // the plan memo may reuse its answers.
 func (BestScore) PureChoose() bool { return true }
 
-// ProvablyUnplaceable implements PlacementPolicy: placing `workers` whole
-// workers of cpw cores each — on one cloud or spanning — requires
-// Σ⌊free/cpw⌋ ≥ workers across clouds, and conversely growPlan succeeds
-// whenever the slot sum covers the demand (each greedy step takes a cloud's
-// whole ⌊free/cpw⌋, and a constructed plan is always feasible against the
-// free cores it was built from). So the slot sum decides emptiness exactly,
-// in one pass over the free vector.
-func (BestScore) ProvablyUnplaceable(j *Job, v *CloudView) bool {
-	cpw := j.coresPerWorker()
-	slots := 0
-	for _, f := range v.free {
-		if f > 0 {
-			slots += f / cpw
-		}
-	}
-	return slots < j.workers()
-}
-
 // Choose implements PlacementPolicy. Candidate plans are scored in the
 // scheduler's placement scratch; only the winning plan's members are
 // copied out, so a Choose that places nothing allocates nothing.
@@ -529,11 +525,7 @@ func (BestScore) Choose(s *Scheduler, j *Job, v *CloudView) Plan {
 	ps := &s.place
 	workers := j.workers()
 	cpw := j.coresPerWorker()
-	boost := 1.0
-	if s.boostedTenant(j) {
-		boost = patternBoost
-	}
-	if best := scanSingleClouds(s, j, v, ps, workers, cpw, boost); !best.Empty() {
+	if best := scanSingleClouds(s, j, v, ps, workers, cpw); !best.Empty() {
 		best.Members = ps.persistMembers(best.Members)
 		return best
 	}
@@ -566,34 +558,21 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 	return best
 }
 
-// scanSingleClouds scores every single-cloud candidate and returns the best
-// plan — the common-case fast path, scored index-first: the four scorePlanIdx
-// terms specialised to one member whose cores-weighted share is exactly 1,
-// so no name→position lookups and no shuffle term. Float operation order
-// matches scorePlanIdx term for term (share = 1 multiplications are exact),
-// keeping scores bit-identical to the general path. The returned members
-// alias ps.bestMembers; the caller copies what it keeps.
-func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int, boost float64) Plan {
+// scanSingleClouds scores every single-cloud candidate through scorePlanIdx
+// and returns the best plan — the common case, tried before any spanning
+// search. The returned members alias ps.bestMembers; the caller copies what
+// it keeps.
+func scanSingleClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, workers, cpw int) Plan {
 	var best Plan
 	bestPrice := 0.0
 	for i := range v.Clouds {
-		if v.free[i] < workers*cpw || v.Clouds[i].TotalCores <= 0 {
+		ps.oneMember[0] = Member{Cloud: v.Clouds[i].Name, Workers: workers}
+		ps.oneIdx[0] = i
+		p := s.scorePlanIdx(j, ps.oneMember[:], ps.oneIdx[:], v)
+		if !p.Feasible() {
 			continue
 		}
-		name := v.Clouds[i].Name
-		var p Plan
-		p.Capacity = capacityWeight * float64(v.free[i]) / float64(v.Clouds[i].TotalCores)
-		p.Locality = j.inputFraction(name)
-		uncovered := 1 - p.Locality
-		p.Locality *= localityWeight
-		if j.Spec.InputSite != "" && uncovered > 0 && name != j.Spec.InputSite {
-			bw := s.B.Bandwidth(j.Spec.InputSite, name)
-			p.Input = bandwidthWeight * boost * uncovered * bw / (bw + refBandwidth)
-		}
-		p.Score = p.Locality + p.Capacity + p.Input
-		price := float64(workers*cpw) * v.Clouds[i].Price
-		ps.oneMember[0] = Member{Cloud: name, Workers: workers}
-		p.Members = ps.oneMember[:]
+		price := planPriceIdx(p.Members, ps.oneIdx[:], v, cpw)
 		if best.Empty() || ps.betterPlan(p, best, price, bestPrice) {
 			ps.bestMembers = append(ps.bestMembers[:0], p.Members...)
 			p.Members = ps.bestMembers
@@ -686,20 +665,6 @@ type RandomPlacement struct{}
 
 // Name implements PlacementPolicy.
 func (RandomPlacement) Name() string { return "random" }
-
-// ProvablyUnplaceable implements PlacementPolicy: the policy only ever picks
-// a single cloud with room for the whole gang, and when no cloud qualifies
-// Choose returns empty before drawing from the kernel RNG — so skipping the
-// call preserves the RNG stream exactly.
-func (RandomPlacement) ProvablyUnplaceable(j *Job, v *CloudView) bool {
-	need := j.Cores()
-	for _, f := range v.free {
-		if f >= need {
-			return false
-		}
-	}
-	return true
-}
 
 // Choose implements PlacementPolicy.
 func (RandomPlacement) Choose(s *Scheduler, j *Job, v *CloudView) Plan {

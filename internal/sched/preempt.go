@@ -76,9 +76,9 @@ func (s *Scheduler) evictPrice(j *Job, now sim.Time, shares, entitled map[string
 
 // chooseVictims picks the cheapest set of backfilled jobs whose freed cores
 // give the head job a plan right now: candidates are sorted by eviction
-// price and added to a what-if view one at a time until the placement
-// policy produces a plan. nil when even evicting every candidate leaves the
-// head unplaceable (the eviction would be pure waste, so none happens).
+// price and added to a what-if view one at a time until whatIfPlan produces
+// a plan. nil when even evicting every candidate leaves the head
+// unplaceable (the eviction would be pure waste, so none happens).
 func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]float64) {
 	cand := s.evictCand[:0]
 	for _, j := range s.running {
@@ -102,7 +102,7 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 		}
 		return cand[i].seq < cand[k].seq // determinism
 	})
-	av := &s.evictView
+	av := &s.whatIf
 	av.shareIndex(v)
 	for n, victim := range cand {
 		// Only the victim's base plan is credited to the what-if view: the
@@ -116,10 +116,7 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 				av.free[p] += m.Workers * cpw
 			}
 		}
-		if s.cfg.Placement.ProvablyUnplaceable(head, av) {
-			continue
-		}
-		if plan := s.cfg.Placement.Choose(s, head, av); !plan.Empty() {
+		if plan := s.whatIfPlan(head, av); !plan.Empty() {
 			return cand[:n+1], prices
 		}
 	}

@@ -225,7 +225,7 @@ func (j *Job) Wait(now sim.Time) sim.Time {
 }
 
 // estimate returns the speed-1 runtime estimate in seconds, excluding any
-// input-streaming penalty (see Scheduler.estimateAt). A preempted job
+// input-streaming penalty (see planEstimateSeconds). A preempted job
 // carries progress credit: only the uncredited remainder of the original
 // work is estimated (and charged, and reserved) on its next dispatch.
 func (j *Job) estimate() float64 {
@@ -243,22 +243,16 @@ func (j *Job) estimate() float64 {
 	return est
 }
 
-// estimateAt returns the runtime estimate in seconds for running under the
-// given plan, including the time to stream uncovered input over the
-// inter-site links and, for spanning plans, the cross-site shuffle time —
-// backfill reservations would otherwise systematically undershoot
-// remote-input and spanning jobs' runtimes. Shared with SimBackend so the
-// synthetic backend's runtimes agree with the reservations made against
-// them.
-func (s *Scheduler) estimateAt(j *Job, plan Plan, v *CloudView) float64 {
-	return planEstimateSeconds(s.B, j, plan, v)
-}
-
 // planEstimateSeconds is the plan-level cost model: base estimate at the
 // slowest member's speed, plus WAN streaming of the input fraction no
-// member holds, plus the cross-site shuffle bottleneck time. Only static
-// cloud attributes (name, speed) are read from the view — never the working
-// free vector — so backends may pass a view whose free cores are stale.
+// member holds, plus the cross-site shuffle bottleneck time — backfill
+// reservations would otherwise systematically undershoot remote-input and
+// spanning jobs' runtimes. The scheduler's dispatch estimates and backfill
+// gate and SimBackend's runtimes all come from it, so the synthetic
+// backend's runtimes agree with the reservations made against them. Only
+// static cloud attributes (name, speed) are read from the view — never the
+// working free vector — so backends may pass a view whose free cores are
+// stale.
 func planEstimateSeconds(b Backend, j *Job, plan Plan, v *CloudView) float64 {
 	speed := 1.0
 	for i, m := range plan.Members {
@@ -400,6 +394,11 @@ const (
 	patternBoost = 2.0
 	// refShuffleSeconds normalises the shuffle penalty (secs/(secs+ref)).
 	refShuffleSeconds = 30
+	// elasticInterval is the elastic policy evaluation period.
+	elasticInterval = 15 * sim.Second
+	// deadlineMargin is slack subtracted from deadlines when deciding to
+	// grow.
+	deadlineMargin = 30 * sim.Second
 	// preemptOverrunFactor is the elastic pass's forced-preempt bound: a
 	// running backfilled job whose elapsed time exceeds factor x its
 	// dispatch estimate while a reservation is waiting is evicted outright
@@ -443,12 +442,6 @@ type Config struct {
 	// DisableBackfill falls back to strict FIFO-within-fair-share: nothing
 	// may pass a blocked job.
 	DisableBackfill bool
-	// ElasticInterval is the elastic policy evaluation period. Zero means
-	// 15 s.
-	ElasticInterval sim.Time
-	// DeadlineMargin is slack subtracted from deadlines when deciding to
-	// grow. Zero means 30 s.
-	DeadlineMargin sim.Time
 	// DisableSpotReplacement stops the scheduler from growing an on-demand
 	// replacement when a spot worker is revoked mid-job.
 	DisableSpotReplacement bool
@@ -493,12 +486,6 @@ func (c Config) withDefaults() Config {
 	if c.Placement == nil {
 		c.Placement = BestScore{}
 	}
-	if c.ElasticInterval == 0 {
-		c.ElasticInterval = 15 * sim.Second
-	}
-	if c.DeadlineMargin == 0 {
-		c.DeadlineMargin = 30 * sim.Second
-	}
 	return c
 }
 
@@ -526,9 +513,8 @@ func (c Config) maxSlips() int {
 // watermark for each job whose watermark is closed, and a visit for each
 // job whose watermark is open. The visit reads its slot sum from the fit
 // table, which sums the free vector once per worker size after each
-// dispatch rather than once per job; only a job the slot test passes pays
-// ProvablyUnplaceable and, behind the reservation, the backfill bound
-// before any placement.
+// dispatch rather than once per job; only a job the slot test passes pays,
+// behind the reservation, the backfill bound, and then placement.
 type Scheduler struct {
 	K   *sim.Kernel
 	B   Backend
@@ -590,8 +576,7 @@ type Scheduler struct {
 
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
-	resvView     CloudView // reserve()'s what-if copy of the view
-	evictView    CloudView // preemption's what-if copy (freed victim cores)
+	whatIf       CloudView // what-if copy of the view (reserve's walk, chooseVictims)
 	evictCand    []*Job    // preemption victim-candidate scratch
 	snapScratch  []CloudInfo
 	runScratch   []*Job // elasticTick iteration copy
@@ -724,7 +709,7 @@ func (s *Scheduler) ensureElastic() {
 	if !s.elasticOn || s.cancelElastic != nil || !s.hasActiveJobs() {
 		return
 	}
-	s.cancelElastic = s.K.Ticker(s.cfg.ElasticInterval, func() {
+	s.cancelElastic = s.K.Ticker(elasticInterval, func() {
 		s.elasticTick()
 		if !s.hasActiveJobs() {
 			s.cancelElastic()
@@ -780,9 +765,9 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 }
 
 // fitsFederation checks the job's demand against the federation-wide gang
-// capacity: whole workers per cloud, summed across clouds (a spanning plan
-// can use them all). Jobs wider than any single cloud are accepted — under
-// a single-cloud policy they simply stay queued. The per-cloud totals are
+// capacity: the slot sum of the clouds' total cores (a spanning plan can
+// use them all). Jobs wider than any single cloud are accepted — under a
+// single-cloud policy they simply stay queued. The per-cloud totals are
 // cached keyed on the capacity ledger's generation (every cloud add or
 // resize bumps it), so per-submission checks stop snapshotting the backend.
 func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
@@ -798,10 +783,7 @@ func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
 		s.slotsGen, s.slotsOK = gen, true
 	}
 	cpw := j.coresPerWorker()
-	slots := 0
-	for _, total := range s.slotsTotals {
-		slots += total / cpw
-	}
+	slots := slotSum(s.slotsTotals, cpw)
 	return slots >= j.workers(), slots * cpw
 }
 
@@ -910,7 +892,7 @@ func (s *Scheduler) cycle() {
 					Workers: j.workers(), Cores: j.Cores()})
 			}
 			w, fr := j.workers(), s.fitRow(v, j.coresPerWorker())
-			if fr.slots >= w && !s.cfg.Placement.ProvablyUnplaceable(j, v) {
+			if fr.slots >= w {
 				if s.resv != nil && s.memoable && s.backfillDoomed(j, fr) {
 					// backfillOK would refuse whatever Choose returns: step
 					// over the job as that refusal below does, unplaced.
@@ -1101,7 +1083,7 @@ func (s *Scheduler) refreshView(v *CloudView) {
 // comparison per queued job behind its reservation (the cycle's skip loop),
 // and for each job whose watermark is open a visit: the job's first load, a
 // fit-table lookup for the slot test and the watermark write, and, if the
-// slot test passes, ProvablyUnplaceable and the backfill bound.
+// slot test passes, the backfill bound.
 func (s *Scheduler) canFit(e *queueEntry) bool { return e.wake <= s.freedCum }
 
 // dispatch starts a placed job. An external job starts through its Run
@@ -1111,7 +1093,7 @@ func (s *Scheduler) canFit(e *queueEntry) bool { return e.wake <= s.freedCum }
 // dispatch): a failed one is requeued for a retry or fails the job.
 func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *CloudView) {
 	now := s.K.Now()
-	est := s.estimateAt(j, plan, v)
+	est := planEstimateSeconds(s.B, j, plan, v)
 	j.Plan = plan
 	j.Cloud = plan.Primary()
 	j.Started = now

@@ -260,7 +260,7 @@ func TestDeadlineGrowth(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
 	b.AddCloud("c0", 16, 1, 0.10)
-	s := New(b, Config{ElasticInterval: 10 * sim.Second, DeadlineMargin: 10 * sim.Second})
+	s := New(b, Config{})
 	s.Start()
 	s.AddTenant("t", 1)
 	id := submitN(t, s, "t", 1, JobSpec{Workers: 2, CoresPerWorker: 2,
@@ -361,7 +361,7 @@ func TestSpotReplacementsSurviveMapDrainShrink(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
 	b.AddCloud("c0", 32, 1, 0.10)
-	s := New(b, Config{ElasticInterval: 10 * sim.Second, DeadlineMargin: 10 * sim.Second})
+	s := New(b, Config{})
 	s.Start()
 	s.AddTenant("t", 1)
 	id := submitN(t, s, "t", 1, JobSpec{Workers: 2, CoresPerWorker: 2,

@@ -37,6 +37,10 @@ type ReplayConfig struct {
 	// backfill...). Replay never calls Scheduler.Start, so the knobs that
 	// act through the elastic pass (EnableConsolidation, and preemption's
 	// forced evictions of overrunning jobs) change nothing here.
+	// Reservation aging is audited only on the cycles the trace's events
+	// trigger, with no elastic ticker adding cycles between them. Without
+	// preemption, the ledger leases an aged reservation drops reach only
+	// the growth probes of spot replacements.
 	Sched sched.Config
 	// OverrunSigma > 0 installs SimBackend.UseLogNormalOverrun(OverrunMu,
 	// OverrunSigma): estimates stay exact at the median while the right
