@@ -97,8 +97,8 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 // rather than batch drain: Poisson arrivals (kernel-RNG exponential
 // inter-arrival times, deterministic per seed) at ~80% steady-state
 // utilisation over four 64-core clouds, with periodic wide jobs that block
-// and exercise the blocked-head watermark — the scenario where most queued
-// jobs provably cannot fit and placement must be skipped, not recomputed.
+// and exercise the entry slot test — the scenario where most queued jobs
+// provably cannot fit and placement must be skipped, not recomputed.
 // Reports ns/job across the whole run (every job is one dispatch decision
 // plus its share of cycle overhead).
 func BenchmarkSchedulerSteadyState(b *testing.B) {

@@ -14,7 +14,7 @@ import (
 type TraceEvent struct {
 	Cycle   int64   // scheduler cycle number the decision happened in
 	At      int64   // virtual kernel time, microseconds
-	Kind    string  // dispatch, dispatch_backfill, reserve, block, wake, preempt, forced_preempt, consolidate, relocate, ...
+	Kind    string  // dispatch, dispatch_backfill, reserve, block, preempt, forced_preempt, consolidate, relocate, ...
 	Tenant  string  // owning tenant, if any
 	Job     string  // job ID, if any
 	Cloud   string  // primary / target cloud

@@ -51,7 +51,7 @@ func TestTraceSinkMatchesRing(t *testing.T) {
 	tr := NewTracer(16)
 	tr.SetSink(&sink)
 	for i := 0; i < 5; i++ {
-		tr.Emit(TraceEvent{Cycle: int64(i), At: int64(i) * 10, Kind: "wake", Job: "J"})
+		tr.Emit(TraceEvent{Cycle: int64(i), At: int64(i) * 10, Kind: "block", Job: "J"})
 	}
 	var ring bytes.Buffer
 	tr.WriteJSONL(&ring)

@@ -178,9 +178,10 @@ func (s *Scheduler) removeReleases(j *Job) {
 }
 
 // addRelease adds a release entry's cores to dst, a vector indexed like
-// the view, at its cloud's position.
-func (s *Scheduler) addRelease(v *CloudView, dst []int, r coreRelease) {
-	if p := v.Pos(s.clouds[r.cloud].name); p >= 0 {
+// the last refreshed view (reserve's what-if copy shares its index), at
+// the position refreshView recorded for its cloud's row.
+func (s *Scheduler) addRelease(dst []int, r coreRelease) {
+	if p := s.clouds[r.cloud].pos; p >= 0 {
 		dst[p] += r.cores
 	}
 }
@@ -212,12 +213,12 @@ func (s *Scheduler) reserve(j *Job, v *CloudView) (reservation, bool) {
 			at = rel[i].at
 		} else {
 			for _, r := range rel[:overdue] {
-				s.addRelease(av, av.free, r)
+				s.addRelease(av.free, r)
 			}
 			pending = false
 		}
 		for ; i < len(rel) && rel[i].at == at; i++ {
-			s.addRelease(av, av.free, rel[i])
+			s.addRelease(av.free, rel[i])
 		}
 		// whatIfPlan's slot test is one pass over the free vector, so a long
 		// release list costs O(instants × clouds) until the first instant
@@ -246,7 +247,7 @@ func (s *Scheduler) sumReleasesAt(v *CloudView, at sim.Time) {
 		if r.at <= now && at < now+sim.Second {
 			continue // overdue: not released before now + 1 s
 		}
-		s.addRelease(v, s.relSumAtResv, r)
+		s.addRelease(s.relSumAtResv, r)
 	}
 }
 
@@ -404,7 +405,7 @@ func (s *Scheduler) fitRow(v *CloudView, cpw int) fitRow {
 // it: planEstimateSeconds divides j.estimate() by a member speed of at most
 // speedMax and adds only non-negative input and shuffle terms, and float
 // division, float addition and FromSeconds are monotone (within sim.Time's
-// range). Like canFit, this holds for plans that fit the view.
+// range). Like the slot test, this holds for plans that fit the view.
 func (s *Scheduler) backfillDoomed(j *Job, r fitRow) bool {
 	return j.workers() > r.extra &&
 		s.K.Now()+sim.FromSeconds(j.estimate()/s.fit.speedMax) > s.resv.at

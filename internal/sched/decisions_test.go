@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -30,16 +31,16 @@ import (
 //
 //	go test ./internal/sched -run TestDecisionsGolden -args -golden.dump=DIR
 const (
-	goldenPlainTrace  = "105604a4f032ec1d25ed1cfcd451739ed37ac59dff0cff0d801cbfe3465e2c18"
-	goldenPlainLen    = 22047730
+	goldenPlainTrace  = "ae4146cd3f81d80c008b628381269d19061c7b0bc73363b68a15e3b182a6092a"
+	goldenPlainLen    = 275488
 	goldenPlainShares = "e0e4cb1d2dabf2643cb9cde2a8f421932f62a5a3a181bce334c7e750b5ada877"
 
-	goldenStormTrace  = "a9b55a659a9a63233f84a14273302c703f13fdec44f679ac9801cec77040018e"
-	goldenStormLen    = 22220677
+	goldenStormTrace  = "fb613f52d1cde305ee92033a9ff7088154ba733434b58361e0fd6bacbfaacc99"
+	goldenStormLen    = 273521
 	goldenStormShares = "e4a0f34afebfac3fd3ade4e156a4a5522dad2080c601abde08698523b5c7a2f5"
 
-	goldenEvictTrace     = "76e827c67ddc81d408b83ffaf98ce8e48e4f433317af4b425fa25734e6b83f14"
-	goldenEvictLen       = 1696670
+	goldenEvictTrace     = "d50ea37d2fbebc1fca28797261b8b2711cbe7d531410e08a4bbc1f3fde1b9621"
+	goldenEvictLen       = 76845
 	goldenEvictEvictions = 45
 )
 
@@ -227,6 +228,33 @@ func requireKinds(t *testing.T, trace []byte, kinds ...string) {
 	}
 }
 
+// requireBlockOncePerStay fails unless the trace has block records, no
+// wake records, and at most one block per job between two of its
+// dispatches: block marks the first check of a queued stay that finds the
+// job unplaceable, and later checks in the stay leave no record.
+func requireBlockOncePerStay(t *testing.T, trace []byte) {
+	t.Helper()
+	requireKinds(t, trace, "block")
+	blocked := make(map[string]bool)
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		var ev struct{ Kind, Job string }
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		switch ev.Kind {
+		case "wake":
+			t.Fatalf("trace has a wake record: %s", line)
+		case "block":
+			if blocked[ev.Job] {
+				t.Fatalf("second block for %s in one queued stay: %s", ev.Job, line)
+			}
+			blocked[ev.Job] = true
+		case "dispatch", "dispatch_backfill":
+			delete(blocked, ev.Job)
+		}
+	}
+}
+
 // checkTraceDigest compares the trace against its pinned digest and length,
 // first writing it to -golden.dump as name.jsonl when that flag is set.
 func checkTraceDigest(t *testing.T, name string, trace []byte, wantDigest string, wantLen int) {
@@ -254,6 +282,7 @@ func TestDecisionsGolden(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		trace, shares := decisionWorkload(t, false)
 		requireKinds(t, trace, "dispatch", "reserve", "preempt")
+		requireBlockOncePerStay(t, trace)
 		checkTraceDigest(t, "plain", trace, goldenPlainTrace, goldenPlainLen)
 		if got := sharesDigest(shares); got != goldenPlainShares {
 			t.Fatalf("final shares moved: got digest %s, want %s", got, goldenPlainShares)
@@ -262,6 +291,7 @@ func TestDecisionsGolden(t *testing.T) {
 	t.Run("storm", func(t *testing.T) {
 		trace, shares := decisionWorkload(t, true)
 		requireKinds(t, trace, "outage", "requeue", "restore")
+		requireBlockOncePerStay(t, trace)
 		checkTraceDigest(t, "storm", trace, goldenStormTrace, goldenStormLen)
 		if got := sharesDigest(shares); got != goldenStormShares {
 			t.Fatalf("final shares moved: got digest %s, want %s", got, goldenStormShares)
@@ -270,6 +300,7 @@ func TestDecisionsGolden(t *testing.T) {
 	t.Run("eviction_storm", func(t *testing.T) {
 		trace, evictions := evictionStormWorkload(t)
 		requireKinds(t, trace, "preempt", "forced_preempt")
+		requireBlockOncePerStay(t, trace)
 		if evictions != goldenEvictEvictions {
 			t.Fatalf("%d evictions, want %d", evictions, goldenEvictEvictions)
 		}

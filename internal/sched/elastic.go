@@ -47,8 +47,9 @@ func (s *Scheduler) elasticTick() {
 			float64(s.K.Now()-j.Started) > preemptOverrunFactor*float64(j.estDuration) &&
 			s.feedsReservation(j) {
 			var price float64
-			if s.tr != nil { // Shares/EntitledShares allocate; price only feeds the trace
-				price = s.evictPrice(j, s.K.Now(), s.Shares(), s.EntitledShares())
+			if s.tr != nil { // pricing walks every tenant; price only feeds the trace
+				s.computeShares(s.K.Now())
+				price = evictPrice(j, s.K.Now())
 			}
 			s.m.forcedPreemptions.Inc()
 			s.shields = append(s.shields, s.evict(j, s.resv.at, price, "forced_preempt")...)

@@ -33,21 +33,20 @@ type Tenant struct {
 	// question placement scoring asks of the pattern map, kept here so the
 	// per-candidate scoring loops skip the string map lookup.
 	boosted bool
+	// share and entitled are the tenant's Shares and EntitledShares values
+	// as of the last computeShares call: eviction prices read them.
+	share, entitled float64
 }
 
-// queueEntry is one queued job with its blocked-head watermark record: wake
-// is the freed-core clock reading (Scheduler.freedCum) at which enough cores
-// will have freed to possibly fit the job again, or noWake while the job has
-// no record (see Scheduler.canFit). Keeping the record here, not on the Job,
-// lets the cycle step over blocked jobs without loading them.
+// queueEntry is one queued job with its gang shape: w workers of cpw cores
+// each (Job.workers and Job.coresPerWorker, fixed at Submit), with w = 0
+// and cpw = 1 for an external job, which takes no capacity from the view.
+// Keeping the shape here, not only on the Job, lets the cycle run the slot
+// test and step over jobs that fail it without loading them.
 type queueEntry struct {
-	job  *Job
-	wake int64
+	job    *Job
+	w, cpw int32
 }
-
-// noWake marks a queue entry without a watermark record: every clock
-// reading reaches it.
-const noWake = math.MinInt64
 
 // decay brings the tenant's charged usage forward to now under the
 // configured half-life: usage halves every UsageHalfLife of wall time, so a
@@ -173,55 +172,59 @@ func (s *Scheduler) trueUp(t *Tenant, j *Job, now sim.Time) {
 	t.delivered += actual
 }
 
-// Shares returns each tenant's fraction of delivered core-seconds
-// (including running jobs' elapsed time at the sizes they actually held),
-// the quantity that converges to the configured weights under saturation.
+// computeShares sets every tenant's share to its fraction of delivered
+// core-seconds now (including running jobs' elapsed time at the sizes they
+// actually held) and its entitled share to its weight over the total.
 // Finished work is read from the per-tenant delivered aggregates and live
-// work from the running list — no walk over finished jobs.
-func (s *Scheduler) Shares() map[string]float64 {
-	now := s.K.Now()
-	raw := make(map[string]float64, len(s.tenants))
-	for name, t := range s.tenants {
-		raw[name] = t.delivered
+// work from the running list — no walk over finished jobs, and no map.
+// Totals are summed in name-sorted tenant order, not map iteration order:
+// the shares feed eviction prices (traced, and a sort key for victim
+// selection), where a last-ulp wobble from a randomized accumulation order
+// shows up as run-to-run nondeterminism.
+func (s *Scheduler) computeShares(now sim.Time) {
+	for _, t := range s.tenantList {
+		t.share = t.delivered
 	}
 	for _, j := range s.running {
 		if j.State == Running {
-			raw[j.Spec.Tenant] += j.runCoreSeconds(now)
+			j.tref.share += j.runCoreSeconds(now)
 		}
 	}
-	// Sum in name-sorted tenant order, not map iteration order: the total
-	// feeds eviction prices (traced, and a sort key for victim selection),
-	// where a last-ulp wobble from a randomized accumulation order shows up
-	// as run-to-run nondeterminism.
-	var total float64
+	var total, weights float64
 	for _, t := range s.tenantList {
-		total += raw[t.Name]
+		total += t.share
+		weights += t.Weight
 	}
-	out := make(map[string]float64, len(raw))
-	for name, v := range raw {
+	for _, t := range s.tenantList {
 		if total > 0 {
-			out[name] = v / total
+			t.share /= total
 		} else {
-			out[name] = 0
+			t.share = 0
 		}
+		t.entitled = 0
+		if weights > 0 {
+			t.entitled = t.Weight / weights
+		}
+	}
+}
+
+// Shares returns each tenant's fraction of delivered core-seconds, the
+// quantity that converges to the configured weights under saturation.
+func (s *Scheduler) Shares() map[string]float64 {
+	s.computeShares(s.K.Now())
+	out := make(map[string]float64, len(s.tenantList))
+	for _, t := range s.tenantList {
+		out[t.Name] = t.share
 	}
 	return out
 }
 
-// EntitledShares returns the weight-proportional target shares. Weights
-// are summed in name-sorted tenant order for the reason Shares gives: with
-// fractional weights a map-order total differs in the last bit between
-// calls.
+// EntitledShares returns the weight-proportional target shares.
 func (s *Scheduler) EntitledShares() map[string]float64 {
-	var total float64
-	for _, t := range s.tenantList {
-		total += t.Weight
-	}
+	s.computeShares(s.K.Now())
 	out := make(map[string]float64, len(s.tenantList))
 	for _, t := range s.tenantList {
-		if total > 0 {
-			out[t.Name] = t.Weight / total
-		}
+		out[t.Name] = t.entitled
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Tests for the incremental scheduler core: finished jobs' visibility, the
-// maintained release list, and the blocked-head watermark.
+// maintained release list, and the entry slot test.
 
 // TestArchiveVisibility: finished jobs stay fully visible through Poll,
 // alongside queued and running ones.
@@ -54,6 +54,23 @@ func TestArchiveVisibility(t *testing.T) {
 	if s.Completed() != 3 {
 		t.Errorf("completed=%d, want 3", s.Completed())
 	}
+	// A rejected submission uses up a sequence number but leaves no job,
+	// and an ID that names no submission finds nothing.
+	if _, err := s.Submit(JobSpec{Tenant: "t", Workers: 16, EstimateSeconds: 1}); err == nil {
+		t.Fatal("a 16-core job was admitted to an 8-core federation")
+	}
+	last, err := s.Submit(JobSpec{Tenant: "t", Workers: 1, EstimateSeconds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Poll(last); !ok || last != "J5" {
+		t.Errorf("job %s after a rejected J4 invisible (ok=%v), want J5", last, ok)
+	}
+	for _, id := range []string{"J4", "J6", "J0", "J-1", "J01", "X1", "J", ""} {
+		if _, ok := s.Poll(id); ok {
+			t.Errorf("Poll(%q) found a job", id)
+		}
+	}
 }
 
 // TestSharesAcrossArchive: delivered shares integrate finished (archived)
@@ -96,8 +113,8 @@ func closeTo(a, b float64) bool {
 }
 
 // TestWatermarkExactDemand: a completion that frees exactly the blocked
-// job's demand must dispatch it at that instant — the watermark may skip
-// placement only while the job provably cannot fit.
+// job's demand must dispatch it at that instant — the slot test may step
+// over the job only while it provably cannot fit.
 func TestWatermarkExactDemand(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
@@ -123,15 +140,15 @@ func TestWatermarkExactDemand(t *testing.T) {
 		t.Fatalf("blocked job state = %v, want done", bi.State)
 	}
 	if bi.Started != si.Finished {
-		t.Errorf("blocked job started at %v, want the short job's completion %v (watermark stranded it)",
+		t.Errorf("blocked job started at %v, want the short job's completion %v (the slot test stranded it)",
 			bi.Started, si.Finished)
 	}
 }
 
 // TestWatermarkAccumulatesFrees: a wide blocked job must dispatch once
 // several small completions have cumulatively freed its demand, even though
-// each individual completion frees less than it needs (the skip condition
-// integrates gains; it never compares against a single completion).
+// each individual completion frees less than it needs (the slot test reads
+// the whole free vector; it never compares against a single completion).
 func TestWatermarkAccumulatesFrees(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
@@ -228,7 +245,7 @@ func oracleSteps(s *Scheduler, v *CloudView) []releaseStep {
 func checkReleaseReaders(t *testing.T, s *Scheduler) (instants, overdue int) {
 	t.Helper()
 	var v CloudView
-	v.Reset(s.B.AppendClouds(nil))
+	s.refreshView(&v)
 	clear(v.free) // the walk's frees are then the release sums alone
 	want := oracleSteps(s, &v)
 	rec := &recordingPolicy{}
@@ -323,7 +340,10 @@ func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 		j := &Job{ID: id, seq: seq, Spec: JobSpec{Tenant: "t", Workers: 1}, State: Running,
 			Started: started, estDuration: est, dispatched: true,
 			Plan: Plan{Members: members}}
-		s.jobs[id] = j
+		for len(s.jobs) < seq {
+			s.jobs = append(s.jobs, nil)
+		}
+		s.jobs[seq-1] = j
 		s.addRunning(j)
 		s.insertReleases(j)
 		return j

@@ -14,6 +14,7 @@ import (
 // launch failures, and external jobs. A queued job sits in exactly one
 // tenant queue; a running one is in the running list and, unless external,
 // has one release entry per plan member; a finished one is in none of them.
+// Every queue entry carries its job's gang shape.
 func TestLifecycleIndexes(t *testing.T) {
 	k := sim.NewKernel(3)
 	b := NewSimBackend(k)
@@ -70,9 +71,56 @@ func TestLifecycleIndexes(t *testing.T) {
 		steps, s.Preemptions(), s.LaunchRetries(), s.OutageRequeues())
 }
 
+// TestExternalEntryBehindReservation: an external job takes no capacity,
+// so its queue entry has the fixed shape w = 0, cpw = 1 whatever its spec
+// says. Behind a held reservation it passes the slot test and dispatches,
+// even when its CoresPerWorker does not fit in 32 bits and an entry of
+// another worker size precedes it.
+func TestExternalEntryBehindReservation(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := NewSimBackend(k)
+	b.AddCloud("c0", 8, 1, 0.10)
+	s := New(b, Config{})
+	shift := 32 // a variable shift builds where int has 32 bits too
+	var ids []string
+	for _, spec := range []JobSpec{
+		{Workers: 3, CoresPerWorker: 2, EstimateSeconds: 100}, // leaves 2 of 8 cores free
+		{Workers: 4, CoresPerWorker: 2, EstimateSeconds: 50},  // the head: reserves
+		{Workers: 2, CoresPerWorker: 2, EstimateSeconds: 50},  // fails the slot test
+		{Workers: 2, CoresPerWorker: 1 << shift, EstimateSeconds: 10,
+			Run: func(done func(error)) { k.Schedule(10*sim.Second, func() { done(nil) }) }},
+	} {
+		spec.Tenant = "t"
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	steps, held := 0, false
+	for k.Step() {
+		steps++
+		checkLifecycleIndexes(t, s, steps)
+		if t.Failed() {
+			return
+		}
+		if k.Now() == 0 && s.resv != nil {
+			held = true
+			if ext := s.jobByID(ids[3]); ext.State != Running {
+				t.Fatalf("external job is %v behind the reservation, want Running", ext.State)
+			}
+		}
+	}
+	if !held || s.Completed() != 4 {
+		t.Fatalf("reservation held at 0: %v, completed=%d; want true and 4", held, s.Completed())
+	}
+}
+
 // checkLifecycleIndexes fails the test unless every job is in exactly the
-// structures its State implies, the running list is in submission order,
-// and the queue counter and both job gauges match the structures.
+// structures its State implies, every queue entry's w and cpw match its
+// job's workers and cores per worker (w = 0 and cpw = 1 for an external
+// job), the running list is in submission order, and the queue counter and
+// both job gauges match the structures.
 func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 	t.Helper()
 	inQueue := make(map[*Job]int)
@@ -82,6 +130,14 @@ func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 			inQueue[e.job]++
 			if e.job.Spec.Tenant != tn.Name {
 				t.Errorf("step %d: %s queued under tenant %s", step, e.job.ID, tn.Name)
+			}
+			w, cpw := e.job.workers(), e.job.coresPerWorker()
+			if e.job.Spec.External() {
+				w, cpw = 0, 1
+			}
+			if int(e.w) != w || int(e.cpw) != cpw {
+				t.Errorf("step %d: %s's queue entry has w=%d cpw=%d, want %d and %d",
+					step, e.job.ID, e.w, e.cpw, w, cpw)
 			}
 		}
 		queued += len(tn.queue)
@@ -99,6 +155,9 @@ func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 	}
 	wantReleases := 0
 	for _, j := range s.jobs {
+		if j == nil {
+			continue // a rejected submission
+		}
 		wantQ, wantR, wantRel := 0, 0, 0
 		switch j.State {
 		case Queued:

@@ -10,11 +10,11 @@ import (
 // int stats lives on registry counters now (atomic, so the elastic loop
 // goroutine and stat readers no longer race), the queue and running-set
 // sizes are gauges, and each cycle's wall-clock cost is split into phase
-// histograms. Decision tracing (dispatch, reserve, block/wake, preemption,
-// consolidation) goes through the optional obs.Tracer in Config.Trace —
-// every emission site is guarded by a nil check so untraced runs pay
-// nothing, and events carry only virtual-time state so same-seed runs
-// produce byte-identical traces.
+// histograms. Decision tracing (dispatch, reserve, block once per queued
+// stay, preemption, consolidation) goes through the optional obs.Tracer in
+// Config.Trace — every emission site is guarded by a nil check so untraced
+// runs pay nothing, and events carry only virtual-time state so same-seed
+// runs produce byte-identical traces.
 
 // phaseBuckets are the per-cycle phase timing bounds in seconds: cycles run
 // microseconds to tens of milliseconds, so the grid is log-spaced from 1 µs

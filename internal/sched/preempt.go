@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/capacity"
 	"repro/internal/obs"
@@ -60,18 +61,25 @@ func preemptible(j *Job) bool {
 // by the victim tenant's share deficit. deficit = entitled − delivered, so
 // an underserved tenant's jobs are expensive (they are owed capacity) and
 // an overserved tenant's cheap. The factor is floored so price stays
-// ordered by remaining work even at extreme surpluses.
-func (s *Scheduler) evictPrice(j *Job, now sim.Time, shares, entitled map[string]float64) float64 {
+// ordered by remaining work even at extreme surpluses. It reads the shares
+// the last computeShares call left on the tenant.
+func evictPrice(j *Job, now sim.Time) float64 {
 	remaining := (j.Started + j.estDuration - now).Seconds()
 	if remaining < 0 {
 		remaining = 0
 	}
 	work := remaining * float64(j.coresNow)
-	factor := 1 + (entitled[j.Spec.Tenant] - shares[j.Spec.Tenant])
+	factor := 1 + (j.tref.entitled - j.tref.share)
 	if factor < 0.1 {
 		factor = 0.1
 	}
 	return work * factor
+}
+
+// evictCandidate is one eviction candidate with its price.
+type evictCandidate struct {
+	job   *Job
+	price float64
 }
 
 // chooseVictims picks the cheapest set of backfilled jobs whose freed cores
@@ -79,48 +87,47 @@ func (s *Scheduler) evictPrice(j *Job, now sim.Time, shares, entitled map[string
 // price and added to a what-if view one at a time until whatIfPlan produces
 // a plan. nil when even evicting every candidate leaves the head
 // unplaceable (the eviction would be pure waste, so none happens).
-func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]float64) {
+func (s *Scheduler) chooseVictims(head *Job, v *CloudView) []evictCandidate {
 	cand := s.evictCand[:0]
 	for _, j := range s.running {
 		if j != head && preemptible(j) {
-			cand = append(cand, j)
+			cand = append(cand, evictCandidate{job: j})
 		}
 	}
 	s.evictCand = cand
 	if len(cand) == 0 {
-		return nil, nil
+		return nil
 	}
 	now := s.K.Now()
-	shares, entitled := s.Shares(), s.EntitledShares()
-	prices := make(map[*Job]float64, len(cand))
-	for _, j := range cand {
-		prices[j] = s.evictPrice(j, now, shares, entitled)
+	s.computeShares(now)
+	for i := range cand {
+		cand[i].price = evictPrice(cand[i].job, now)
 	}
-	sort.Slice(cand, func(i, k int) bool {
-		if prices[cand[i]] != prices[cand[k]] {
-			return prices[cand[i]] < prices[cand[k]]
+	slices.SortFunc(cand, func(a, b evictCandidate) int {
+		if c := cmp.Compare(a.price, b.price); c != 0 {
+			return c
 		}
-		return cand[i].seq < cand[k].seq // determinism
+		return cmp.Compare(a.job.seq, b.job.seq) // determinism
 	})
 	av := &s.whatIf
 	av.shareIndex(v)
-	for n, victim := range cand {
+	for n, c := range cand {
 		// Only the victim's base plan is credited to the what-if view: the
 		// scheduler does not know which clouds host its elastic extras, and
 		// under-crediting is the safe direction — at worst one more victim
 		// than strictly necessary is evicted, never a head that cannot
 		// actually start.
-		cpw := victim.coresPerWorker()
-		for _, m := range victim.Plan.Members {
+		cpw := c.job.coresPerWorker()
+		for _, m := range c.job.Plan.Members {
 			if p := av.Pos(m.Cloud); p >= 0 {
 				av.free[p] += m.Workers * cpw
 			}
 		}
 		if plan := s.whatIfPlan(head, av); !plan.Empty() {
-			return cand[:n+1], prices
+			return cand[:n+1]
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // preemptOutcome reports what the eviction pass did.
@@ -145,21 +152,20 @@ const (
 // with a refreshed view. preemptNone leaves everything as it was (no
 // victim is evicted unless the head provably starts).
 func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcome {
-	victims, prices := s.chooseVictims(head, v)
+	victims := s.chooseVictims(head, v)
 	if victims == nil {
 		return preemptNone
 	}
 	now := s.K.Now()
 	var shields []*capacity.Lease
-	for _, victim := range victims {
-		shields = append(shields, s.evict(victim, now, prices[victim], "preempt")...)
+	for _, c := range victims {
+		shields = append(shields, s.evict(c.job, now, c.price, "preempt")...)
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): refresh the view, which hides
 	// quarantined clouds like the cycle start's, and place the head. The
-	// refresh also advances the watermark clock by the mid-cycle frees:
-	// whatever the head does not consume would otherwise never wake other
-	// blocked jobs.
+	// slot test reads the refreshed vector, so whatever the head does not
+	// consume is open to the jobs behind it in this same cycle.
 	s.refreshView(v)
 	plan := s.cfg.Placement.Choose(s, head, v)
 	if plan.Empty() {

@@ -11,7 +11,7 @@ import (
 
 // Tests for revocable placement: spot-priced preemption, reservation aging,
 // reservation recompute across unchanged cycles, consolidation of running
-// spanning gangs, and the blocked-job watermark under a single-cloud policy.
+// spanning gangs, and the entry slot test under a single-cloud policy.
 
 // liarBackend returns a backend where jobs named "liar" run `factor` times
 // their estimate — the optimistic-estimate workload that makes reservations
@@ -291,10 +291,9 @@ func TestReservationStableAcrossIdleCycles(t *testing.T) {
 }
 
 // TestRandomPlacementExactStartUnderChurn: under the single-cloud random
-// policy, churn on a cloud too small to ever host the job wakes the
-// watermark without placing it (the exact fit precheck keeps the RNG
-// stream untouched), and the job dispatches exactly when the eligible
-// cloud frees up.
+// policy, churn on a cloud too small to ever host the job frees cores
+// without placing it (the slot test keeps the RNG stream untouched), and
+// the job dispatches exactly when the eligible cloud frees up.
 func TestRandomPlacementExactStartUnderChurn(t *testing.T) {
 	k := sim.NewKernel(3)
 	b := NewSimBackend(k)
@@ -319,17 +318,18 @@ func TestRandomPlacementExactStartUnderChurn(t *testing.T) {
 		t.Fatalf("blocked job state %v", bi.State)
 	}
 	if bi.Started != hi.Finished {
-		t.Errorf("blocked job started at %v, want big's release %v (the watermark stranded it)",
+		t.Errorf("blocked job started at %v, want big's release %v (the slot test stranded it)",
 			bi.Started, hi.Finished)
 	}
-	woke := 0
+	churn := 0
 	for _, ev := range tr.Events() {
-		if ev.Kind == "wake" && ev.Job == blocked && sim.Time(ev.At) < hi.Finished {
-			woke++
+		if (ev.Kind == "dispatch" || ev.Kind == "dispatch_backfill") && ev.Cloud == "small" &&
+			sim.Time(ev.At) >= bi.Submitted && sim.Time(ev.At) < hi.Finished {
+			churn++
 		}
 	}
-	if woke == 0 {
-		t.Error("small's churn never woke the blocked job before big freed up; scenario broken")
+	if churn == 0 {
+		t.Error("nothing dispatched on small between the blocked job's submission and big's release; scenario broken")
 	}
 }
 
@@ -466,7 +466,7 @@ func TestPreemptionEvictedOnly(t *testing.T) {
 		if cycle < 0 && ev.Kind == "preempt" {
 			cycle = ev.Cycle
 		}
-		if ev.Cycle == cycle && ev.Kind != "block" && ev.Kind != "wake" {
+		if ev.Cycle == cycle && ev.Kind != "block" {
 			got = append(got, fmt.Sprintf("%s %s %d", ev.Kind, ev.Job, ev.Start/1e6))
 		}
 	}

@@ -160,6 +160,9 @@ type Job struct {
 	creditFrac float64
 	// relocating guards one in-flight consolidation migration per job.
 	relocating bool
+	// blocked marks a queued stay whose block record is written: only
+	// traced runs read it (see traceBlock).
+	blocked bool
 	// outageRequeuedAt stamps the instant an outage tore this job off a
 	// failed cloud; the next dispatch observes the gap as its recovery time.
 	// retryAt holds the job in the queue until a transient launch failure's
@@ -476,9 +479,9 @@ type Config struct {
 	// creates a private registry (the scheduler always runs instrumented;
 	// read it back with Scheduler.Obs).
 	Obs *obs.Registry
-	// Trace records scheduler decisions (dispatch, reservation, watermark
-	// block/wake, preemption with victim pricing, consolidation) into the
-	// given tracer. Nil disables tracing.
+	// Trace records scheduler decisions (dispatch, reservation, the first
+	// block of each queued stay, preemption with victim pricing,
+	// consolidation) into the given tracer. Nil disables tracing.
 	Trace *obs.Tracer
 }
 
@@ -509,12 +512,11 @@ func (c Config) maxSlips() int {
 // each job's State, and per-cycle structures (cloud view, placement member
 // buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
 // already finished. A cycle still pays per queued job: once the blocked
-// head holds its reservation, one comparison against the queue entry's
-// watermark for each job whose watermark is closed, and a visit for each
-// job whose watermark is open. The visit reads its slot sum from the fit
-// table, which sums the free vector once per worker size after each
-// dispatch rather than once per job; only a job the slot test passes pays,
-// behind the reservation, the backfill bound, and then placement.
+// head holds its reservation, the slot test on each queue entry, which
+// compares the entry's worker count with the fit table's slot sum for its
+// worker size (the table sums the free vector once per worker size after
+// each dispatch rather than once per job), and a visit for each job that
+// passes it: the job's first load, the backfill bound and then placement.
 type Scheduler struct {
 	K   *sim.Kernel
 	B   Backend
@@ -524,10 +526,12 @@ type Scheduler struct {
 	tenantList []*Tenant // name-sorted; nextTenant scans this, not the map
 	seq        int
 
-	// jobs finds every job ever submitted by ID (Poll, events); no cycle
-	// walks it. running lists running jobs in submission order (the elastic
-	// pass and Shares iterate it instead of scanning history).
-	jobs    map[string]*Job
+	// jobs holds every job ever submitted at its sequence number less one,
+	// nil for a rejected submission, so Poll and events find a job by
+	// parsing its ID (see jobByID); no cycle walks it. running lists
+	// running jobs in submission order (the elastic pass and Shares iterate
+	// it instead of scanning history).
+	jobs    []*Job
 	running []*Job
 	nQueued int
 
@@ -564,20 +568,14 @@ type Scheduler struct {
 	releases []coreRelease
 
 	// clouds is the cloud table, append-only in first-seen order: release
-	// entries name their cloud by row, and each row keeps the cloud's free
-	// cores in the last working view that held it (see refreshView).
+	// entries name their cloud by row, and each row keeps the cloud's
+	// position in the last refreshed view (see refreshView).
 	clouds []cloudRow
-
-	// freedCum is the blocked-head watermark's clock: the cumulative free
-	// cores gained at view refreshes (completions, shrinks, revocations,
-	// resizes, evictions — measured as snapshot-vs-previous-working-view,
-	// so capacity added behind the scheduler's back counts too).
-	freedCum int64
 
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
-	whatIf       CloudView // what-if copy of the view (reserve's walk, chooseVictims)
-	evictCand    []*Job    // preemption victim-candidate scratch
+	whatIf       CloudView        // what-if copy of the view (reserve's walk, chooseVictims)
+	evictCand    []evictCandidate // preemption victim-candidate scratch
 	snapScratch  []CloudInfo
 	runScratch   []*Job // elasticTick iteration copy
 	relSumAtResv []int  // per-cloud release sum at resv.at (backfill)
@@ -654,7 +652,6 @@ func New(b Backend, cfg Config) *Scheduler {
 		B:         b,
 		cfg:       cfg.withDefaults(),
 		tenants:   make(map[string]*Tenant),
-		jobs:      make(map[string]*Job),
 		patternOf: make(map[string]string),
 		m:         newSchedMetrics(cfg.Obs),
 		tr:        cfg.Trace,
@@ -681,8 +678,21 @@ func (s *Scheduler) Sync(fn func()) {
 	fn()
 }
 
-// jobByID looks a job up by ID, whatever its state.
-func (s *Scheduler) jobByID(id string) *Job { return s.jobs[id] }
+// jobByID looks a job up by ID, whatever its state. An ID is "J" and the
+// job's sequence number, which indexes s.jobs; anything else finds nothing.
+func (s *Scheduler) jobByID(id string) *Job {
+	if id == "" {
+		return nil
+	}
+	n, err := strconv.Atoi(id[1:])
+	if err != nil || n < 1 || n > len(s.jobs) {
+		return nil
+	}
+	if j := s.jobs[n-1]; j != nil && j.ID == id {
+		return j
+	}
+	return nil
+}
 
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
@@ -754,10 +764,11 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	if !spec.External() {
 		if fits, have := s.fitsFederation(j); !fits {
 			s.jobArena = s.jobArena[:len(s.jobArena)-1]
+			s.jobs = append(s.jobs, nil)
 			return "", fmt.Errorf("sched: job needs %d cores; the whole federation can gang at most %d", j.Cores(), have)
 		}
 	}
-	s.jobs[j.ID] = j
+	s.jobs = append(s.jobs, j)
 	s.enqueue(t, j)
 	s.ensureElastic()
 	s.kick()
@@ -824,11 +835,10 @@ func (s *Scheduler) kick() {
 // against fresh estimates.
 //
 // The pass runs over the per-cycle CloudView (one indexed snapshot shared
-// by every score, price, and estimate) and the maintained release list;
-// jobs recorded as unplaceable skip placement entirely until enough cores
-// have been freed to possibly fit them (the blocked-head watermark), and
-// behind the reservation a job the backfill bound proves the gate would
-// refuse skips it too (backfillDoomed).
+// by every score, price, and estimate) and the maintained release list.
+// Behind the reservation, queue entries whose gang fails the slot test are
+// stepped over without loading their jobs, and a job the backfill bound
+// proves the gate would refuse skips placement too (backfillDoomed).
 func (s *Scheduler) cycle() {
 	s.cyclePending = false
 	s.cycleNum++
@@ -846,6 +856,7 @@ func (s *Scheduler) cycle() {
 	v := &s.view
 	s.refreshView(v)
 	s.decayTenants()
+	traced := s.tr != nil
 	var t *Tenant // the tenant being served; nil asks nextTenant for one
 	for {
 		// nextTenant's keys and candidates move only when a job dispatches,
@@ -857,13 +868,24 @@ func (s *Scheduler) cycle() {
 			}
 		}
 		if s.resv != nil {
-			// Behind a held reservation a closed watermark decides nothing
-			// (placement would fail and the job be stepped over), so skip
-			// on the queue entry alone. Before the reservation exists the
-			// blocked head must still reach reserve below.
+			// Behind a held reservation a gang that fails the slot test
+			// decides nothing (no plan fits, and the job is stepped over),
+			// so step over it on the queue entry alone. Before the
+			// reservation exists the blocked head must still reach reserve
+			// below. Nothing dispatches during the walk, so the last worker
+			// size's slot sum stays the fit table's answer.
 			q, i := t.queue, t.scan
-			for i < len(q) && q[i].wake > s.freedCum {
-				i++
+			cpw, slots := int32(0), 0
+			for ; i < len(q); i++ {
+				if q[i].cpw != cpw {
+					cpw, slots = q[i].cpw, s.fitRow(v, int(q[i].cpw)).slots
+				}
+				if int(q[i].w) <= slots {
+					break
+				}
+				if traced {
+					s.traceBlock(t, q[i].job)
+				}
 			}
 			if t.scan = i; i == len(q) {
 				continue
@@ -884,32 +906,17 @@ func (s *Scheduler) cycle() {
 			continue
 		}
 		var plan Plan
-		if s.canFit(e) {
-			if e.wake != noWake && s.tr != nil {
-				// The watermark opened: enough cores freed since the block
-				// record to possibly fit the job again.
-				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
-					Workers: j.workers(), Cores: j.Cores()})
+		if fr := s.fitRow(v, int(e.cpw)); fr.slots >= int(e.w) {
+			if s.resv != nil && s.memoable && s.backfillDoomed(j, fr) {
+				// backfillOK would refuse whatever Choose returns: step
+				// over the job as that refusal below does, unplaced.
+				t.scan++
+				continue
 			}
-			w, fr := j.workers(), s.fitRow(v, j.coresPerWorker())
-			if fr.slots >= w {
-				if s.resv != nil && s.memoable && s.backfillDoomed(j, fr) {
-					// backfillOK would refuse whatever Choose returns: step
-					// over the job as that refusal below does, unplaced.
-					t.scan++
-					continue
-				}
-				plan = s.choosePlan(j, v)
-			}
-			if plan.Empty() {
-				// The watermark: the freed-core clock reading at which the
-				// slot gap could first close.
-				e.wake = s.freedCum + int64(w-fr.slots)
-				if s.tr != nil {
-					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
-						Workers: j.workers(), Cores: j.Cores()})
-				}
-			}
+			plan = s.choosePlan(j, v)
+		}
+		if plan.Empty() && traced {
+			s.traceBlock(t, j)
 		}
 		if !plan.Empty() {
 			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
@@ -1019,9 +1026,9 @@ func (s *Scheduler) dropShields() {
 // cloudRow is one row of the scheduler's cloud table.
 type cloudRow struct {
 	name string
-	// endFree is the cloud's free cores in the last working view that held
-	// it: the baseline the next refreshView's watermark diffs against.
-	endFree int
+	// pos is the cloud's position in the last refreshed view, -1 while
+	// that view does not hold it.
+	pos int32
 }
 
 // cloudIdx returns the cloud's row in the cloud table, appending one on
@@ -1037,23 +1044,16 @@ func (s *Scheduler) cloudIdx(name string, pos int) int32 {
 			return int32(i)
 		}
 	}
-	s.clouds = append(s.clouds, cloudRow{name: name})
+	s.clouds = append(s.clouds, cloudRow{name: name, pos: -1})
 	return int32(len(s.clouds) - 1)
 }
 
 // refreshView points the view at a fresh backend snapshot, with
 // quarantined clouds hidden, and clears the plan memos (their view is
 // gone). It serves the cycle start and an eviction's mid-cycle re-snapshot
-// alike, and advances the watermark clock by the free cores each cloud
-// gained since the outgoing working vector: completions, shrinks,
-// revocations, evictions, and capacity added behind the scheduler's back
-// all surface here. The outgoing vector is saved to the cloud table first,
-// so a cloud that left the snapshot and reappears diffs against its last
-// known value; a cloud never seen diffs against zero.
+// alike, and records each cloud-table row's position in the new view, so
+// release entries find their view slot without a name lookup (addRelease).
 func (s *Scheduler) refreshView(v *CloudView) {
-	for i, c := range v.Clouds {
-		s.clouds[s.cloudIdx(c.Name, i)].endFree = v.free[i]
-	}
 	snap := s.B.AppendClouds(s.snapScratch[:0])
 	s.snapScratch = snap
 	if len(s.quarUntil) > 0 {
@@ -1063,28 +1063,25 @@ func (s *Scheduler) refreshView(v *CloudView) {
 	}
 	v.Reset(snap)
 	s.invalidateMemos()
+	for i := range s.clouds {
+		s.clouds[i].pos = -1
+	}
 	for i, c := range v.Clouds {
-		if d := v.free[i] - s.clouds[s.cloudIdx(c.Name, i)].endFree; d > 0 {
-			s.freedCum += int64(d)
-		}
+		s.clouds[s.cloudIdx(c.Name, i)].pos = int32(i)
 	}
 }
 
-// canFit reports whether the queued job could possibly be placed now. A job
-// whose placement failed is skipped until the freed-core clock reaches the
-// entry's wake reading: placing workers whole workers of cpw cores each
-// requires Σ⌊free/cpw⌋ ≥ workers across clouds under ANY policy, free cores
-// only shrink within a cycle, and every freed core adds at most one slot —
-// so a clock short of wake proves placement would fail without running it.
-// Sound, never stale: capacity appearing from outside the scheduler's own
-// bookkeeping still advances the clock via refreshView.
-//
-// The test skips placement, not the visit: a blocked cycle still pays one
-// comparison per queued job behind its reservation (the cycle's skip loop),
-// and for each job whose watermark is open a visit: the job's first load, a
-// fit-table lookup for the slot test and the watermark write, and, if the
-// slot test passes, the backfill bound.
-func (s *Scheduler) canFit(e *queueEntry) bool { return e.wake <= s.freedCum }
+// traceBlock records that the queued job was found unplaceable, once per
+// queued stay: the first visit or step-over that finds it so, outside any
+// launch backoff. Later checks in the same stay leave no record.
+func (s *Scheduler) traceBlock(t *Tenant, j *Job) {
+	if j.blocked || j.retryAt > s.K.Now() {
+		return
+	}
+	j.blocked = true
+	s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
+		Workers: j.workers(), Cores: j.Cores()})
+}
 
 // dispatch starts a placed job. An external job starts through its Run
 // callback on capacity the caller owns; any other takes its plan's cores
@@ -1200,14 +1197,23 @@ func (s *Scheduler) setState(t *Tenant, j *Job, to State) {
 
 // enqueue inserts j into its tenant's queue in submission order: a new job
 // goes at the tail, and a requeued one re-enters ahead of everything
-// submitted after it. A requeue inside a cycle keeps the tenant's scan
-// position on the same next-unexamined entry; Submit runs between cycles,
-// and the next cycle resets the position before reading it.
+// submitted after it, starting a new queued stay. A requeue inside a cycle
+// keeps the tenant's scan position on the same next-unexamined entry;
+// Submit runs between cycles, and the next cycle resets the position
+// before reading it.
 func (s *Scheduler) enqueue(t *Tenant, j *Job) {
 	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
 	t.queue = append(t.queue, queueEntry{})
 	copy(t.queue[i+1:], t.queue[i:])
-	t.queue[i] = queueEntry{job: j, wake: noWake}
+	// Submit bounds a gang's shape by the federation's cores. An external
+	// job's spec is never checked, and it takes no capacity, so its entry
+	// gets a fixed shape that passes every slot test.
+	e := queueEntry{job: j, w: 0, cpw: 1}
+	if !j.Spec.External() {
+		e.w, e.cpw = int32(j.workers()), int32(j.coresPerWorker())
+	}
+	t.queue[i] = e
+	j.blocked = false
 	if t.scanCycle == s.cycleNum && i <= t.scan {
 		t.scan++
 	}
