@@ -16,9 +16,9 @@ import (
 // if they cannot delay that reserved start: either their plan shares no
 // cloud with the reservation, they finish (by estimate) before it, or they
 // leave every reserved member's cores intact at the reservation time. Most
-// tries that fail this gate are refused before placement, from the job's
-// width and estimate alone (EASY's extra nodes and shadow time; see
-// backfillDoomed).
+// tries that fail this gate are refused before placement, from the width
+// and estimate the job's queue entry carries (EASY's extra nodes and
+// shadow time; see backfillDoomed).
 //
 // The reservation is not a cycle-local artifact: holdReservation registers
 // it as future leases in the backend's capacity ledger, where it persists
@@ -396,17 +396,18 @@ func (s *Scheduler) fitRow(v *CloudView, cpw int) fitRow {
 	return r
 }
 
-// backfillDoomed reports whether backfillOK would refuse every plan for j
-// that fits the view, behind the held reservation, so the cycle can step
-// over j without placing it. A plan backfillOK accepts either avoids every
-// reserved cloud or keeps each shared member within its spare cores, and
-// so places at most r.extra workers, or finishes by the reserved start.
-// No plan for j finishes by then once j's estimate at speedMax ends past
-// it: planEstimateSeconds divides j.estimate() by a member speed of at most
+// backfillDoomed reports whether backfillOK would refuse every plan that
+// fits the view for a job of w workers and estimate est, behind the held
+// reservation, so the cycle can step over the job without placing it. It
+// runs on the queue entry, whose w and est are the job's workers() and
+// estimate(). A plan backfillOK accepts either avoids every reserved cloud
+// or keeps each shared member within its spare cores, and so places at
+// most r.extra workers, or finishes by the reserved start. No plan for the
+// job finishes by then once est at speedMax ends past it:
+// planEstimateSeconds divides estimate() by a member speed of at most
 // speedMax and adds only non-negative input and shuffle terms, and float
 // division, float addition and FromSeconds are monotone (within sim.Time's
 // range). Like the slot test, this holds for plans that fit the view.
-func (s *Scheduler) backfillDoomed(j *Job, r fitRow) bool {
-	return j.workers() > r.extra &&
-		s.K.Now()+sim.FromSeconds(j.estimate()/s.fit.speedMax) > s.resv.at
+func (s *Scheduler) backfillDoomed(w int, est float64, r fitRow) bool {
+	return w > r.extra && s.K.Now()+sim.FromSeconds(est/s.fit.speedMax) > s.resv.at
 }

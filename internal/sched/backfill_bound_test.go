@@ -66,7 +66,7 @@ func TestBackfillBoundSound(t *testing.T) {
 					}
 					checkPlanFits(t, j, plan, v)
 					tries++
-					if !s.backfillDoomed(j, fr) {
+					if !s.backfillDoomed(j.workers(), j.estimate(), fr) {
 						continue
 					}
 					refused++
@@ -83,6 +83,88 @@ func TestBackfillBoundSound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTenantSkipSound checks the tenant skip and the entry bound against
+// what they stand in for, on random views behind random reservations, in
+// TestBackfillBoundSound's style. Free vectors include negative entries.
+// Each case builds a random queue of mixed shapes, some entries external
+// and some with progress credit, through enqueue and popQueued, so the
+// summary is maintained, goes stale and is recomputed as in a run. Whenever
+// the summary says skip, no entry may pass the slot test for its own cpw;
+// and for every entry the bound run on the entry's w and est must agree
+// with the bound computed from its job.
+func TestTenantSkipSound(t *testing.T) {
+	speeds := []float64{0, 0.25, 0.5, 1, 1.5, 3}
+	rng := rand.New(rand.NewSource(25))
+	k := sim.NewKernel(25)
+	b := NewSimBackend(k)
+	s := New(b, Config{})
+	v := &s.view
+	skips, kept, refused := 0, 0, 0
+	for c := 0; c < 3000; c++ {
+		n := 1 + rng.Intn(6)
+		snap := make([]CloudInfo, n)
+		for i := range snap {
+			snap[i] = CloudInfo{Name: fmt.Sprintf("c%d", i), FreeCores: rng.Intn(30) - 8,
+				TotalCores: 64, Speed: speeds[rng.Intn(len(speeds))], Price: 0.05}
+		}
+		v.Reset(snap)
+		s.relSumAtResv = s.relSumAtResv[:0]
+		for range snap {
+			s.relSumAtResv = append(s.relSumAtResv, rng.Intn(24))
+		}
+		s.resv = randomReservation(rng, snap)
+		s.holdFit(v)
+		tn := &Tenant{Name: "t"}
+		for q, size := 0, 1+rng.Intn(8); q < size; q++ {
+			j := randomBackfillJob(rng, snap)
+			j.seq, j.Spec.CoresPerWorker = q+1, 1+rng.Intn(4)
+			if rng.Intn(40) == 0 {
+				j.Spec.Run = func(func(error)) {}
+			}
+			s.enqueue(tn, j)
+		}
+		for pops := rng.Intn(3); pops > 0 && len(tn.queue) > 1; pops-- {
+			tn.scan = rng.Intn(len(tn.queue))
+			s.popQueued(tn, tn.queue[tn.scan].job)
+		}
+		// The maintained summary, then the one queueUnfit may recompute.
+		checkQueueSummary(t, tn, c)
+		skip := s.queueUnfit(tn, v)
+		if skip {
+			skips++
+		} else {
+			kept++
+		}
+		checkQueueSummary(t, tn, c)
+		for _, e := range tn.queue {
+			fr := s.fitRow(v, int(e.cpw))
+			if skip && int(e.w) <= slotSum(v.free, int(e.cpw)) {
+				t.Fatalf("case %d: the summary (minimum demand %d) skips a queue whose %d×%d entry passes the slot test, free %v",
+					c, tn.minDemand, e.w, e.cpw, v.free)
+			}
+			j := e.job
+			onEntry := s.backfillDoomed(int(e.w), e.est, fr)
+			if j.Spec.External() {
+				if onEntry {
+					t.Fatalf("case %d: the bound refused an external entry", c)
+				}
+				continue
+			}
+			if onJob := s.backfillDoomed(j.workers(), j.estimate(), fr); onEntry != onJob {
+				t.Fatalf("case %d: the bound on the entry (w %d, est %v) says %v, on the job (w %d, est %v) %v",
+					c, e.w, e.est, onEntry, j.workers(), j.estimate(), onJob)
+			}
+			if onEntry {
+				refused++
+			}
+		}
+	}
+	if skips < 200 || kept < 200 || refused < 200 {
+		t.Fatalf("%d queues skipped, %d kept, %d entries refused by the bound: too few to test them", skips, kept, refused)
+	}
+	t.Logf("%d queues skipped, %d kept, %d entries refused by the bound", skips, kept, refused)
 }
 
 // randomReservation reserves a single cloud or spans up to three, for a job

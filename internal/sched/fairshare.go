@@ -8,12 +8,21 @@ import (
 )
 
 // Tenant is one share-holder in the federation: a weighted queue of jobs
-// plus the usage accounting that drives arbitration.
+// plus the usage accounting that drives arbitration. The queue keeps a
+// summary, its smallest entry demand, so that behind a held reservation
+// the cycle can skip a tenant none of whose entries can fit in one
+// comparison instead of walking the queue.
 type Tenant struct {
 	Name   string
 	Weight float64
 
 	queue []queueEntry
+	// minDemand is the smallest demand w·cpw among the queue's entries and
+	// minCount how many entries have it (0 for an empty queue). enqueue and
+	// popQueued maintain both; when the last entry at the minimum leaves,
+	// minStale marks the summary for minQueuedDemand to recompute.
+	minDemand, minCount int
+	minStale            bool
 	// usage is charged core-seconds: an estimate is charged at dispatch
 	// (so one tenant cannot capture the whole federation within a single
 	// cycle) and trued up to actual duration at completion. With
@@ -41,11 +50,62 @@ type Tenant struct {
 // queueEntry is one queued job with its gang shape: w workers of cpw cores
 // each (Job.workers and Job.coresPerWorker, fixed at Submit), with w = 0
 // and cpw = 1 for an external job, which takes no capacity from the view.
-// Keeping the shape here, not only on the Job, lets the cycle run the slot
-// test and step over jobs that fail it without loading them.
+// est is the job's estimate() at enqueue; only requeue changes a job's
+// estimate (its progress credit), and it applies the credit before the job
+// re-enters the queue. Keeping shape and estimate here, not only on the
+// Job, lets the cycle run the slot test and the backfill bound, and step
+// over jobs that fail either, without loading them.
 type queueEntry struct {
 	job    *Job
 	w, cpw int32
+	est    float64
+}
+
+// demand returns the entry's core demand w·cpw (0 for an external job).
+func (e *queueEntry) demand() int { return int(e.w) * int(e.cpw) }
+
+// noteDemand adds one entry's demand to the queue summary.
+func (t *Tenant) noteDemand(d int) {
+	switch {
+	case t.minCount == 0 || d < t.minDemand:
+		t.minDemand, t.minCount = d, 1
+	case d == t.minDemand:
+		t.minCount++
+	}
+}
+
+// dropDemand removes one entry's demand from the queue summary. The
+// summary goes stale when the last entry at the minimum leaves a non-empty
+// queue: the next minimum is not known without a walk.
+func (t *Tenant) dropDemand(d int) {
+	if t.minStale || d != t.minDemand {
+		return
+	}
+	if t.minCount--; t.minCount == 0 && len(t.queue) > 0 {
+		t.minStale = true
+	}
+}
+
+// minQueuedDemand returns the smallest demand among the tenant's queue
+// entries, first recomputing a stale summary in one pass over the queue.
+func (t *Tenant) minQueuedDemand() int {
+	if t.minStale {
+		t.minCount, t.minStale = 0, false
+		for i := range t.queue {
+			t.noteDemand(t.queue[i].demand())
+		}
+	}
+	return t.minDemand
+}
+
+// queueUnfit reports whether no entry of t's non-empty queue passes the slot
+// test on v: every entry's demand w·cpw exceeds the cpw = 1 slot sum
+// Σ max(free, 0), which is at least cpw·Σ⌊max(free, 0)/cpw⌋, the most
+// cores any cpw-core gang fitting v can take. The summary covers the whole
+// queue, so entries the scan already passed only make the answer more
+// cautious.
+func (s *Scheduler) queueUnfit(t *Tenant, v *CloudView) bool {
+	return t.minQueuedDemand() > s.fitRow(v, 1).slots
 }
 
 // decay brings the tenant's charged usage forward to now under the

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -116,11 +117,85 @@ func TestExternalEntryBehindReservation(t *testing.T) {
 	}
 }
 
+// TestLifecycleIndexesBehindReservation runs TestLifecycleIndexes' checks
+// on a small federation that a wide head keeps blocked: behind its held
+// reservation the tenant skip and the entry bound fire, among entries of 1,
+// 2 and 4 cores per worker, an external job, a burst of transient launch
+// failures and preemptions that requeue their victims with progress credit.
+func TestLifecycleIndexesBehindReservation(t *testing.T) {
+	k := sim.NewKernel(5)
+	b := NewSimBackend(k)
+	for i, cores := range []int{16, 16, 24} {
+		b.AddCloud(fmt.Sprintf("c%d", i), cores, 1, 0.10+0.01*float64(i))
+	}
+	b.UseLogNormalOverrun(0, 0.6)
+	s := New(b, Config{EnablePreemption: true})
+	s.Start()
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string][]struct{ workers, cpw int }{
+		"a": {{1, 1}, {3, 1}, {6, 1}, {20, 1}},
+		"b": {{2, 2}, {4, 2}, {6, 2}, {12, 2}},
+		"c": {{2, 4}, {3, 4}, {4, 4}, {8, 4}},
+	}
+	jobs := 0
+	for _, tenant := range []string{"a", "b", "c"} {
+		for i := 0; i < 20; i++ {
+			w := shapes[tenant][rng.Intn(4)]
+			spec := JobSpec{Tenant: tenant, Name: fmt.Sprintf("%s-%d", tenant, i),
+				Workers: w.workers, CoresPerWorker: w.cpw, EstimateSeconds: float64(20 + rng.Intn(400))}
+			k.At(sim.Time(rng.Intn(900))*sim.Second, func() {
+				if _, err := s.Submit(spec); err != nil {
+					t.Errorf("submit %s: %v", spec.Name, err)
+				}
+			})
+			jobs++
+		}
+	}
+	ext := JobSpec{Tenant: "b", Name: "ext", Workers: 4, CoresPerWorker: 4, EstimateSeconds: 60,
+		Run: func(done func(error)) { k.Schedule(60*sim.Second, func() { done(nil) }) }}
+	k.At(300*sim.Second, func() {
+		if _, err := s.Submit(ext); err != nil {
+			t.Errorf("submit ext: %v", err)
+		}
+	})
+	jobs++
+	k.At(200*sim.Second, func() { b.FailNextLaunches("c2", 4) })
+
+	steps, held := 0, 0
+	for k.Step() {
+		steps++
+		if s.resv != nil {
+			held++
+		}
+		checkLifecycleIndexes(t, s, steps)
+		if t.Failed() {
+			return
+		}
+	}
+	credited := 0
+	for _, j := range s.jobs {
+		if j != nil && j.creditFrac > 0 {
+			credited++
+		}
+	}
+	if s.Completed() != jobs || s.Failures() != 0 {
+		t.Fatalf("completed=%d failures=%d, want %d/0", s.Completed(), s.Failures(), jobs)
+	}
+	if held == 0 || s.tenantSkips == 0 || credited == 0 || s.LaunchRetries() == 0 {
+		t.Fatalf("steps with a held reservation=%d tenant skips=%d jobs with progress credit=%d launch retries=%d: the run must exercise each",
+			held, s.tenantSkips, credited, s.LaunchRetries())
+	}
+	t.Logf("%d steps (%d with a held reservation), %d tenant skips, %d preemptions, %d jobs with progress credit, %d launch retries",
+		steps, held, s.tenantSkips, s.Preemptions(), credited, s.LaunchRetries())
+}
+
 // checkLifecycleIndexes fails the test unless every job is in exactly the
 // structures its State implies, every queue entry's w and cpw match its
 // job's workers and cores per worker (w = 0 and cpw = 1 for an external
-// job), the running list is in submission order, and the queue counter and
-// both job gauges match the structures.
+// job) and its est matches the job's estimate bit for bit, every tenant's
+// queue summary that is not stale matches its queue, the running list is
+// in submission order, and the queue counter and both job gauges match the
+// structures.
 func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 	t.Helper()
 	inQueue := make(map[*Job]int)
@@ -139,7 +214,11 @@ func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 				t.Errorf("step %d: %s's queue entry has w=%d cpw=%d, want %d and %d",
 					step, e.job.ID, e.w, e.cpw, w, cpw)
 			}
+			if est := e.job.estimate(); math.Float64bits(e.est) != math.Float64bits(est) {
+				t.Errorf("step %d: %s's queue entry has est=%v, its job estimates %v", step, e.job.ID, e.est, est)
+			}
 		}
+		checkQueueSummary(t, tn, step)
 		queued += len(tn.queue)
 	}
 	inRunning := make(map[*Job]int)
@@ -182,5 +261,28 @@ func checkLifecycleIndexes(t *testing.T, s *Scheduler, step int) {
 	}
 	if int(s.m.runningJobs.Value()) != len(s.running) {
 		t.Errorf("step %d: running gauge=%v, want %d", step, s.m.runningJobs.Value(), len(s.running))
+	}
+}
+
+// checkQueueSummary fails the test when the tenant's queue summary is not
+// stale and differs from a recomputation: the smallest entry demand w·cpw
+// and how many entries have it (no minimum for an empty queue).
+func checkQueueSummary(t *testing.T, tn *Tenant, step int) {
+	t.Helper()
+	if tn.minStale {
+		return
+	}
+	minD, n := 0, 0
+	for _, e := range tn.queue {
+		switch d := int(e.w) * int(e.cpw); {
+		case n == 0 || d < minD:
+			minD, n = d, 1
+		case d == minD:
+			n++
+		}
+	}
+	if tn.minCount != n || n > 0 && tn.minDemand != minD {
+		t.Errorf("step %d: tenant %s's queue summary says %d entries at demand %d; the queue has %d at %d",
+			step, tn.Name, tn.minCount, tn.minDemand, n, minD)
 	}
 }

@@ -159,9 +159,9 @@ func SingleCloudPlan(cloud string, workers int) Plan {
 // that cloud's working free cores). Such a plan places at most
 // slotSum(free, cpw) workers, so the scheduler answers "can this gang fit?"
 // itself and calls Choose only when the slot sum covers the job: the
-// cycle's slot test on each queue entry, the what-if views of the
-// reservation walk and of chooseVictims (whatIfPlan), and the backfill
-// bound (backfillDoomed) all rest on this.
+// cycle's slot test on each queue entry and its tenant skip (queueUnfit),
+// the what-if views of the reservation walk and of chooseVictims
+// (whatIfPlan), and the backfill bound (backfillDoomed) all rest on this.
 type PlacementPolicy interface {
 	Name() string
 	Choose(s *Scheduler, j *Job, v *CloudView) Plan

@@ -84,10 +84,11 @@ type evictCandidate struct {
 
 // chooseVictims picks the cheapest set of backfilled jobs whose freed cores
 // give the head job a plan right now: candidates are sorted by eviction
-// price and added to a what-if view one at a time until whatIfPlan produces
-// a plan. nil when even evicting every candidate leaves the head
-// unplaceable (the eviction would be pure waste, so none happens).
-func (s *Scheduler) chooseVictims(head *Job, v *CloudView) []evictCandidate {
+// price and added to a what-if view (s.whatIf) one at a time until
+// whatIfPlan produces a plan, which it returns with the set. nil when even
+// evicting every candidate leaves the head unplaceable (the eviction would
+// be pure waste, so none happens).
+func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]evictCandidate, Plan) {
 	cand := s.evictCand[:0]
 	for _, j := range s.running {
 		if j != head && preemptible(j) {
@@ -96,7 +97,7 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) []evictCandidate {
 	}
 	s.evictCand = cand
 	if len(cand) == 0 {
-		return nil
+		return nil, Plan{}
 	}
 	now := s.K.Now()
 	s.computeShares(now)
@@ -124,10 +125,10 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) []evictCandidate {
 			}
 		}
 		if plan := s.whatIfPlan(head, av); !plan.Empty() {
-			return cand[:n+1]
+			return cand[:n+1], plan
 		}
 	}
-	return nil
+	return nil, Plan{}
 }
 
 // preemptOutcome reports what the eviction pass did.
@@ -150,9 +151,11 @@ const (
 // of tenant t's queue. On preemptDispatched the victims are torn down and
 // requeued and the head runs on their cores; the caller's cycle continues
 // with a refreshed view. preemptNone leaves everything as it was (no
-// victim is evicted unless the head provably starts).
+// victim is evicted unless the head provably starts). The head's plan is
+// the one chooseVictims found whenever Choose would return it again (see
+// below), so a preemption usually places the head once, not twice.
 func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcome {
-	victims := s.chooseVictims(head, v)
+	victims, plan := s.chooseVictims(head, v)
 	if victims == nil {
 		return preemptNone
 	}
@@ -167,7 +170,14 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	// slot test reads the refreshed vector, so whatever the head does not
 	// consume is open to the jobs behind it in this same cycle.
 	s.refreshView(v)
-	plan := s.cfg.Placement.Choose(s, head, v)
+	// An eviction at one instant moves only free cores: the refreshed view
+	// keeps the what-if view's clouds. So when its working vector equals the
+	// what-if vector, a pure policy's Choose would return the plan the
+	// what-if view got. Otherwise (a backend freed more or fewer cores than
+	// the victims' base plans), and for a policy that draws, place afresh.
+	if !s.memoable || !slices.Equal(v.free, s.whatIf.free) {
+		plan = s.cfg.Placement.Choose(s, head, v)
+	}
 	if plan.Empty() {
 		// Cannot happen while the what-if view mirrors backend frees; if a
 		// backend ever under-frees, the victims stay requeued (they will
@@ -210,18 +220,20 @@ func (s *Scheduler) evict(victim *Job, at sim.Time, price float64, kind string) 
 // ahead of everything submitted after it) and progress credit (the executed
 // fraction of the original work discounts the next dispatch's estimate).
 func (s *Scheduler) requeue(j *Job, progressFrac float64) {
-	// Leaving Running banks the work actually delivered and backs out the
-	// unused remainder of the dispatch-time charge — the same true-up a
-	// completion performs.
-	s.setState(s.tenants[j.Spec.Tenant], j, Queued)
 	// Progress credit compounds across evictions: the last dispatch ran
 	// (1 − creditFrac) of the original work, of which progressFrac finished.
+	// It is applied first, so the queue entry records the credited estimate;
+	// leaving Running reads no credit.
 	if progressFrac > 0 {
 		j.creditFrac += progressFrac * (1 - j.creditFrac)
 		if j.creditFrac > 0.95 {
 			j.creditFrac = 0.95 // keep the re-estimate strictly positive
 		}
 	}
+	// Leaving Running banks the work actually delivered and backs out the
+	// unused remainder of the dispatch-time charge — the same true-up a
+	// completion performs.
+	s.setState(s.tenants[j.Spec.Tenant], j, Queued)
 	j.handle = nil
 	j.dispatched = false
 	j.Backfilled = false

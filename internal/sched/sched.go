@@ -511,12 +511,13 @@ func (c Config) maxSlips() int {
 // maintained sorted release list, setState keeps all three in step with
 // each job's State, and per-cycle structures (cloud view, placement member
 // buffers) reuse scheduler-owned scratch, so no cycle pays for jobs that
-// already finished. A cycle still pays per queued job: once the blocked
-// head holds its reservation, the slot test on each queue entry, which
-// compares the entry's worker count with the fit table's slot sum for its
-// worker size (the table sums the free vector once per worker size after
-// each dispatch rather than once per job), and a visit for each job that
-// passes it: the job's first load, the backfill bound and then placement.
+// already finished. Once the blocked head holds its reservation, a cycle
+// pays one comparison for a tenant whose queue summary shows that no entry
+// can fit (queueUnfit). In any other tenant's queue it pays the slot test
+// and the backfill bound on each entry, which carries its job's shape and
+// estimate (the fit table sums the free vector once per worker size after
+// each dispatch rather than once per job), and a visit, the job's first
+// load and placement, only for the entries that pass both.
 type Scheduler struct {
 	K   *sim.Kernel
 	B   Backend
@@ -598,6 +599,9 @@ type Scheduler struct {
 
 	// fit is the cycle's fit table (see fitTable), dropped with the memos.
 	fit fitTable
+	// tenantSkips counts the cycle's skips of a whole tenant queue behind a
+	// held reservation (see cycle); no decision reads it.
+	tenantSkips int
 
 	// extMu serializes external drivers (Sync): goroutines outside the
 	// kernel thread submit and poll through it under -race stress.
@@ -836,9 +840,11 @@ func (s *Scheduler) kick() {
 //
 // The pass runs over the per-cycle CloudView (one indexed snapshot shared
 // by every score, price, and estimate) and the maintained release list.
-// Behind the reservation, queue entries whose gang fails the slot test are
-// stepped over without loading their jobs, and a job the backfill bound
-// proves the gate would refuse skips placement too (backfillDoomed).
+// Behind the reservation, a tenant whose queue summary shows that no entry
+// can fit is skipped in one comparison (queueUnfit). In the other queues,
+// entries whose gang fails the slot test, or that the backfill bound proves
+// the gate would refuse (backfillDoomed), are stepped over without loading
+// their jobs.
 func (s *Scheduler) cycle() {
 	s.cyclePending = false
 	s.cycleNum++
@@ -870,21 +876,37 @@ func (s *Scheduler) cycle() {
 		if s.resv != nil {
 			// Behind a held reservation a gang that fails the slot test
 			// decides nothing (no plan fits, and the job is stepped over),
-			// so step over it on the queue entry alone. Before the
-			// reservation exists the blocked head must still reach reserve
-			// below. Nothing dispatches during the walk, so the last worker
-			// size's slot sum stays the fit table's answer.
+			// and neither does one the backfill bound refuses (backfillOK
+			// would refuse whatever Choose returned), so step over both on
+			// the queue entry alone. Before the reservation exists the
+			// blocked head must still reach reserve below. Nothing
+			// dispatches during the walk, so the last worker size's fit row
+			// stays the fit table's answer.
 			q, i := t.queue, t.scan
-			cpw, slots := int32(0), 0
-			for ; i < len(q); i++ {
-				if q[i].cpw != cpw {
-					cpw, slots = q[i].cpw, s.fitRow(v, int(q[i].cpw)).slots
-				}
-				if int(q[i].w) <= slots {
-					break
-				}
-				if traced {
+			if s.queueUnfit(t, v) {
+				// No entry can pass the slot test: step over the rest of
+				// the queue at once, recording what the walk would.
+				for ; traced && i < len(q); i++ {
 					s.traceBlock(t, q[i].job)
+				}
+				t.scan = len(q)
+				s.tenantSkips++
+				continue
+			}
+			var fr fitRow
+			for ; i < len(q); i++ {
+				e := &q[i]
+				if int(e.cpw) != fr.cpw {
+					fr = s.fitRow(v, int(e.cpw))
+				}
+				if int(e.w) > fr.slots {
+					if traced {
+						s.traceBlock(t, e.job)
+					}
+					continue
+				}
+				if !s.memoable || !s.backfillDoomed(int(e.w), e.est, fr) {
+					break
 				}
 			}
 			if t.scan = i; i == len(q) {
@@ -906,13 +928,7 @@ func (s *Scheduler) cycle() {
 			continue
 		}
 		var plan Plan
-		if fr := s.fitRow(v, int(e.cpw)); fr.slots >= int(e.w) {
-			if s.resv != nil && s.memoable && s.backfillDoomed(j, fr) {
-				// backfillOK would refuse whatever Choose returns: step
-				// over the job as that refusal below does, unplaced.
-				t.scan++
-				continue
-			}
+		if s.fitRow(v, int(e.cpw)).slots >= int(e.w) {
 			plan = s.choosePlan(j, v)
 		}
 		if plan.Empty() && traced {
@@ -1197,10 +1213,12 @@ func (s *Scheduler) setState(t *Tenant, j *Job, to State) {
 
 // enqueue inserts j into its tenant's queue in submission order: a new job
 // goes at the tail, and a requeued one re-enters ahead of everything
-// submitted after it, starting a new queued stay. A requeue inside a cycle
-// keeps the tenant's scan position on the same next-unexamined entry;
-// Submit runs between cycles, and the next cycle resets the position
-// before reading it.
+// submitted after it, starting a new queued stay. The entry records the
+// job's shape and estimate, and the tenant's queue summary takes its
+// demand; popQueued, the queue's only other writer, removes it. A requeue
+// inside a cycle keeps the tenant's scan position on the same
+// next-unexamined entry; Submit runs between cycles, and the next cycle
+// resets the position before reading it.
 func (s *Scheduler) enqueue(t *Tenant, j *Job) {
 	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].job.seq > j.seq })
 	t.queue = append(t.queue, queueEntry{})
@@ -1208,11 +1226,14 @@ func (s *Scheduler) enqueue(t *Tenant, j *Job) {
 	// Submit bounds a gang's shape by the federation's cores. An external
 	// job's spec is never checked, and it takes no capacity, so its entry
 	// gets a fixed shape that passes every slot test.
-	e := queueEntry{job: j, w: 0, cpw: 1}
+	e := queueEntry{job: j, w: 0, cpw: 1, est: j.estimate()}
 	if !j.Spec.External() {
 		e.w, e.cpw = int32(j.workers()), int32(j.coresPerWorker())
 	}
 	t.queue[i] = e
+	if !t.minStale {
+		t.noteDemand(e.demand())
+	}
 	j.blocked = false
 	if t.scanCycle == s.cycleNum && i <= t.scan {
 		t.scan++
@@ -1227,7 +1248,9 @@ func (s *Scheduler) popQueued(t *Tenant, j *Job) {
 	if i >= len(t.queue) || t.queue[i].job != j {
 		panic("sched: queue index out of sync")
 	}
+	d := t.queue[i].demand()
 	t.queue = append(t.queue[:i], t.queue[i+1:]...)
+	t.dropDemand(d)
 	s.nQueued--
 	s.m.queuedJobs.SetInt(int64(s.nQueued))
 }
