@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,8 +67,14 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([\d.]+) ns/
 // name, where the FIRST occurrence wins — with -cpu 1,4 that is the -cpu 1
 // run, keeping plain-name baselines pinned to the sequential configuration
 // they were recorded at.
-func parse(r io.Reader) (cpu string, results map[string]Entry, err error) {
+//
+// record lists the names -update writes: each benchmark's plain name, plus
+// its suffixed names only when the input ran it at more than one -cpu
+// value. A run at a single -cpu value thus records one entry per benchmark,
+// whatever GOMAXPROCS suffix the host prints.
+func parse(r io.Reader) (cpu string, results map[string]Entry, record []string, err error) {
 	results = make(map[string]Entry)
+	suffixes := make(map[string][]string) // plain name → distinct suffixes seen, "" for none
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -91,8 +98,21 @@ func parse(r io.Reader) (cpu string, results map[string]Entry, err error) {
 		if _, seen := results[m[1]]; !seen {
 			results[m[1]] = e
 		}
+		if !slices.Contains(suffixes[m[1]], m[2]) {
+			suffixes[m[1]] = append(suffixes[m[1]], m[2])
+		}
 	}
-	return cpu, results, sc.Err()
+	for name, sfx := range suffixes {
+		record = append(record, name)
+		if len(sfx) > 1 {
+			for _, x := range sfx {
+				if x != "" {
+					record = append(record, name+x)
+				}
+			}
+		}
+	}
+	return cpu, results, record, sc.Err()
 }
 
 func main() {
@@ -112,7 +132,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	cpu, results, err := parse(in)
+	cpu, results, record, err := parse(in)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,19 +147,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if base.Baselines == nil {
-			base.Baselines = make(map[string]CPUBaseline)
-		}
-		// Merge per benchmark: a partial run (one suite's -bench regex)
-		// must not clobber this CPU's entries for the other suites.
-		cb, ok := base.Baselines[cpu]
-		if !ok || cb.Benchmarks == nil {
-			cb = CPUBaseline{Benchmarks: map[string]Entry{}}
-		}
-		for name, e := range results {
-			cb.Benchmarks[name] = e
-		}
-		base.Baselines[cpu] = cb
+		cb := merge(&base, cpu, results, record)
 		out, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -148,7 +156,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("benchdiff: wrote %s (%d benchmarks merged, %d now under cpu %q, %d cpu(s) total)\n",
-			*baselinePath, len(results), len(cb.Benchmarks), cpu, len(base.Baselines))
+			*baselinePath, len(record), len(cb.Benchmarks), cpu, len(base.Baselines))
 		return
 	}
 
@@ -170,6 +178,25 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// merge writes the run's results for the names in record into base's entry
+// for cpu and returns that entry. It merges per benchmark: a partial run
+// (one suite's -bench regex) must not clobber this CPU's entries for the
+// other suites.
+func merge(base *Baseline, cpu string, results map[string]Entry, record []string) CPUBaseline {
+	if base.Baselines == nil {
+		base.Baselines = make(map[string]CPUBaseline)
+	}
+	cb, ok := base.Baselines[cpu]
+	if !ok || cb.Benchmarks == nil {
+		cb = CPUBaseline{Benchmarks: map[string]Entry{}}
+	}
+	for _, name := range record {
+		cb.Benchmarks[name] = results[name]
+	}
+	base.Baselines[cpu] = cb
+	return cb
 }
 
 // gate compares one run's results with the baseline, writing a line per

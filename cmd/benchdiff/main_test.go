@@ -46,7 +46,7 @@ func TestGate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cpu, results, err := parse(strings.NewReader(tc.input))
+			cpu, results, _, err := parse(strings.NewReader(tc.input))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,6 +60,55 @@ func TestGate(t *testing.T) {
 			}
 			if !strings.Contains(out.String(), tc.want) {
 				t.Fatalf("output lacks %q:\n%s", tc.want, out.String())
+			}
+		})
+	}
+}
+
+// TestUpdateRecordsEachBenchmarkOnce: -update writes one entry per benchmark
+// from a run at a single -cpu value, whatever GOMAXPROCS suffix the host
+// prints, and the suffixed names too only when the run covers several.
+func TestUpdateRecordsEachBenchmarkOnce(t *testing.T) {
+	cases := []struct {
+		name  string
+		input string
+		want  []string
+	}{
+		{
+			name: "one cpu value",
+			input: "cpu: CPU A\n" +
+				"BenchmarkX-2   3   1000 ns/op   64 B/op   100 allocs/op\n" +
+				"BenchmarkY-2   3   2000 ns/op   64 B/op   200 allocs/op\n",
+			want: []string{"BenchmarkX", "BenchmarkY"},
+		},
+		{
+			name: "several cpu values",
+			input: "cpu: CPU A\n" +
+				"BenchmarkX     3   1000 ns/op   64 B/op   100 allocs/op\n" +
+				"BenchmarkX-4   3    500 ns/op   64 B/op   100 allocs/op\n" +
+				"BenchmarkY-2   3   2000 ns/op   64 B/op   200 allocs/op\n",
+			want: []string{"BenchmarkX", "BenchmarkX-4", "BenchmarkY"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cpu, results, record, err := parse(strings.NewReader(tc.input))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := Baseline{Baselines: map[string]CPUBaseline{
+				"CPU B": {Benchmarks: map[string]Entry{"BenchmarkX-2": {NsPerOp: 1}}},
+			}}
+			merge(&base, cpu, results, record)
+			got := sortedKeys(base.Baselines["CPU A"].Benchmarks)
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Fatalf("recorded %v, want %v", got, tc.want)
+			}
+			if x := base.Baselines["CPU A"].Benchmarks["BenchmarkX"]; x.NsPerOp != 1000 || x.AllocsPerOp != 100 {
+				t.Fatalf("BenchmarkX recorded as %+v, want the first run's numbers", x)
+			}
+			if len(base.Baselines["CPU B"].Benchmarks) != 1 {
+				t.Fatal("another cpu's entry changed")
 			}
 		})
 	}

@@ -34,13 +34,18 @@ func NewRegistry(scope string) *Registry {
 // Len returns the number of distinct contents registered.
 func (r *Registry) Len() int { return len(r.known) }
 
-// Lookup reports whether content c is present, updating hit/miss counters.
-func (r *Registry) Lookup(c vm.ContentID) bool {
-	if _, ok := r.known[c]; ok {
+// Admit reports whether content c was already present, counting a hit, and
+// otherwise records it, counting a miss and a registration. It probes the
+// set once: the set's size before and after the insert tells the two apart.
+func (r *Registry) Admit(c vm.ContentID) bool {
+	n := len(r.known)
+	r.known[c] = struct{}{}
+	if len(r.known) == n {
 		r.Hits++
 		return true
 	}
 	r.Misses++
+	r.Registrations++
 	return false
 }
 

@@ -7,23 +7,31 @@ import (
 	"repro/internal/vm"
 )
 
-func TestLookupRegister(t *testing.T) {
+func TestAdmitRegister(t *testing.T) {
 	r := NewRegistry("site:test")
 	c := vm.ContentID(42)
-	if r.Lookup(c) {
+	if r.Admit(c) {
 		t.Fatal("empty registry reported a hit")
 	}
-	r.Register(c)
-	if !r.Lookup(c) {
-		t.Fatal("registered content not found")
+	if !r.Admit(c) {
+		t.Fatal("admitted content not found")
 	}
-	if r.Hits != 1 || r.Misses != 1 || r.Registrations != 1 {
-		t.Fatalf("counters hits=%d misses=%d regs=%d", r.Hits, r.Misses, r.Registrations)
+	if r.Hits != 1 || r.Misses != 1 || r.Registrations != 1 || r.Len() != 1 {
+		t.Fatalf("counters hits=%d misses=%d regs=%d len=%d", r.Hits, r.Misses, r.Registrations, r.Len())
 	}
-	// Duplicate registration is idempotent.
+	// Registering present content changes nothing.
 	r.Register(c)
 	if r.Registrations != 1 || r.Len() != 1 {
 		t.Fatal("duplicate Register changed state")
+	}
+	// Registered content is a hit without a second registration.
+	d := vm.ContentID(43)
+	r.Register(d)
+	if !r.Admit(d) {
+		t.Fatal("registered content not found")
+	}
+	if r.Hits != 2 || r.Misses != 1 || r.Registrations != 2 || r.Len() != 2 {
+		t.Fatalf("counters hits=%d misses=%d regs=%d len=%d", r.Hits, r.Misses, r.Registrations, r.Len())
 	}
 }
 

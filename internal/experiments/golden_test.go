@@ -35,6 +35,14 @@ var paperTablesGolden = []struct{ id, digest string }{
 	{"A3", "fa3650452342cdc094a733b2b51c3813f01d7b92a1d23a2397df054a3f3e86a4"},
 }
 
+// replayTablesGolden pins the two trace-replay experiments (E13, E14) at
+// seed 42 in the same way. perfbench's paper-tables workload leaves them
+// out, so they have their own list and paperTablesGolden keeps mirroring it.
+var replayTablesGolden = []struct{ id, digest string }{
+	{"E13", "883486865234a89cbecbcd4c8fa8a857af8735ae7a6b5a256b43347c6c1407d2"},
+	{"E14", "3c01d15d5e7f1abe1f8e48813bf7659ba795b9c962dbc52040ea2aded493e143"},
+}
+
 // renderTables renders one experiment's tables at seed the way perfbench's
 // paper-tables workload does.
 func renderTables(e Experiment, seed int64) []byte {
@@ -49,10 +57,20 @@ func renderTables(e Experiment, seed int64) []byte {
 // TestPaperTablesGolden checks that every paper-table experiment still
 // renders byte-identical tables at seed 42.
 func TestPaperTablesGolden(t *testing.T) {
+	checkGolden(t, paperTablesGolden)
+}
+
+// TestReplayTablesGolden checks the same for the trace-replay experiments.
+func TestReplayTablesGolden(t *testing.T) {
+	checkGolden(t, replayTablesGolden)
+}
+
+func checkGolden(t *testing.T, golden []struct{ id, digest string }) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("experiments are long; skipped in -short")
 	}
-	for _, g := range paperTablesGolden {
+	for _, g := range golden {
 		e, ok := ByID(g.id)
 		if !ok {
 			t.Errorf("%s: not in the registry", g.id)

@@ -131,13 +131,12 @@ func planContents(contents []vm.ContentID, unit int64, reg *dedup.Registry) tran
 			p.sent++
 			continue
 		}
-		if reg.Lookup(c) {
+		if reg.Admit(c) {
 			p.wire += vm.HashSize
 			p.deduped++
 		} else {
 			p.wire += vm.HashSize + unit
 			p.sent++
-			reg.Register(c)
 		}
 	}
 	return p

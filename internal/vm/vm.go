@@ -8,6 +8,12 @@
 // identity function on its ID. This mirrors the paper's assumption that a
 // cryptographic hash is collision-free, and makes the duplication ratio an
 // explicit, sweepable parameter (see ContentModel).
+//
+// Only live migration reads page contents, and most VMs are never migrated,
+// so a Memory's pages are drawn on first use rather than when the VM is
+// created. Each ContentModel draws its queued memories in creation order,
+// before any later draw from the same model, so every page gets the content
+// it would have had if drawn at creation (see NewMemory).
 package vm
 
 import (
@@ -43,19 +49,28 @@ const ZeroPage ContentID = 0
 // The literature the paper leans on (Gupta et al. OSDI'08, Milós et al.
 // USENIX'09) reports 20–60 % inter-VM redundancy for same-OS VMs; SharedFrac
 // expresses exactly that knob.
+//
+// A model is one seeded stream: Next, FreshUnique and the pages of the
+// memories built on it all draw from it. The stream is seeded on its first
+// draw, and a memory's pages are drawn on the memory's first use. Every draw
+// first draws the pages of the memories queued before it, oldest first, so
+// the stream is consumed in the order that drawing each memory at creation
+// would consume it, and no content differs from that order's.
 type ContentModel struct {
 	ZeroFrac   float64
 	SharedFrac float64
 	PoolSize   int
 	imageBase  uint64 // distinguishes pools of different base images
+	seed       int64
 	salt       uint64 // per-instance salt: unique pages never collide across VMs
 	nextUnique uint64
-	rng        *rand.Rand
+	rng        *rand.Rand // nil until the first draw
+	queued     []*Memory  // memories whose pages are not drawn yet, oldest first
 }
 
 // NewContentModel returns a generator for VMs instantiated from the named
 // base image. VMs sharing an image name share the pool; different images
-// have disjoint pools.
+// have disjoint pools. The seed is used on the model's first draw.
 func NewContentModel(seed int64, image string, zeroFrac, sharedFrac float64, poolSize int) *ContentModel {
 	if zeroFrac < 0 || sharedFrac < 0 || zeroFrac+sharedFrac > 1 {
 		panic("vm: invalid content model fractions")
@@ -68,20 +83,58 @@ func NewContentModel(seed int64, image string, zeroFrac, sharedFrac float64, poo
 		base ^= uint64(c)
 		base *= 1099511628211
 	}
-	rng := rand.New(rand.NewSource(seed))
 	return &ContentModel{
 		ZeroFrac:   zeroFrac,
 		SharedFrac: sharedFrac,
 		PoolSize:   poolSize,
 		imageBase:  (base | 1) &^ (1 << 63), // nonzero, and bit 63 reserved to tag unique pages
-		salt:       uint64(rng.Int63()),
+		seed:       seed,
 		nextUnique: 1,
-		rng:        rng,
 	}
+}
+
+// flush readies the stream for a draw: it seeds the stream if this is the
+// first draw and draws the pages of every queued memory.
+func (m *ContentModel) flush() {
+	if m.rng == nil || len(m.queued) > 0 {
+		m.drawThrough(nil)
+	}
+}
+
+// drawThrough seeds the stream if no draw has been made yet, then draws the
+// pages of the queued memories, oldest first, up to and including last (all
+// of them when last is nil), and dequeues them. The salt is the stream's
+// first value.
+func (m *ContentModel) drawThrough(last *Memory) {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+		m.salt = uint64(m.rng.Int63())
+	}
+	n := 0
+	for _, mem := range m.queued {
+		n++
+		mem.pages = make([]ContentID, mem.n)
+		mem.dirty = make([]bool, mem.n)
+		for i := range mem.pages {
+			mem.pages[i] = m.next()
+		}
+		mem.model = nil
+		if mem == last {
+			break
+		}
+	}
+	rest := copy(m.queued, m.queued[n:])
+	clear(m.queued[rest:])
+	m.queued = m.queued[:rest]
 }
 
 // Next draws one page content.
 func (m *ContentModel) Next() ContentID {
+	m.flush()
+	return m.next()
+}
+
+func (m *ContentModel) next() ContentID {
 	r := m.rng.Float64()
 	switch {
 	case r < m.ZeroFrac:
@@ -91,7 +144,7 @@ func (m *ContentModel) Next() ContentID {
 		idx := uint64(m.rng.Intn(m.PoolSize))
 		return ContentID(m.imageBase ^ (idx+1)<<20)
 	default:
-		return m.FreshUnique()
+		return m.freshUnique()
 	}
 }
 
@@ -100,6 +153,11 @@ func (m *ContentModel) Next() ContentID {
 // unique pages distinct (only zero and shared-pool pages are duplicates
 // across VMs, as in the measurements the paper cites).
 func (m *ContentModel) FreshUnique() ContentID {
+	m.flush()
+	return m.freshUnique()
+}
+
+func (m *ContentModel) freshUnique() ContentID {
 	m.nextUnique++
 	return ContentID((m.salt^m.nextUnique<<1)&^(1<<63) ^ m.imageBase | 1<<63)
 }
@@ -112,33 +170,48 @@ func (m *ContentModel) PoolEntry(i int) ContentID {
 }
 
 // Memory is a VM's RAM: a flat array of page contents plus a dirty bitmap
-// relative to the last Snapshot call (the migration round boundary).
+// relative to the last ClearDirty call (the migration round boundary).
 type Memory struct {
+	n      int
+	model  *ContentModel // non-nil while the pages are queued on it
 	pages  []ContentID
 	dirty  []bool
 	nDirty int
 }
 
-// NewMemory allocates n pages, filling them from the content model.
+// NewMemory returns n pages whose contents come from the content model. The
+// pages are drawn on the memory's first use (any method but NumPages and
+// Bytes), together with those of every memory built on the model before it,
+// in creation order. Any other draw from the model draws them first too, so
+// each page's content is the one it would have had if drawn here.
 func NewMemory(n int, m *ContentModel) *Memory {
-	mem := &Memory{pages: make([]ContentID, n), dirty: make([]bool, n)}
-	for i := range mem.pages {
-		mem.pages[i] = m.Next()
-	}
+	mem := &Memory{n: n, model: m}
+	m.queued = append(m.queued, mem)
 	return mem
 }
 
+// fill draws the pages if they are still queued on the model.
+func (mem *Memory) fill() {
+	if mem.model != nil {
+		mem.model.drawThrough(mem)
+	}
+}
+
 // NumPages returns the page count.
-func (mem *Memory) NumPages() int { return len(mem.pages) }
+func (mem *Memory) NumPages() int { return mem.n }
 
 // Bytes returns the memory size in bytes.
-func (mem *Memory) Bytes() int64 { return int64(len(mem.pages)) * PageSize }
+func (mem *Memory) Bytes() int64 { return int64(mem.n) * PageSize }
 
 // Page returns the content of page i.
-func (mem *Memory) Page(i int) ContentID { return mem.pages[i] }
+func (mem *Memory) Page(i int) ContentID {
+	mem.fill()
+	return mem.pages[i]
+}
 
 // Write sets page i to content c and marks it dirty.
 func (mem *Memory) Write(i int, c ContentID) {
+	mem.fill()
 	mem.pages[i] = c
 	if !mem.dirty[i] {
 		mem.dirty[i] = true
@@ -147,10 +220,14 @@ func (mem *Memory) Write(i int, c ContentID) {
 }
 
 // DirtyCount returns the number of pages dirtied since the last ClearDirty.
-func (mem *Memory) DirtyCount() int { return mem.nDirty }
+func (mem *Memory) DirtyCount() int {
+	mem.fill()
+	return mem.nDirty
+}
 
 // DirtyPages returns the indices of dirty pages in ascending order.
 func (mem *Memory) DirtyPages() []int {
+	mem.fill()
 	out := make([]int, 0, mem.nDirty)
 	for i, d := range mem.dirty {
 		if d {
@@ -162,19 +239,11 @@ func (mem *Memory) DirtyPages() []int {
 
 // ClearDirty resets the dirty bitmap (start of a migration round).
 func (mem *Memory) ClearDirty() {
+	mem.fill()
 	for i := range mem.dirty {
 		mem.dirty[i] = false
 	}
 	mem.nDirty = 0
-}
-
-// Clone returns a deep copy (used when a VM restarts from a checkpoint).
-func (mem *Memory) Clone() *Memory {
-	c := &Memory{
-		pages: append([]ContentID(nil), mem.pages...),
-		dirty: make([]bool, len(mem.pages)),
-	}
-	return c
 }
 
 // DiskImage is a block device image. Blocks carry content IDs like memory
@@ -299,8 +368,8 @@ type VM struct {
 	workload *Workload
 }
 
-// New creates a VM with memPages of RAM drawn from the content model and an
-// optional disk.
+// New creates a VM with memPages of RAM whose contents come from the content
+// model (drawn on first use; see NewMemory) and an optional disk.
 func New(name, image string, cores, memPages int, m *ContentModel, disk *DiskImage) *VM {
 	return &VM{
 		Name:  name,

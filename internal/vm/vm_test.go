@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,17 +95,88 @@ func TestMemoryDirtyTracking(t *testing.T) {
 	}
 }
 
-func TestMemoryClone(t *testing.T) {
-	m := NewContentModel(1, "img", 0, 0, 1)
-	mem := NewMemory(10, m)
-	c := mem.Clone()
-	orig := mem.Page(0)
-	mem.Write(0, m.FreshUnique())
-	if c.Page(0) != orig {
-		t.Fatal("clone aliases original")
+// TestDeferredPagesKeepEagerContents: whatever order a model's memories,
+// flat disk image and workload are created and used in, every page, block
+// and draw equals an eager reference whose memories are drawn with Next
+// when created, from a model with the same seed.
+func TestDeferredPagesKeepEagerContents(t *testing.T) {
+	type world struct {
+		m       *ContentModel
+		newMem  func(n int) *Memory
+		a, b    *Memory
+		disk    *DiskImage
+		w       *Workload
+		uniques []ContentID
 	}
-	if c.DirtyCount() != 0 {
-		t.Fatal("clone should start clean")
+	newA := func(x *world) { x.a = x.newMem(300) }
+	newB := func(x *world) { x.b = x.newMem(200) }
+	newDisk := func(x *world) { x.disk = NewDiskImage("d", 40, 4096, x.m) }
+	newW := func(x *world) { x.w = NewWorkload("w", 400, 0.5, 0.8, 0.3, x.m, 3) }
+	readA := func(x *world) { _ = x.a.Page(299) }
+	readB := func(x *world) { _ = x.b.Page(0) }
+	dirtyA := func(x *world) { x.w.ApplyDirtying(x.a, 0.5) }
+	dirtyB := func(x *world) { x.w.ApplyDirtying(x.b, 0.5) }
+	fresh := func(x *world) { x.uniques = append(x.uniques, x.m.FreshUnique()) }
+	for _, tc := range []struct {
+		name  string
+		steps []func(*world)
+	}{
+		{"second memory read first", []func(*world){newA, newB, newW, readB, readA, newDisk, dirtyA, fresh}},
+		{"draws before any read", []func(*world){newA, newB, newW, fresh, dirtyB, newDisk, readB, readA}},
+		{"disk between memories", []func(*world){newA, newDisk, newB, newW, dirtyB, readA, fresh, dirtyA}},
+		{"dirtying first", []func(*world){newA, newB, newW, dirtyB, dirtyA, readA, readB, newDisk, fresh}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := func() *ContentModel { return NewContentModel(11, "debian", 0.2, 0.4, 64) }
+			lazy := &world{m: model()}
+			lazy.newMem = func(n int) *Memory { return NewMemory(n, lazy.m) }
+			ref := &world{m: model()}
+			ref.newMem = func(n int) *Memory {
+				mem := &Memory{n: n, pages: make([]ContentID, n), dirty: make([]bool, n)}
+				for i := range mem.pages {
+					mem.pages[i] = ref.m.Next()
+				}
+				return mem
+			}
+			for _, step := range tc.steps {
+				step(lazy)
+				step(ref)
+			}
+			for _, p := range []struct {
+				name      string
+				got, want *Memory
+			}{{"a", lazy.a, ref.a}, {"b", lazy.b, ref.b}} {
+				for i := 0; i < p.want.NumPages(); i++ {
+					if p.got.Page(i) != p.want.Page(i) {
+						t.Fatalf("memory %s page %d = %#x, want %#x", p.name, i, p.got.Page(i), p.want.Page(i))
+					}
+				}
+				if got, want := p.got.DirtyPages(), p.want.DirtyPages(); !slices.Equal(got, want) {
+					t.Fatalf("memory %s dirty pages %v, want %v", p.name, got, want)
+				}
+			}
+			for i := 0; i < ref.disk.NumBlocks(); i++ {
+				if lazy.disk.Read(i) != ref.disk.Read(i) {
+					t.Fatalf("disk block %d = %#x, want %#x", i, lazy.disk.Read(i), ref.disk.Read(i))
+				}
+			}
+			if !slices.Equal(lazy.uniques, ref.uniques) {
+				t.Fatalf("FreshUnique returned %#x, want %#x", lazy.uniques, ref.uniques)
+			}
+		})
+	}
+}
+
+// TestMemorySizeDrawsNothing: reading a fresh memory's size neither draws
+// its pages nor seeds its model's stream.
+func TestMemorySizeDrawsNothing(t *testing.T) {
+	m := NewContentModel(1, "img", 0.1, 0.5, 100)
+	mem := NewMemory(4096, m)
+	if mem.NumPages() != 4096 || mem.Bytes() != 4096*PageSize {
+		t.Fatalf("size %d pages, %d bytes", mem.NumPages(), mem.Bytes())
+	}
+	if mem.pages != nil || m.rng != nil {
+		t.Fatal("NumPages/Bytes drew the memory's pages or seeded its model")
 	}
 }
 
