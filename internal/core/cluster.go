@@ -310,14 +310,6 @@ func (vc *VirtualCluster) WireSpotMigration(cloud string) {
 	}
 }
 
-// TerminateVM kills one VM by name, releasing its resources and overlay
-// address.
-func (f *Federation) TerminateVM(name string) {
-	if v := f.VM(name); v != nil {
-		f.releaseVM(v)
-	}
-}
-
 // Terminate releases every VM in the cluster.
 func (vc *VirtualCluster) Terminate() {
 	for _, v := range vc.VMs() {

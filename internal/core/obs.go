@@ -33,6 +33,6 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 			"Virtual duration of completed migrations.", migrationBuckets),
 		spotMigrations: reg.Counter("sky_core_spot_migrations_total", "Out-bid spot VMs migrated instead of killed."),
 		spotKills:      reg.Counter("sky_core_spot_kills_total", "Out-bid spot VMs terminated."),
-		launchRetries:  reg.Counter("sky_core_launch_retries_total", "Transient deploy failures retried on the scheduler launch/grow path."),
+		launchRetries:  reg.Counter("sky_core_launch_retries_total", "Transient deploy failures retried on the scheduler grow path."),
 	}
 }

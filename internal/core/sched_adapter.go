@@ -51,9 +51,9 @@ type fedBackend struct {
 	// revocation dispatch and traffic attribution.
 	owner map[string]*launchedJob
 
-	// retryRNG jitters launch/grow retry backoff; seeded lazily from the
-	// kernel RNG on the first transient deploy failure, so fault-free runs
-	// never perturb the kernel stream.
+	// retryRNG jitters grow retry backoff; seeded lazily from the kernel RNG
+	// on the first transient grow failure, so fault-free runs never perturb
+	// the kernel stream.
 	retryRNG *rand.Rand
 }
 
@@ -427,116 +427,60 @@ func (b *fedBackend) release(lj *launchedJob) {
 // against the federation ledger, so the cores are held from this call
 // onward.
 //
-// Deploy failures surface asynchronously (CreateCluster's callback), so the
-// scheduler's synchronous ErrTransientLaunch requeue never fires for this
-// backend; transient faults are retried here instead — bounded attempts
-// with jittered backoff, each preceded by a remapPlan pass that re-Probes
-// every member and moves slices the ledger can no longer host onto the
-// alternate cloud with the most headroom. A failed CreateCluster tears its
-// partial gang down before reporting, so every retry starts from a clean
-// ledger.
+// Deploy failures surface asynchronously, through CreateCluster's callback,
+// which tears a partial gang down before reporting. A transient one reaches
+// onDone wrapped in sched.ErrTransientLaunch, so the scheduler requeues and
+// re-places the job behind a backoff, within sched.LaunchRetryBudget, as
+// for any backend's transient launch failure.
 func (b *fedBackend) Launch(j *sched.Job, plan sched.Plan, onDone func(*sched.Job, sched.Outcome)) (sched.Handle, error) {
 	cores := j.Spec.CoresPerWorker
 	if cores <= 0 {
 		cores = 1
 	}
 	lj := &launchedJob{id: j.ID, tenant: j.Spec.Tenant, plan: plan, cpw: cores}
-	attempt := 0
-	var tryLaunch func()
-	tryLaunch = func() {
-		dist := make(map[string]int, len(lj.plan.Members))
-		for _, m := range lj.plan.Members {
-			dist[m.Cloud] = m.Workers
-		}
-		b.f.CreateCluster("sched-"+j.ID, ClusterSpec{
-			Image:        b.opt.Image,
-			Cores:        cores,
-			MemPages:     b.opt.MemPagesPerWorker,
-			CoW:          true,
-			Spot:         j.Spec.Spot,
-			Bid:          j.Spec.Bid,
-			Distribution: dist,
-		}, func(vc *VirtualCluster, err error) {
-			if err != nil {
-				if errors.Is(err, nimbus.ErrTransientDeploy) && attempt < b.retryBudget() && !lj.preempted {
-					attempt++
-					b.f.m.launchRetries.Inc()
-					b.remapPlan(lj)
-					b.f.K.Schedule(b.retryDelay(attempt), func() {
-						if lj.preempted {
-							onDone(j, sched.Outcome{Err: err})
-							return
-						}
-						tryLaunch()
-					})
-					return
-				}
-				onDone(j, sched.Outcome{Err: err})
-				return
-			}
-			lj.vc = vc
-			b.adopt(lj)
-			mr := j.Spec.MR
-			if mr.Splits == nil && j.Spec.InputSite != "" && j.Spec.InputBytes > 0 && mr.NumMaps > 0 {
-				mr.Splits = b.inputSplits(j.Spec.InputSite, mr.NumMaps, j.Spec.InputBytes)
-			}
-			finish := func(out sched.Outcome) {
-				b.release(lj)
-				vc.Terminate()
-				onDone(j, out)
-			}
-			if err := vc.RunJob(mr, func(res mapreduce.Result) {
-				finish(sched.Outcome{Result: res})
-			}); err != nil {
-				finish(sched.Outcome{Err: err})
-			}
-		})
+	dist := make(map[string]int, len(plan.Members))
+	for _, m := range plan.Members {
+		dist[m.Cloud] = m.Workers
 	}
-	tryLaunch()
+	b.f.CreateCluster("sched-"+j.ID, ClusterSpec{
+		Image:        b.opt.Image,
+		Cores:        cores,
+		MemPages:     b.opt.MemPagesPerWorker,
+		CoW:          true,
+		Spot:         j.Spec.Spot,
+		Bid:          j.Spec.Bid,
+		Distribution: dist,
+	}, func(vc *VirtualCluster, err error) {
+		if err != nil {
+			if errors.Is(err, nimbus.ErrTransientDeploy) {
+				err = fmt.Errorf("%w: %w", sched.ErrTransientLaunch, err)
+			}
+			onDone(j, sched.Outcome{Err: err})
+			return
+		}
+		lj.vc = vc
+		b.adopt(lj)
+		mr := j.Spec.MR
+		if mr.Splits == nil && j.Spec.InputSite != "" && j.Spec.InputBytes > 0 && mr.NumMaps > 0 {
+			mr.Splits = b.inputSplits(j.Spec.InputSite, mr.NumMaps, j.Spec.InputBytes)
+		}
+		finish := func(out sched.Outcome) {
+			b.release(lj)
+			vc.Terminate()
+			onDone(j, out)
+		}
+		if err := vc.RunJob(mr, func(res mapreduce.Result) {
+			finish(sched.Outcome{Result: res})
+		}); err != nil {
+			finish(sched.Outcome{Err: err})
+		}
+	})
 	return &fedHandle{b: b, lj: lj}, nil
 }
 
-// remapPlan re-Probes every member of a retrying launch's plan and moves
-// slices the ledger can no longer host (the cloud failed during the backoff,
-// or its cores were taken) onto the non-member cloud with the most
-// reservation-aware headroom. The scheduler's plan and release entries
-// follow via JobRelocated, so the retried deploy and the scheduler agree on
-// where the gang will live. A slice with no viable alternate keeps its
-// placement — the retry simply fails again, and the attempt bound converts
-// that into a terminal error.
-func (b *fedBackend) remapPlan(lj *launchedJob) {
-	l := b.f.ledger
-	now := b.f.K.Now()
-	names := make([]string, 0, len(b.f.clouds))
-	for _, c := range b.f.Clouds() { // sorted by name
-		names = append(names, c.Name)
-	}
-	members := append(lj.plan.Members[:0:0], lj.plan.Members...)
-	for _, m := range members {
-		need := m.Workers * lj.cpw
-		if l.Probe(m.Cloud, need, now) {
-			continue
-		}
-		best, bestRoom := "", 0
-		for _, cand := range names {
-			if cand == m.Cloud || lj.plan.WorkersOn(cand) > 0 {
-				continue
-			}
-			if room := l.Headroom(cand, now); room >= need && room > bestRoom {
-				best, bestRoom = cand, room
-			}
-		}
-		if best == "" {
-			continue
-		}
-		lj.plan = lj.plan.MoveWorkers(m.Cloud, best, m.Workers)
-		b.s.JobRelocated(lj.id, m.Cloud, best, m.Workers)
-	}
-}
-
-// retryBudget is the bounded retry count for transient deploy faults; zero
+// retryBudget is the bounded retry count for transient grow faults; zero
 // when no scheduler is attached (direct cluster tests drive the backend
-// without one), so the retry paths stay dormant there.
+// without one), so the retry path stays dormant there.
 func (b *fedBackend) retryBudget() int {
 	if b.s == nil {
 		return 0
@@ -544,7 +488,7 @@ func (b *fedBackend) retryBudget() int {
 	return sched.LaunchRetryBudget
 }
 
-// retryDelay is the jittered exponential backoff before launch/grow attempt
+// retryDelay is the jittered exponential backoff before grow attempt
 // `attempt` (1-based): sched.Backoff from sched.RetryBackoffBase, doubled
 // per prior attempt. The jitter draws from the backend's own lazily seeded
 // RNG, never the scheduler's.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -275,8 +276,9 @@ func TestNotifySchedulerPatterns(t *testing.T) {
 
 // TestFederationDeployFaultRetried: a transient deploy fault on the chosen
 // cloud fails the gang's CreateCluster; the backend tears the partial gang
-// down, backs off, re-probes the plan, and the retried launch completes the
-// job — the scheduler never sees an error.
+// down and reports the error as a transient launch failure, and the
+// scheduler requeues the job, backs off, re-places it, and the retried
+// launch completes the job.
 func TestFederationDeployFaultRetried(t *testing.T) {
 	f, s := schedFederation(t, 29, 2, 2, sched.Config{})
 	s.AddTenant("a", 1)
@@ -296,8 +298,8 @@ func TestFederationDeployFaultRetried(t *testing.T) {
 	if ji.State != sched.Done {
 		t.Fatalf("job state %v err %v, want Done despite the deploy fault", ji.State, ji.Err)
 	}
-	if got := int(f.m.launchRetries.Value()); got < 1 {
-		t.Fatalf("core launch retries = %d, want >= 1", got)
+	if got := s.LaunchRetries(); got < 1 {
+		t.Fatalf("scheduler launch retries = %d, want >= 1", got)
 	}
 	if n := len(f.VMNames()); n != 0 {
 		t.Errorf("%d VMs leaked after the retried launch", n)
@@ -305,7 +307,8 @@ func TestFederationDeployFaultRetried(t *testing.T) {
 }
 
 // TestFederationDeployFaultsExhausted: faults past the retry budget fail
-// the job with the transient error surfaced, and no cluster debris remains.
+// the job with the transient error surfaced, after exactly the scheduler's
+// retry budget of requeues, and no cluster debris remains.
 func TestFederationDeployFaultsExhausted(t *testing.T) {
 	f, s := schedFederation(t, 31, 2, 2, sched.Config{})
 	s.AddTenant("a", 1)
@@ -322,6 +325,12 @@ func TestFederationDeployFaultsExhausted(t *testing.T) {
 	ji, _ := s.Poll(id)
 	if ji.State != sched.Failed {
 		t.Fatalf("job state %v, want Failed once retries are exhausted", ji.State)
+	}
+	if !errors.Is(ji.Err, nimbus.ErrTransientDeploy) {
+		t.Errorf("job error %v, want the transient deploy fault surfaced", ji.Err)
+	}
+	if got := s.LaunchRetries(); got != sched.LaunchRetryBudget {
+		t.Errorf("scheduler launch retries = %d, want the budget of %d", got, sched.LaunchRetryBudget)
 	}
 	if n := len(f.VMNames()); n != 0 {
 		t.Errorf("%d VMs leaked after the failed launch", n)

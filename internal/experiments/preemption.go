@@ -7,8 +7,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // E12Preemption evaluates revocable placement on the capacity ledger:
@@ -31,23 +29,6 @@ func E12Preemption(seed int64) []*metrics.Table {
 	}
 }
 
-// preemptFederation builds two 32-core clouds (4 x 8-core hosts) seeded
-// with the debian image and the scheduler enabled under cfg.
-func preemptFederation(seed int64, cfg sched.Config) (*core.Federation, *sched.Scheduler) {
-	f := core.NewFederation(seed)
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("cloud%d", i)
-		cc := cloudConfig(name, 4, 0.08+0.04*float64(i), 1.0)
-		cc.WANUp, cc.WANDown = 60*mb, 60*mb
-		c := f.AddCloud(cc)
-		m := vm.NewContentModel(seed+int64(i)*17, "debian", 0.1, 0.5, 2048)
-		c.PutImage(vm.NewDiskImage("debian", 1024, 65536, m))
-	}
-	f.SetWANLatency("cloud0", "cloud1", 60*sim.Millisecond)
-	s := f.EnableScheduler(core.SchedulerOptions{Sched: cfg})
-	return f, s
-}
-
 // preemptRun drives the E12a workload: two honest 16-core holders (one per
 // cloud), a 48-core head job that must span both clouds, and a burst of
 // four 8-core backfills whose 50 s estimates hide ~250 s of real map work.
@@ -55,7 +36,7 @@ func preemptFederation(seed int64, cfg sched.Config) (*core.Federation, *sched.S
 // preemption the eviction pass frees exactly enough of them for the gang
 // to start.
 func preemptRun(seed int64, cfg sched.Config) (head sched.JobInfo, evicted, forced, agings int, victimsDone bool, s *sched.Scheduler) {
-	f, sc := preemptFederation(seed, cfg)
+	f, sc := schedFederation(seed, 60*mb, cfg)
 	sc.AddTenant("batch", 1)
 	submit := func(name string, workers int, est float64, mr mapreduce.Job) string {
 		id, err := sc.Submit(sched.JobSpec{Tenant: "batch", Name: name, Workers: workers,
@@ -132,7 +113,7 @@ func preemptVsWaitTable(seed int64) (*metrics.Table, *metrics.Table) {
 // cloud0's filler finishes during the gang's map phase — freeing enough of
 // the gang's majority cloud for the minority slice to migrate home.
 func consolidationRun(seed int64, cfg sched.Config) (sched.JobInfo, *core.Federation, *sched.Scheduler) {
-	f, s := preemptFederation(seed, cfg)
+	f, s := schedFederation(seed, 60*mb, cfg)
 	s.AddTenant("span", 1)
 	mrFill := mapreduce.Job{Name: "fill", NumMaps: 16, NumReduces: 1, MapCPU: 40, ReduceCPU: 1}
 	for _, n := range []string{"f0", "f1"} {

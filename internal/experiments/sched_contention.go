@@ -43,14 +43,16 @@ func schedSnapshot(s *sched.Scheduler, title string) *metrics.Table {
 		"!sky_capacity_cloud_failures", "!sky_capacity_cloud_restores")
 }
 
-// schedFederation builds a small, contended federation: two clouds of
-// 4 x 8-core hosts (32 cores each) behind 30 MB/s WAN links.
-func schedFederation(seed int64, cfg sched.Config) (*core.Federation, *sched.Scheduler) {
+// schedFederation builds the scheduler experiments' small, contended
+// federation: two clouds of 4 x 8-core hosts (32 cores each) seeded with the
+// debian image, behind WAN links of wan bytes/sec each way, with the
+// scheduler enabled under cfg. E10 runs it at 30 MB/s, E12 at 60 MB/s.
+func schedFederation(seed int64, wan float64, cfg sched.Config) (*core.Federation, *sched.Scheduler) {
 	f := core.NewFederation(seed)
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("cloud%d", i)
 		cc := cloudConfig(name, 4, 0.08+0.04*float64(i), 1.0)
-		cc.WANUp, cc.WANDown = 30*mb, 30*mb
+		cc.WANUp, cc.WANDown = wan, wan
 		c := f.AddCloud(cc)
 		m := vm.NewContentModel(seed+int64(i)*17, "debian", 0.1, 0.5, 2048)
 		c.PutImage(vm.NewDiskImage("debian", 1024, 65536, m))
@@ -61,7 +63,7 @@ func schedFederation(seed int64, cfg sched.Config) (*core.Federation, *sched.Sch
 }
 
 func schedFairShareTable(seed int64) (*metrics.Table, *metrics.Table) {
-	f, s := schedFederation(seed, sched.Config{})
+	f, s := schedFederation(seed, 30*mb, sched.Config{})
 	s.AddTenant("gold", 3)
 	s.AddTenant("silver", 1)
 	job := mapreduce.Job{Name: "blast", NumMaps: 32, NumReduces: 1, MapCPU: 30, ReduceCPU: 2}
@@ -131,7 +133,7 @@ func schedPlacementTable(seed int64) *metrics.Table {
 	}
 	var rows []row
 	for _, policy := range []sched.PlacementPolicy{sched.BestScore{}, sched.RandomPlacement{}} {
-		f, s := schedFederation(seed, sched.Config{Placement: policy})
+		f, s := schedFederation(seed, 30*mb, sched.Config{Placement: policy})
 		s.AddTenant("data", 1)
 		var ids []string
 		// Jobs arrive every 45 s, so the data cloud usually has room and

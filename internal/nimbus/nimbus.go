@@ -57,9 +57,6 @@ func (h *Host) VMs() []string {
 	return out
 }
 
-// HasImage reports whether the host caches the named base image.
-func (h *Host) HasImage(name string) bool { return h.cached[name] }
-
 // Config parameterises a cloud.
 type Config struct {
 	Name             string
@@ -212,14 +209,16 @@ func (c *Cloud) Cost() float64 {
 }
 
 // ErrTransientDeploy marks a deploy failure worth retrying: the fault
-// injector (FailNextDeploys) wraps it, and callers on the placement path —
-// the federation's scheduler backend — re-probe and retry against alternate
-// clouds with backoff instead of failing the job.
+// injector (FailNextDeploys) wraps it. The federation's scheduler backend
+// passes a failed launch on to the scheduler as a transient launch failure,
+// which re-places the job after a backoff, and retries a failed elastic
+// grow itself.
 var ErrTransientDeploy = errors.New("nimbus: transient deploy failure")
 
 // FailNextDeploys makes the next n Deploy calls on this cloud fail with
-// ErrTransientDeploy before any admission debit — the deploy-fault
-// injection hook the workload replay's deployfault events drive.
+// ErrTransientDeploy before any admission debit. It is the federation's
+// deploy-fault hook; trace replays run on sched.SimBackend and drive its
+// FailNextLaunches instead.
 func (c *Cloud) FailNextDeploys(n int) { c.failNext += n }
 
 // DeployRequest asks for a homogeneous set of VMs.

@@ -31,13 +31,13 @@ import (
 //
 //	go test ./internal/sched -run TestDecisionsGolden -args -golden.dump=DIR
 const (
-	goldenPlainTrace  = "ae4146cd3f81d80c008b628381269d19061c7b0bc73363b68a15e3b182a6092a"
-	goldenPlainLen    = 275488
-	goldenPlainShares = "e0e4cb1d2dabf2643cb9cde2a8f421932f62a5a3a181bce334c7e750b5ada877"
+	goldenPlainTrace  = "8a7bdd94d25a544ab29d140c500fe2028c198a1185c1c941e973abf2bed2882e"
+	goldenPlainLen    = 272675
+	goldenPlainShares = "faf6448c6a2344e5736570738ff07eef53f2d15daf69df1ed39444279041ba4d"
 
-	goldenStormTrace  = "fb613f52d1cde305ee92033a9ff7088154ba733434b58361e0fd6bacbfaacc99"
-	goldenStormLen    = 273521
-	goldenStormShares = "e4a0f34afebfac3fd3ade4e156a4a5522dad2080c601abde08698523b5c7a2f5"
+	goldenStormTrace  = "edb31de9c495d03ef4b126687d9b7af567d2d3e7de9aa3e0057ac671219a28ca"
+	goldenStormLen    = 274254
+	goldenStormShares = "53d264f6de30e044966ac281b6ac94e3e376dc20534816f62f61fd7264f56e17"
 
 	goldenEvictTrace     = "d50ea37d2fbebc1fca28797261b8b2711cbe7d531410e08a4bbc1f3fde1b9621"
 	goldenEvictLen       = 76845
@@ -70,7 +70,6 @@ func decisionWorkload(t *testing.T, storm bool) ([]byte, map[string]float64) {
 	s := New(b, Config{
 		EnablePreemption:    true,
 		EnableConsolidation: true,
-		UsageHalfLife:       600 * sim.Second,
 		Trace:               tr,
 	})
 	s.Start()

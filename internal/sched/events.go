@@ -13,7 +13,7 @@ type EventKind int
 // Event kinds.
 const (
 	// EventSpotRevoked reports a spot worker lost mid-job. The scheduler
-	// replaces it with on-demand capacity unless DisableSpotReplacement.
+	// replaces it with on-demand capacity.
 	EventSpotRevoked EventKind = iota
 	// EventPatternDetected reports a tenant's classified communication
 	// pattern; communication-heavy patterns bias future placement toward
@@ -63,7 +63,7 @@ func (s *Scheduler) Notify(ev Event) {
 			// this instant (a replacement, if any, re-grows it on arrival).
 			s.resize(j, -j.coresPerWorker())
 		}
-		if j.State == Running && j.handle != nil && !s.cfg.DisableSpotReplacement {
+		if j.State == Running && j.handle != nil {
 			j.spotReplaced++
 			s.m.spotReplacements.Inc()
 			s.growOne(j, &j.spotReplaced)

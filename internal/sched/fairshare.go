@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -23,14 +22,11 @@ type Tenant struct {
 	// minStale marks the summary for minQueuedDemand to recompute.
 	minDemand, minCount int
 	minStale            bool
-	// usage is charged core-seconds: an estimate is charged at dispatch
-	// (so one tenant cannot capture the whole federation within a single
-	// cycle) and trued up to actual duration at completion. With
-	// Config.UsageHalfLife set it decays exponentially (see decay), so the
-	// arbiter weighs recent consumption, not all of history.
+	// usage is charged core-seconds, cumulative over the tenant's history:
+	// an estimate is charged at dispatch (so one tenant cannot capture the
+	// whole federation within a single cycle) and trued up to actual
+	// duration at completion.
 	usage float64
-	// usageAt is the instant usage was last decayed to.
-	usageAt sim.Time
 	// delivered is actual core-seconds of finished work, the quantity
 	// Shares reports.
 	delivered float64
@@ -108,21 +104,6 @@ func (s *Scheduler) queueUnfit(t *Tenant, v *CloudView) bool {
 	return t.minQueuedDemand() > s.fitRow(v, 1).slots
 }
 
-// decay brings the tenant's charged usage forward to now under the
-// configured half-life: usage halves every UsageHalfLife of wall time, so a
-// tenant idle for several half-lives returns near parity instead of with a
-// banked deficit that would let it monopolize the next cycles.
-func (s *Scheduler) decay(t *Tenant) {
-	now := s.K.Now()
-	hl := s.cfg.UsageHalfLife
-	if hl > 0 && now > t.usageAt && t.usage != 0 {
-		// Decay magnitude regardless of sign, so a (transient) negative
-		// balance also relaxes toward parity instead of freezing.
-		t.usage *= math.Exp2(-float64(now-t.usageAt) / float64(hl))
-	}
-	t.usageAt = now
-}
-
 // AddTenant registers a tenant with the given weight (replacing the weight
 // if the tenant exists). Weight <= 0 is treated as 1.
 func (s *Scheduler) AddTenant(name string, weight float64) *Tenant {
@@ -173,9 +154,6 @@ func (s *Scheduler) TenantQueueLen(name string) int {
 // per visited job: the keys and the candidate set move only when a job
 // dispatches, fails or is evicted, and until then the tenant it picked
 // stays its answer for as long as that tenant has unexamined jobs.
-// Usage is decayed once per cycle (decayTenants) rather than per call:
-// virtual time does not advance inside a cycle, so re-decaying on every
-// scan step of the same cycle is a no-op by construction.
 func (s *Scheduler) nextTenant() *Tenant {
 	var best *Tenant
 	var bestKey float64
@@ -194,22 +172,12 @@ func (s *Scheduler) nextTenant() *Tenant {
 	return best
 }
 
-// decayTenants brings every tenant's usage forward to the cycle's instant,
-// so the scan loop's arbitration keys are decay-consistent without a decay
-// call per nextTenant step.
-func (s *Scheduler) decayTenants() {
-	for _, t := range s.tenantList {
-		s.decay(t)
-	}
-}
-
 // charge books the dispatch-time estimate against the tenant's share.
 // Elastic growth (deadline chasing, spot replacement) is deliberately not
 // charged: replacement capacity restores the job's entitlement, and
 // deadline growth is the tenant trading cloud cost for time — it is billed
 // by the cloud, not by the share.
 func (s *Scheduler) charge(t *Tenant, j *Job, estSeconds float64) {
-	s.decay(t)
 	j.charged = float64(j.Cores()) * estSeconds
 	t.usage += j.charged
 }
@@ -217,18 +185,10 @@ func (s *Scheduler) charge(t *Tenant, j *Job, estSeconds float64) {
 // trueUp replaces the dispatch estimate with the actual core-seconds the
 // job held over time: the per-resize ledger (runCoreSeconds) accounts
 // grow/shrink at the size the job had when the time elapsed, instead of
-// retroactively applying the final size to the whole runtime. Under decay
-// the charge has itself decayed inside t.usage since dispatch, so the
-// amount backed out is the charge's decayed remainder — subtracting the
-// full original would drive usage permanently negative.
+// retroactively applying the final size to the whole runtime.
 func (s *Scheduler) trueUp(t *Tenant, j *Job, now sim.Time) {
-	s.decay(t)
-	charged := j.charged
-	if hl := s.cfg.UsageHalfLife; hl > 0 && now > j.Started {
-		charged *= math.Exp2(-float64(now-j.Started) / float64(hl))
-	}
 	actual := j.runCoreSeconds(now)
-	t.usage += actual - charged
+	t.usage += actual - j.charged
 	t.delivered += actual
 }
 

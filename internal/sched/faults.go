@@ -31,8 +31,10 @@ import (
 
 // ErrTransientLaunch marks a launch failure worth retrying: backends wrap
 // deploy-path errors they believe are transient (an injected deploy fault, a
-// timed-out propagation) with it, and the scheduler requeues the job for a
-// bounded number of jittered-backoff retries instead of failing it.
+// timed-out propagation) with it, whether Launch returns the error or the
+// completion callback reports it later. complete then requeues the job for
+// up to LaunchRetryBudget jittered-backoff retries (retryLaunch) instead of
+// failing it.
 var ErrTransientLaunch = errors.New("sched: transient launch failure")
 
 // ensureFaultState allocates the fault-tracking maps on first use.
@@ -138,7 +140,8 @@ func Backoff(base sim.Time, doublings int, rng *rand.Rand) sim.Time {
 // are released immediately — the survivors' cores return to the pool for
 // the requeued queue to re-place. Progress credit follows the preemption
 // machinery (the executed fraction discounts the next dispatch's estimate,
-// charge, and reservation) unless NaiveFaultMode zeroes it.
+// charge, and reservation) unless NaiveFaultMode zeroes it. Like an
+// eviction, the requeue gives the job a fresh launch retry budget.
 func (s *Scheduler) requeueOn(cloud string, now sim.Time) {
 	victims := s.runScratch[:0]
 	for _, j := range s.running {
@@ -160,6 +163,7 @@ func (s *Scheduler) requeueOn(cloud string, now sim.Time) {
 			sh.Release()
 		}
 		s.m.outageRequeues.Inc()
+		j.launchRetries = 0
 		s.requeue(j, credit)
 		j.outageRequeuedAt = now
 	}

@@ -193,6 +193,46 @@ func TestTransientLaunchRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestOutageRequeueRenewsLaunchRetryBudget: a job that used part of its
+// launch retry budget, ran, and was then torn off a failed cloud gets the
+// whole budget again for its next launch. A launch that succeeds does not
+// renew the budget: a backend may report the deploy failure after Launch
+// returns, so only the requeue of a job that ran does.
+func TestOutageRequeueRenewsLaunchRetryBudget(t *testing.T) {
+	for _, tc := range []struct {
+		strikes int
+		want    State
+	}{
+		{LaunchRetryBudget, Done},
+		{LaunchRetryBudget + 1, Failed},
+	} {
+		k := sim.NewKernel(1)
+		b := NewSimBackend(k)
+		b.AddCloud("a", 16, 1, 0.10)
+		s := New(b, Config{})
+		s.Start()
+		// The first launch burns all but one of the budget's retries, then
+		// the job runs until the outage requeues it.
+		b.FailNextLaunches("a", LaunchRetryBudget-1)
+		id := submitN(t, s, "t1", 1, JobSpec{Workers: 2, CoresPerWorker: 1, EstimateSeconds: 1000})[0]
+		failAt(t, k, b, s, "a", 100*sim.Second, 50*sim.Second)
+		// Armed while the cloud is down, so the relaunch after the restore
+		// meets every strike.
+		k.At(120*sim.Second, func() { b.FailNextLaunches("a", tc.strikes) })
+		k.Run()
+		ji, _ := s.Poll(id)
+		if s.OutageRequeues() != 1 {
+			t.Fatalf("%d strikes: OutageRequeues=%d, want 1 (the outage hit the running job)", tc.strikes, s.OutageRequeues())
+		}
+		if ji.State != tc.want {
+			t.Fatalf("%d strikes after the outage: job state=%v err=%v, want %v", tc.strikes, ji.State, ji.Err, tc.want)
+		}
+		if got, want := s.LaunchRetries(), 2*LaunchRetryBudget-1; got != want {
+			t.Fatalf("%d strikes: LaunchRetries=%d, want %d", tc.strikes, got, want)
+		}
+	}
+}
+
 // TestKillAndRecover is the crash-recovery acceptance test: mid-flight —
 // running gangs, queued jobs, an outage in the books — the ledger journal's
 // replay must rebuild the live capacity state byte for byte, and the run,

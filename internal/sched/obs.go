@@ -161,7 +161,9 @@ func (s *Scheduler) trace(ev obs.TraceEvent) {
 // Cycles returns the number of scheduling cycles run.
 func (s *Scheduler) Cycles() int { return int(s.m.cycles.Value()) }
 
-// Dispatched returns the number of jobs dispatched.
+// Dispatched returns the number of jobs dispatched: launches whose Launch
+// call returned no error. A backend that reports a deploy failure later,
+// through the completion callback, counts each such attempt once.
 func (s *Scheduler) Dispatched() int { return int(s.m.dispatched.Value()) }
 
 // SpanningDispatched returns the number of dispatched jobs with spanning plans.

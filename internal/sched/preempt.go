@@ -198,9 +198,10 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 // evict tears one victim down and requeues it: progress credit is computed
 // from the handle's last observed progress, the tenant's accounts are
 // trued up to the work actually delivered, and the job re-enters its
-// tenant's queue at its submission-order position. price is the victim's
-// eviction price (for the decision trace); kind names the path that chose
-// it ("preempt" for head-driven, "forced_preempt" for elastic overrun).
+// tenant's queue at its submission-order position with a fresh launch
+// retry budget. price is the victim's eviction price (for the decision
+// trace); kind names the path that chose it ("preempt" for head-driven,
+// "forced_preempt" for elastic overrun).
 func (s *Scheduler) evict(victim *Job, at sim.Time, price float64, kind string) []*capacity.Lease {
 	credit := progressCredit(victim.handle)
 	if s.tr != nil {
@@ -211,14 +212,16 @@ func (s *Scheduler) evict(victim *Job, at sim.Time, price float64, kind string) 
 	shields := victim.handle.Preempt(at)
 	s.m.preemptions.Inc()
 	victim.Preemptions++
+	victim.launchRetries = 0
 	s.requeue(victim, credit)
 	return shields
 }
 
-// requeue moves a just-evicted job from running back to queued, preserving
-// queue position credit (it re-enters the tenant queue in submission order,
-// ahead of everything submitted after it) and progress credit (the executed
-// fraction of the original work discounts the next dispatch's estimate).
+// requeue moves a running job back to queued (an eviction or outage victim,
+// or a transiently failed launch), preserving queue position credit (it
+// re-enters the tenant queue in submission order, ahead of everything
+// submitted after it) and progress credit (the executed fraction of the
+// original work discounts the next dispatch's estimate).
 func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	// Progress credit compounds across evictions: the last dispatch ran
 	// (1 − creditFrac) of the original work, of which progressFrac finished.

@@ -166,7 +166,8 @@ type Job struct {
 	// outageRequeuedAt stamps the instant an outage tore this job off a
 	// failed cloud; the next dispatch observes the gap as its recovery time.
 	// retryAt holds the job in the queue until a transient launch failure's
-	// backoff lapses; launchRetries counts that dispatch's retry attempts.
+	// backoff lapses; launchRetries counts the transient launch failures
+	// retried since the job last ran, and evict and requeueOn zero it.
 	outageRequeuedAt sim.Time
 	retryAt          sim.Time
 	launchRetries    int
@@ -352,7 +353,10 @@ type Backend interface {
 	// one callback value serves every launch (the scheduler passes the
 	// same pre-bound function each time instead of allocating a per-job
 	// closure). The returned handle drives elastic grow/shrink while the
-	// job runs.
+	// job runs. A launch that fails transiently, whether Launch returns the
+	// error or onDone reports it later, wraps ErrTransientLaunch; the
+	// scheduler then retries it, so a backend keeps no launch retry of its
+	// own.
 	Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error)
 }
 
@@ -423,8 +427,8 @@ const (
 	// backoffCap caps every Backoff: quarantines and launch retries.
 	backoffCap = 15 * sim.Minute
 	// LaunchRetryBudget bounds how many times one job's transiently failed
-	// launches (ErrTransientLaunch, or a backend's own deploy retries) are
-	// retried before the job fails.
+	// launches (ErrTransientLaunch) are retried before the job fails, and
+	// how many times a backend retries one transiently failed grow.
 	LaunchRetryBudget = 3
 	// RetryBackoffBase is the first launch retry's nominal delay; it
 	// doubles per attempt.
@@ -438,16 +442,9 @@ type Config struct {
 	// DisableShuffleCost drops the cross-site shuffle term from plan
 	// scoring — the bandwidth-oblivious spanning baseline (E11).
 	DisableShuffleCost bool
-	// UsageHalfLife exponentially decays tenants' charged usage, so a
-	// long-idle tenant cannot bank an unbounded deficit and starve others
-	// on return. Zero disables decay (cumulative usage, as before).
-	UsageHalfLife sim.Time
 	// DisableBackfill falls back to strict FIFO-within-fair-share: nothing
 	// may pass a blocked job.
 	DisableBackfill bool
-	// DisableSpotReplacement stops the scheduler from growing an on-demand
-	// replacement when a spot worker is revoked mid-job.
-	DisableSpotReplacement bool
 	// EnablePreemption makes placement revocable: when the blocked head
 	// job's reservation has slipped ReservationMaxSlips consecutive times,
 	// the cheapest set of backfilled jobs (priced by remaining work x the
@@ -861,7 +858,6 @@ func (s *Scheduler) cycle() {
 	s.dropShields()
 	v := &s.view
 	s.refreshView(v)
-	s.decayTenants()
 	traced := s.tr != nil
 	var t *Tenant // the tenant being served; nil asks nextTenant for one
 	for {
@@ -1102,8 +1098,10 @@ func (s *Scheduler) traceBlock(t *Tenant, j *Job) {
 // dispatch starts a placed job. An external job starts through its Run
 // callback on capacity the caller owns; any other takes its plan's cores
 // from the cycle's working view and launches through the backend. Only a
-// launch that succeeds counts as a dispatch (and as a backfill or spanning
-// dispatch): a failed one is requeued for a retry or fails the job.
+// launch whose Launch call returns no error counts as a dispatch (and as a
+// backfill or spanning dispatch): a failed one goes to complete, which
+// requeues it for a retry or fails the job. A backend that reports deploy
+// failures later, through onDone, counts once per attempt.
 func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *CloudView) {
 	now := s.K.Now()
 	est := planEstimateSeconds(s.B, j, plan, v)
@@ -1142,30 +1140,10 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	s.invalidateMemos() // the working free vector moved
 	h, err := s.B.Launch(j, plan, s.doneCB)
 	if err != nil {
-		if errors.Is(err, ErrTransientLaunch) && j.launchRetries < LaunchRetryBudget {
-			// A deploy-path failure the backend believes is transient:
-			// requeue (undoing this dispatch's charge and release entries)
-			// and hold the job behind a jittered backoff. The next attempt
-			// re-places from scratch, so a cloud still dropping deploys can
-			// lose the job to an alternate candidate.
-			j.launchRetries++
-			s.m.launchRetries.Inc()
-			d := Backoff(RetryBackoffBase, j.launchRetries-1, s.faultRand())
-			if s.tr != nil {
-				s.trace(obs.TraceEvent{Kind: "requeue", Tenant: t.Name, Job: j.ID,
-					Cloud: j.Cloud, Workers: j.workers(), Cores: j.Cores(),
-					Start: int64(s.K.Now() + d)})
-			}
-			s.requeue(j, 0)
-			j.retryAt = s.K.Now() + d
-			s.K.Schedule(d, s.kickFn)
-			return
-		}
 		s.complete(j, Outcome{Err: err})
 		return
 	}
 	j.handle = h
-	j.launchRetries = 0
 	s.m.dispatched.Inc()
 	if backfilled {
 		s.m.backfills.Inc()
@@ -1276,14 +1254,37 @@ func (s *Scheduler) dropRunning(j *Job) {
 }
 
 // complete is the backend's completion callback: it finishes a running job
-// and triggers the next cycle for the freed capacity. A report for a job
-// that is no longer running is ignored.
+// and triggers the next cycle for the freed capacity. A transient launch
+// failure goes to retryLaunch instead while the job's retry budget lasts.
+// A report for a job that is no longer running is ignored.
 func (s *Scheduler) complete(j *Job, out Outcome) {
 	if j.State != Running {
 		return
 	}
+	if errors.Is(out.Err, ErrTransientLaunch) && j.launchRetries < LaunchRetryBudget {
+		s.retryLaunch(j)
+		return
+	}
 	s.finish(s.tenants[j.Spec.Tenant], j, out)
 	s.kick()
+}
+
+// retryLaunch requeues a job whose launch failed transiently (undoing its
+// dispatch's charge and release entries) and holds it behind a jittered
+// backoff. The next attempt re-places from scratch, so a cloud still
+// dropping deploys can lose the job to an alternate candidate.
+func (s *Scheduler) retryLaunch(j *Job) {
+	j.launchRetries++
+	s.m.launchRetries.Inc()
+	d := Backoff(RetryBackoffBase, j.launchRetries-1, s.faultRand())
+	if s.tr != nil {
+		s.trace(obs.TraceEvent{Kind: "requeue", Tenant: j.Spec.Tenant, Job: j.ID,
+			Cloud: j.Cloud, Workers: j.workers(), Cores: j.Cores(),
+			Start: int64(s.K.Now() + d)})
+	}
+	s.requeue(j, 0)
+	j.retryAt = s.K.Now() + d
+	s.K.Schedule(d, s.kickFn)
 }
 
 // finish ends a queued or running job with its outcome: Failed when the

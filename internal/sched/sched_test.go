@@ -239,22 +239,6 @@ func TestSpotRevocationMidJob(t *testing.T) {
 	}
 }
 
-// TestSpotReplacementDisabled: the event is recorded but no growth happens.
-func TestSpotReplacementDisabled(t *testing.T) {
-	k := sim.NewKernel(1)
-	b := saturatedBackend(k)
-	s := New(b, Config{DisableSpotReplacement: true})
-	s.AddTenant("t", 1)
-	id := submitN(t, s, "t", 1, JobSpec{Workers: 2, CoresPerWorker: 2, EstimateSeconds: 300})[0]
-	k.Schedule(100*sim.Second, func() {
-		s.Notify(Event{Kind: EventSpotRevoked, Job: id, Cloud: "c0"})
-	})
-	k.Run()
-	if s.SpotRevocations() != 1 || s.SpotReplacements() != 0 {
-		t.Fatalf("revocations=%d replacements=%d, want 1/0", s.SpotRevocations(), s.SpotReplacements())
-	}
-}
-
 // TestDeadlineGrowth: a job predicted late grows through the elastic hook.
 func TestDeadlineGrowth(t *testing.T) {
 	k := sim.NewKernel(1)

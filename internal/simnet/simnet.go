@@ -47,15 +47,6 @@ func newLink(name string, capacity float64) *Link {
 	return &Link{Name: name, Capacity: capacity}
 }
 
-// Utilization returns the fraction of capacity currently allocated.
-func (l *Link) Utilization() float64 {
-	var sum float64
-	for _, f := range l.flows {
-		sum += f.rate
-	}
-	return sum / l.Capacity
-}
-
 // ActiveFlows returns the number of flows currently traversing the link.
 func (l *Link) ActiveFlows() int { return len(l.flows) }
 
@@ -128,9 +119,8 @@ func (f *Flow) Rate() float64 { return f.rate }
 type Network struct {
 	K *sim.Kernel
 
-	sites     map[string]*Site
-	siteLat   map[[2]string]sim.Time
-	defWANLat sim.Time
+	sites   map[string]*Site
+	siteLat map[[2]string]sim.Time
 
 	// active holds the in-flight flows in completion-scheduling order
 	// (see flowOrder).
@@ -150,16 +140,18 @@ type Network struct {
 	wanCost        float64
 }
 
-// New returns an empty network on the given kernel with a default inter-site
-// latency of 50 ms (a transatlantic RTT/2, matching the paper's
-// Grid'5000–FutureGrid setting).
+// defWANLat is the one-way latency between sites that have no
+// SetSiteLatency entry: 50 ms, a transatlantic RTT/2, matching the paper's
+// Grid'5000–FutureGrid setting.
+const defWANLat = 50 * sim.Millisecond
+
+// New returns an empty network on the given kernel.
 func New(k *sim.Kernel) *Network {
 	return &Network{
-		K:         k,
-		sites:     make(map[string]*Site),
-		siteLat:   make(map[[2]string]sim.Time),
-		defWANLat: 50 * sim.Millisecond,
-		wanBytes:  make(map[[2]string]int64),
+		K:        k,
+		sites:    make(map[string]*Site),
+		siteLat:  make(map[[2]string]sim.Time),
+		wanBytes: make(map[[2]string]int64),
 	}
 }
 
@@ -200,10 +192,6 @@ func (n *Network) SetSiteLatency(a, b string, lat sim.Time) {
 	n.siteLat[[2]string{b, a}] = lat
 }
 
-// SetDefaultWANLatency sets the latency used for site pairs without an
-// explicit SetSiteLatency entry.
-func (n *Network) SetDefaultWANLatency(lat sim.Time) { n.defWANLat = lat }
-
 // AddNode creates a node on the site with a NIC of nicBW bytes/sec.
 func (s *Site) AddNode(id string, nicBW float64) *Node {
 	if _, dup := s.nodes[id]; dup {
@@ -239,7 +227,7 @@ func (n *Network) PathLatency(src, dst *Node) sim.Time {
 	if lat, ok := n.siteLat[[2]string{src.Site.Name, dst.Site.Name}]; ok {
 		return lat
 	}
-	return n.defWANLat
+	return defWANLat
 }
 
 // path appends the links from src to dst (at most four) to buf.
