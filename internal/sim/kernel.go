@@ -161,7 +161,9 @@ func (k *Kernel) Now() Time { return k.now }
 // reproducible.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Pending returns the number of events currently scheduled.
+// Pending returns the number of events in the queue, counting cancelled
+// events that have not been popped yet: a cancelled event leaves the queue
+// only when it reaches the head.
 func (k *Kernel) Pending() int { return len(k.events) }
 
 // Fired returns the total number of events executed so far.
@@ -254,11 +256,13 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if len(k.events) == 0 {
-			break
+		// Drop cancelled events at the head before peeking: Step skips
+		// them and fires the next live event, whatever its time.
+		for len(k.events) > 0 && k.events[0].cancelled {
+			e := k.events.pop()
+			e.fn, e.callee = nil, nil
 		}
-		// Peek at the earliest event without popping.
-		if k.events[0].at > t {
+		if len(k.events) == 0 || k.events[0].at > t {
 			break
 		}
 		k.Step()

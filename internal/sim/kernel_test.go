@@ -82,6 +82,26 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// A cancelled event at the head of the queue must not let RunUntil fire a
+// live event due after its horizon.
+func TestRunUntilSkipsCancelledHead(t *testing.T) {
+	k := NewKernel(1)
+	k.At(Second, func() { t.Error("cancelled event fired") }).Cancel()
+	fired := false
+	k.At(10*Second, func() { fired = true })
+	k.RunUntil(5 * Second)
+	if fired || k.Now() != 5*Second {
+		t.Fatalf("RunUntil(5s): 10s event fired=%v, clock %v", fired, k.Now())
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("%d events pending after RunUntil(5s), want the live one", k.Pending())
+	}
+	k.RunUntil(10 * Second)
+	if !fired {
+		t.Fatal("10s event did not fire by RunUntil(10s)")
+	}
+}
+
 func TestTickerCancel(t *testing.T) {
 	k := NewKernel(1)
 	count := 0

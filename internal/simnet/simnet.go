@@ -7,9 +7,11 @@
 // link on their path. Max-min sharing decomposes over connected components
 // (flows linked by shared links, directly or through a chain of them), so
 // when a flow starts, finishes or is cancelled only the rates in its
-// component are recomputed; every other flow's rate is unchanged. Control
-// traffic uses SendMessage, which models propagation latency plus
-// uncontended serialisation delay.
+// component are recomputed; every other flow's rate is unchanged. The
+// network keeps one kernel event pending, for the earliest completion among
+// its active flows (see Network.reschedule). Control traffic uses
+// SendMessage, which models propagation latency plus uncontended
+// serialisation delay.
 //
 // The simulator accounts bytes per link and per site pair, which is how the
 // WAN-billing numbers in the paper's Shrinker and autonomic-adaptation
@@ -93,20 +95,18 @@ type Flow struct {
 	Src, Dst *Node
 	Tag      string
 
-	total      int64
-	remaining  float64
-	rate       float64 // bytes/sec, set by the fair-share computation
-	last       sim.Time
-	latency    sim.Time
-	links      []*Link
-	pathBuf    [4]*Link // backs links
-	done       func()
-	fire       func() // completion callback, built once by StartFlow
-	completion *sim.Event
-	network    *Network
-	finished   bool
-	seq        uint64 // start order; breaks completion-key ties
-	epoch      uint64 // component-walk mark, see Network.recompute
+	total     int64
+	remaining float64
+	rate      float64 // bytes/sec, set by the fair-share computation
+	last      sim.Time
+	latency   sim.Time
+	links     []*Link
+	pathBuf   [4]*Link // backs links
+	done      func()
+	network   *Network
+	finished  bool
+	seq       uint64 // start order; breaks completion-key ties
+	epoch     uint64 // component-walk mark, see Network.recompute
 }
 
 // Remaining returns the bytes not yet transferred.
@@ -134,6 +134,12 @@ type Network struct {
 	compLinks []*Link
 	compFlows []*Flow
 
+	// next is the one pending completion event, due when nextFlow
+	// completes; complete is its callback, bound once by New.
+	next     *sim.Event
+	nextFlow *Flow
+	complete func()
+
 	// CostPerWANByte lets experiments attach a dollar cost to WAN traffic,
 	// mirroring cloud egress billing. Zero disables cost accounting.
 	CostPerWANByte float64
@@ -147,12 +153,14 @@ const defWANLat = 50 * sim.Millisecond
 
 // New returns an empty network on the given kernel.
 func New(k *sim.Kernel) *Network {
-	return &Network{
+	n := &Network{
 		K:        k,
 		sites:    make(map[string]*Site),
 		siteLat:  make(map[[2]string]sim.Time),
 		wanBytes: make(map[[2]string]int64),
 	}
+	n.complete = n.completeNext
+	return n
 }
 
 // AddSite creates a site with the given WAN uplink/downlink capacities in
@@ -297,12 +305,6 @@ func (n *Network) StartFlow(src, dst *Node, bytes int64, tag string, onDone func
 	}
 	n.flowSeq++
 	f.seq = n.flowSeq
-	f.fire = func() {
-		n.advanceAll()
-		f.finish(true)
-		n.recompute(f.links)
-		n.reschedule()
-	}
 	n.advanceAll()
 	i, _ := slices.BinarySearchFunc(n.active, f, flowOrder)
 	n.active = slices.Insert(n.active, i, f)
@@ -349,10 +351,6 @@ func (f *Flow) Cancel() {
 func (f *Flow) finish(completed bool) {
 	n := f.network
 	f.finished = true
-	if f.completion != nil {
-		f.completion.Cancel()
-		f.completion = nil
-	}
 	i, _ := slices.BinarySearchFunc(n.active, f, flowOrder)
 	n.active = slices.Delete(n.active, i, i+1)
 	carried := f.total - f.Remaining()
@@ -502,18 +500,25 @@ func (n *Network) recompute(seeds []*Link) {
 	n.compLinks, n.compFlows = links[:0], flows[:0]
 }
 
-// reschedule cancels and re-pushes every active flow's completion event, in
-// active order. Only one component's rates changed, but every completion is
-// still re-pushed: the kernel orders same-instant events by push sequence,
-// so re-pushing only the recomputed flows would move their completions
-// relative to other flows' completions and other events due at the same
-// instant, and with them the experiments' outcomes.
+// reschedule replaces the pending completion event with a fresh one for the
+// earliest completion among the active flows: smallest time, and on a tie
+// the first flow in active order. That is the firing order of one event per
+// active flow pushed in active order. Every flow start, finish and cancel
+// ends in reschedule, so only the earliest event of such a batch could ever
+// fire; the next reschedule would cancel the rest. The batch's events would
+// take consecutive sequence numbers that no other kernel event falls
+// between, so the one event orders against every other kernel event exactly
+// as the batch would. It is pushed fresh even when the earliest flow and
+// its time are unchanged: the kernel orders same-instant events by push
+// sequence, and the old event would fire ahead of events pushed for the
+// same instant since.
 func (n *Network) reschedule() {
+	if n.next != nil {
+		n.next.Cancel()
+	}
+	var first *Flow
+	var at sim.Time
 	for _, f := range n.active {
-		if f.completion != nil {
-			f.completion.Cancel()
-			f.completion = nil
-		}
 		if f.rate <= 0 {
 			// Starved flow: no capacity. It stays active and will be
 			// rescheduled when contention changes.
@@ -523,6 +528,23 @@ func (n *Network) reschedule() {
 		if eta < 0 {
 			eta = 0
 		}
-		f.completion = n.K.Schedule(eta, f.fire)
+		if first == nil || eta < at {
+			first, at = f, eta
+		}
 	}
+	n.next, n.nextFlow = nil, first
+	if first != nil {
+		n.next = n.K.Schedule(at, n.complete)
+	}
+}
+
+// completeNext fires the pending completion event: the earliest flow has
+// carried its last byte.
+func (n *Network) completeNext() {
+	f := n.nextFlow
+	n.next, n.nextFlow = nil, nil
+	n.advanceAll()
+	f.finish(true)
+	n.recompute(f.links)
+	n.reschedule()
 }
