@@ -119,27 +119,75 @@ func (r Result) String() string {
 type transferPlan struct {
 	raw, wire     int64
 	sent, deduped int64
-	unit          int64
 }
 
-func planContents(contents []vm.ContentID, unit int64, reg *dedup.Registry) transferPlan {
-	p := transferPlan{unit: unit}
-	for _, c := range contents {
-		p.raw += unit
-		if reg == nil {
-			p.wire += unit
-			p.sent++
-			continue
-		}
-		if reg.Admit(c) {
-			p.wire += vm.HashSize
-			p.deduped++
-		} else {
-			p.wire += vm.HashSize + unit
-			p.sent++
-		}
+// plan prices n contents of unit bytes. With a registry every content
+// crosses as its hash, and the n - deduped the registry lacked also carry
+// their bodies.
+func plan(n, deduped, unit int64, reg *dedup.Registry) transferPlan {
+	p := transferPlan{raw: n * unit, wire: (n - deduped) * unit, sent: n - deduped, deduped: deduped}
+	if reg != nil {
+		p.wire += n * vm.HashSize
 	}
 	return p
+}
+
+// items returns how many contents the plan priced.
+func (p transferPlan) items() int64 { return p.sent + p.deduped }
+
+// planPages prices the listed pages of mem, or every page when pages is
+// nil, admitting each content to reg in place.
+func planPages(mem *vm.Memory, pages []int, reg *dedup.Registry) transferPlan {
+	n := len(pages)
+	if pages == nil {
+		n = mem.NumPages()
+	}
+	var deduped int64
+	if reg != nil {
+		if pages == nil {
+			for i := 0; i < n; i++ {
+				if reg.Admit(mem.Page(i)) {
+					deduped++
+				}
+			}
+		}
+		for _, i := range pages {
+			if reg.Admit(mem.Page(i)) {
+				deduped++
+			}
+		}
+	}
+	return plan(int64(n), deduped, vm.PageSize, reg)
+}
+
+// planDisk prices every block of d.
+func planDisk(d *vm.DiskImage, reg *dedup.Registry) transferPlan {
+	n := d.NumBlocks()
+	var deduped int64
+	if reg != nil {
+		for i := 0; i < n; i++ {
+			if reg.Admit(d.Read(i)) {
+				deduped++
+			}
+		}
+	}
+	return plan(int64(n), deduped, d.BlockSize, reg)
+}
+
+// addPages books a plan of memory pages into the result.
+func (r *Result) addPages(p transferPlan) {
+	r.RawBytes += p.raw
+	r.WireBytes += p.wire
+	r.PagesSent += p.sent
+	r.PagesDeduped += p.deduped
+}
+
+// addBlocks books a plan of disk blocks into the result.
+func (r *Result) addBlocks(p transferPlan) {
+	r.RawBytes += p.raw
+	r.WireBytes += p.wire
+	r.BlocksSent += p.sent
+	r.BlocksDeduped += p.deduped
 }
 
 // Live performs an iterative pre-copy live migration of v from src to dst.
@@ -167,19 +215,17 @@ func Live(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Options, on
 		onDone(res)
 	}
 
-	// Phase 2+: iterative memory pre-copy.
-	var round func(contents []vm.ContentID, prevSent int64)
-	round = func(contents []vm.ContentID, prevSent int64) {
+	// Phase 2+: iterative memory pre-copy. A round sends the listed pages,
+	// or every page when pages is nil.
+	var round func(pages []int)
+	round = func(pages []int) {
 		res.Rounds++
-		p := planContents(contents, vm.PageSize, opts.Registry)
-		res.RawBytes += p.raw
-		res.WireBytes += p.wire
-		res.PagesSent += p.sent
-		res.PagesDeduped += p.deduped
+		p := planPages(v.Mem, pages, opts.Registry)
+		res.addPages(p)
 		v.Mem.ClearDirty()
 		roundStart := k.Now()
 		// Hashing and registry lookups cost CPU before bytes hit the wire.
-		k.Schedule(opts.dedupDelay(len(contents)), func() {
+		k.Schedule(opts.dedupDelay(int(p.items())), func() {
 			net.StartFlow(src, dst, p.wire, "migrate-mem:"+v.Name, func() {
 				elapsed := (k.Now() - roundStart).Seconds()
 				if w := v.Workload(); w != nil {
@@ -188,18 +234,15 @@ func Live(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Options, on
 				dirty := v.Mem.DirtyPages()
 				nd := int64(len(dirty))
 				converged := len(dirty) <= opts.StopCopyPages
-				stalled := res.Rounds >= 3 && nd >= int64(len(contents)) // not shrinking
+				stalled := res.Rounds >= 3 && nd >= p.items() // not shrinking
 				if converged || stalled || res.Rounds >= opts.MaxRounds {
 					// Stop-and-copy: pause, ship the remainder, activate.
 					// The dedup compute on the remainder happens paused, so
 					// it counts toward downtime.
 					v.State = vm.StatePaused
 					pauseAt := k.Now()
-					sp := planContents(pageContents(v.Mem, dirty), vm.PageSize, opts.Registry)
-					res.RawBytes += sp.raw
-					res.WireBytes += sp.wire
-					res.PagesSent += sp.sent
-					res.PagesDeduped += sp.deduped
+					sp := planPages(v.Mem, dirty, opts.Registry)
+					res.addPages(sp)
 					v.Mem.ClearDirty()
 					k.Schedule(opts.dedupDelay(len(dirty)), func() {
 						net.StartFlow(src, dst, sp.wire, "migrate-stop:"+v.Name, func() {
@@ -211,17 +254,9 @@ func Live(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Options, on
 					})
 					return
 				}
-				round(pageContents(v.Mem, dirty), p.sent)
+				round(dirty)
 			})
 		})
-	}
-
-	startMemory := func() {
-		all := make([]vm.ContentID, v.Mem.NumPages())
-		for i := range all {
-			all[i] = v.Mem.Page(i)
-		}
-		round(all, 0)
 	}
 
 	// Phase 1: handshake (1 control RTT), then optional disk, then memory.
@@ -232,11 +267,8 @@ func Live(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Options, on
 				if !opts.DedupDisk {
 					reg = nil
 				}
-				dp := planContents(diskContents(v.Disk), v.Disk.BlockSize, reg)
-				res.RawBytes += dp.raw
-				res.WireBytes += dp.wire
-				res.BlocksSent += dp.sent
-				res.BlocksDeduped += dp.deduped
+				dp := planDisk(v.Disk, reg)
+				res.addBlocks(dp)
 				roundStart := k.Now()
 				var hashDelay sim.Time
 				if reg != nil {
@@ -248,12 +280,12 @@ func Live(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Options, on
 						if w := v.Workload(); w != nil {
 							w.ApplyDirtying(v.Mem, (k.Now() - roundStart).Seconds())
 						}
-						startMemory()
+						round(nil)
 					})
 				})
 				return
 			}
-			startMemory()
+			round(nil)
 		})
 	})
 }
@@ -269,29 +301,23 @@ func SuspendResume(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Op
 	}
 	start := k.Now()
 	v.State = vm.StatePaused
-	contents := make([]vm.ContentID, v.Mem.NumPages())
-	for i := range contents {
-		contents[i] = v.Mem.Page(i)
-	}
-	p := planContents(contents, vm.PageSize, opts.Registry)
-	res.RawBytes += p.raw
-	res.WireBytes += p.wire
-	res.PagesSent += p.sent
-	res.PagesDeduped += p.deduped
+	p := planPages(v.Mem, nil, opts.Registry)
+	res.addPages(p)
+	// Only contents the registry probed cost hashing time, as in Live.
+	probed := p.items()
 	if opts.MigrateDisk && v.Disk != nil {
 		reg := opts.Registry
 		if !opts.DedupDisk {
 			reg = nil
 		}
-		dp := planContents(diskContents(v.Disk), v.Disk.BlockSize, reg)
-		res.RawBytes += dp.raw
-		res.WireBytes += dp.wire
-		res.BlocksSent += dp.sent
-		res.BlocksDeduped += dp.deduped
+		dp := planDisk(v.Disk, reg)
+		res.addBlocks(dp)
+		if reg != nil {
+			probed += dp.items()
+		}
 	}
 	res.Rounds = 1
-	items := int(res.PagesSent + res.PagesDeduped + res.BlocksSent + res.BlocksDeduped)
-	k.Schedule(opts.dedupDelay(items), func() {
+	k.Schedule(opts.dedupDelay(int(probed)), func() {
 		net.StartFlow(src, dst, res.WireBytes, "migrate-sr:"+v.Name, func() {
 			k.Schedule(opts.ActivationDelay, func() {
 				res.Downtime = k.Now() - start
@@ -303,22 +329,6 @@ func SuspendResume(net *simnet.Network, v *vm.VM, src, dst *simnet.Node, opts Op
 			})
 		})
 	})
-}
-
-func pageContents(m *vm.Memory, pages []int) []vm.ContentID {
-	out := make([]vm.ContentID, len(pages))
-	for i, p := range pages {
-		out[i] = m.Page(p)
-	}
-	return out
-}
-
-func diskContents(d *vm.DiskImage) []vm.ContentID {
-	out := make([]vm.ContentID, d.NumBlocks())
-	for i := range out {
-		out[i] = d.Read(i)
-	}
-	return out
 }
 
 // ClusterResult aggregates a whole-cluster migration.

@@ -217,6 +217,35 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
+// TestSuspendResumeChargesProbedContents: the hashing charge covers the
+// memory pages, and the disk blocks only when DedupDisk sends them through
+// the registry, as Live charges. Two runs that differ only in the per-item
+// charge ship the same bytes, so their downtimes differ by the extra charge
+// times the number of contents charged.
+func TestSuspendResumeChargesProbedContents(t *testing.T) {
+	const pages, blocks = 4096, 1024
+	run := func(dedupDisk bool, overhead sim.Time) sim.Time {
+		k, net, src, dst := wanPair()
+		m := vm.NewContentModel(1, "debian", 0.1, 0.5, 2048)
+		v := vm.New("vm0", "debian", 2, pages, m, vm.NewDiskImage("debian", blocks, 65536, m))
+		opts := Options{Registry: dedup.NewRegistry("site:dst"), MigrateDisk: true,
+			DedupDisk: dedupDisk, DedupPageOverhead: overhead}
+		var res Result
+		SuspendResume(net, v, src, dst, opts, func(r Result) { res = r })
+		k.Run()
+		return res.Downtime
+	}
+	for _, tc := range []struct {
+		dedupDisk bool
+		charged   sim.Time
+	}{{false, pages}, {true, pages + blocks}} {
+		if got := run(tc.dedupDisk, 2*sim.Microsecond) - run(tc.dedupDisk, sim.Microsecond); got != tc.charged*sim.Microsecond {
+			t.Errorf("DedupDisk=%v: one more µs per item added %v of downtime, want %v (%d items)",
+				tc.dedupDisk, got, tc.charged*sim.Microsecond, tc.charged)
+		}
+	}
+}
+
 func TestLiveDowntimeFarBelowSuspendResume(t *testing.T) {
 	k, net, src, dst := wanPair()
 	v, m := testVM("a", 1)

@@ -18,6 +18,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -114,7 +115,7 @@ func (m *ContentModel) drawThrough(last *Memory) {
 	for _, mem := range m.queued {
 		n++
 		mem.pages = make([]ContentID, mem.n)
-		mem.dirty = make([]bool, mem.n)
+		mem.dirty = make([]uint64, (mem.n+63)/64)
 		for i := range mem.pages {
 			mem.pages[i] = m.next()
 		}
@@ -175,7 +176,7 @@ type Memory struct {
 	n      int
 	model  *ContentModel // non-nil while the pages are queued on it
 	pages  []ContentID
-	dirty  []bool
+	dirty  []uint64 // bit i%64 of word i/64 is set when page i is dirty
 	nDirty int
 }
 
@@ -213,8 +214,8 @@ func (mem *Memory) Page(i int) ContentID {
 func (mem *Memory) Write(i int, c ContentID) {
 	mem.fill()
 	mem.pages[i] = c
-	if !mem.dirty[i] {
-		mem.dirty[i] = true
+	if w, b := i>>6, uint64(1)<<(i&63); mem.dirty[w]&b == 0 {
+		mem.dirty[w] |= b
 		mem.nDirty++
 	}
 }
@@ -229,9 +230,9 @@ func (mem *Memory) DirtyCount() int {
 func (mem *Memory) DirtyPages() []int {
 	mem.fill()
 	out := make([]int, 0, mem.nDirty)
-	for i, d := range mem.dirty {
-		if d {
-			out = append(out, i)
+	for w, word := range mem.dirty {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -240,9 +241,7 @@ func (mem *Memory) DirtyPages() []int {
 // ClearDirty resets the dirty bitmap (start of a migration round).
 func (mem *Memory) ClearDirty() {
 	mem.fill()
-	for i := range mem.dirty {
-		mem.dirty[i] = false
-	}
+	clear(mem.dirty)
 	mem.nDirty = 0
 }
 

@@ -74,24 +74,39 @@ func TestContentModelSharedAcrossVMs(t *testing.T) {
 }
 
 func TestMemoryDirtyTracking(t *testing.T) {
-	m := NewContentModel(1, "img", 0, 0.5, 100)
-	mem := NewMemory(100, m)
-	if mem.DirtyCount() != 0 {
-		t.Fatal("fresh memory should be clean")
-	}
-	mem.Write(5, m.FreshUnique())
-	mem.Write(5, m.FreshUnique()) // same page twice
-	mem.Write(7, m.FreshUnique())
-	if mem.DirtyCount() != 2 {
-		t.Fatalf("dirty count %d, want 2", mem.DirtyCount())
-	}
-	pages := mem.DirtyPages()
-	if len(pages) != 2 || pages[0] != 5 || pages[1] != 7 {
-		t.Fatalf("dirty pages %v", pages)
-	}
-	mem.ClearDirty()
-	if mem.DirtyCount() != 0 || len(mem.DirtyPages()) != 0 {
-		t.Fatal("ClearDirty did not reset")
+	for _, tc := range []struct {
+		n      int
+		writes []int // a page written twice must count once
+		want   []int
+	}{
+		{100, []int{5, 5, 7}, []int{5, 7}},
+		// Both edges of the first word boundary and the last page of a
+		// memory whose last word is partly used.
+		{130, []int{129, 64, 0, 63, 64}, []int{0, 63, 64, 129}},
+	} {
+		m := NewContentModel(1, "img", 0, 0.5, 100)
+		mem := NewMemory(tc.n, m)
+		if mem.DirtyCount() != 0 {
+			t.Fatal("fresh memory should be clean")
+		}
+		for _, i := range tc.writes {
+			mem.Write(i, m.FreshUnique())
+		}
+		if mem.DirtyCount() != len(tc.want) {
+			t.Fatalf("n=%d: dirty count %d, want %d", tc.n, mem.DirtyCount(), len(tc.want))
+		}
+		if pages := mem.DirtyPages(); !slices.Equal(pages, tc.want) {
+			t.Fatalf("n=%d: dirty pages %v, want %v", tc.n, pages, tc.want)
+		}
+		mem.ClearDirty()
+		if mem.DirtyCount() != 0 || len(mem.DirtyPages()) != 0 {
+			t.Fatal("ClearDirty did not reset")
+		}
+		last := tc.want[len(tc.want)-1]
+		mem.Write(last, m.FreshUnique())
+		if pages := mem.DirtyPages(); !slices.Equal(pages, []int{last}) || mem.DirtyCount() != 1 {
+			t.Fatalf("n=%d: after ClearDirty and one write, dirty pages %v count %d", tc.n, pages, mem.DirtyCount())
+		}
 	}
 }
 
@@ -132,7 +147,7 @@ func TestDeferredPagesKeepEagerContents(t *testing.T) {
 			lazy.newMem = func(n int) *Memory { return NewMemory(n, lazy.m) }
 			ref := &world{m: model()}
 			ref.newMem = func(n int) *Memory {
-				mem := &Memory{n: n, pages: make([]ContentID, n), dirty: make([]bool, n)}
+				mem := &Memory{n: n, pages: make([]ContentID, n), dirty: make([]uint64, (n+63)/64)}
 				for i := range mem.pages {
 					mem.pages[i] = ref.m.Next()
 				}
