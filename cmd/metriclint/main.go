@@ -18,6 +18,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // registerFuncs are the obs.Registry methods whose first argument is a
@@ -29,18 +31,6 @@ var registerFuncs = map[string]bool{
 	"GaugeVec":     true,
 	"Histogram":    true,
 	"HistogramVec": true,
-}
-
-func validName(name string) bool {
-	if !strings.HasPrefix(name, "sky_") {
-		return false
-	}
-	for _, r := range name[len("sky_"):] {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '_' {
-			return false
-		}
-	}
-	return len(name) > len("sky_")
 }
 
 func main() {
@@ -91,7 +81,7 @@ func main() {
 			if uerr != nil {
 				return true
 			}
-			if !validName(name) {
+			if !obs.ValidName(name) {
 				fmt.Fprintf(os.Stderr, "%s: metric name %q does not match ^sky_[a-z0-9_]+$\n",
 					fset.Position(lit.Pos()), name)
 				violations++

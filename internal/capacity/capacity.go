@@ -31,18 +31,17 @@
 // transitions would have to maintain.
 //
 // The ledger is safe for concurrent use: every public method takes a
-// reader/writer lock, and Generation is a lock-free atomic read so hot-path
-// cache-validity checks never serialize on the lock. The scheduler drives
-// the ledger from its single kernel thread, so the lock is uncontended
-// there; it exists so an external surface (a metrics scrape, a daemon API)
-// can read concurrently without corrupting anything.
+// reader/writer lock. The scheduler drives the ledger from its single
+// kernel thread, so the lock is uncontended there; it exists so an external
+// surface (a metrics scrape, a daemon API) can read concurrently without
+// corrupting anything.
 package capacity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -159,16 +158,10 @@ type Ledger struct {
 
 	seq      int
 	accounts map[string]*account
-	order    []string
-	// orderAccts mirrors order as account pointers so the per-cycle bulk
-	// reads (FreeTotals) walk a slice instead of hashing every name.
+	// orderAccts lists the accounts in name order, so the bulk reads
+	// (Clouds, FreeTotals, String, the gauge collector) walk a slice
+	// instead of hashing every name.
 	orderAccts []*account
-	// gen counts cloud-set and total-capacity changes plus forced
-	// transitions (Evict/Retarget); callers cache capacity views derived
-	// from the ledger keyed on it (the scheduler's federation-wide
-	// gang-slot cache, checked on every Submit). Atomic so that per-job
-	// validity check never touches the lock.
-	gen atomic.Uint64
 
 	// Evictions and Retargets count forced transitions, for stats surfaces.
 	Evictions int
@@ -203,27 +196,15 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 		if a.total != totalCores {
 			a.total = totalCores
 			l.jrec(Rec{Op: OpCloud, Cloud: name, Cores: totalCores})
-			l.gen.Add(1)
 		}
 		return
 	}
-	l.accounts[name] = &account{name: name, total: totalCores}
-	l.order = append(l.order, name)
-	sort.Strings(l.order)
-	l.orderAccts = l.orderAccts[:0]
-	for _, n := range l.order {
-		l.orderAccts = append(l.orderAccts, l.accounts[n])
-	}
+	a := &account{name: name, total: totalCores}
+	l.accounts[name] = a
+	i := sort.Search(len(l.orderAccts), func(i int) bool { return l.orderAccts[i].name >= name })
+	l.orderAccts = slices.Insert(l.orderAccts, i, a)
 	l.jrec(Rec{Op: OpCloud, Cloud: name, Cores: totalCores})
-	l.gen.Add(1)
 }
-
-// Generation returns a counter bumped whenever the cloud set or any cloud's
-// total capacity changes, and on every forced transition (Evict, Retarget)
-// that moves claims behind normal acquire/release flow. Derived capacity
-// views cached on it (the scheduler's per-cloud totals behind its
-// whole-federation fit check) stay valid until it moves. Lock-free.
-func (l *Ledger) Generation() uint64 { return l.gen.Load() }
 
 // SetTotal updates a cloud's capacity (backends whose clouds resize).
 func (l *Ledger) SetTotal(name string, totalCores int) { l.AddCloud(name, totalCores) }
@@ -232,7 +213,11 @@ func (l *Ledger) SetTotal(name string, totalCores int) { l.AddCloud(name, totalC
 func (l *Ledger) Clouds() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return append([]string(nil), l.order...)
+	names := make([]string, len(l.orderAccts))
+	for i, a := range l.orderAccts {
+		names[i] = a.name
+	}
+	return names
 }
 
 // Total returns a cloud's core capacity (0 for unknown clouds).
@@ -598,7 +583,6 @@ func (l *Ledger) Evict(victim *Lease, at sim.Time) (*Lease, error) {
 	}
 	l.Evictions++
 	l.m.evictions.Inc()
-	l.gen.Add(1)
 	return shield, nil
 }
 
@@ -625,7 +609,6 @@ func (l *Ledger) EvictCommitted(cloud string, cores int, at sim.Time) (*Lease, e
 	shield := l.newLease(a, cores, Reserved, at, 0)
 	l.Evictions++
 	l.m.evictions.Inc()
-	l.gen.Add(1)
 	return shield, nil
 }
 
@@ -658,7 +641,6 @@ func (l *Ledger) Retarget(from, to string, cores int) error {
 	l.jrec(Rec{Op: OpMove, Cloud: from, To: to, Cores: cores})
 	l.Retargets++
 	l.m.retargets.Inc()
-	l.gen.Add(1)
 	return nil
 }
 
@@ -706,17 +688,16 @@ func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 	moved := l.newLease(dst, cores, le.Kind, le.At, le.End)
 	l.Retargets++
 	l.m.retargets.Inc()
-	l.gen.Add(1)
 	return moved, nil
 }
 
 // FailCloud is the outage transition: the cloud's every active lease (held
 // and reserved) closes, its committed cores return to the pool, and the
-// account is marked failed — all in one generation-bumped step, so no probe
-// or generation-keyed cache can observe a half-dead cloud. While failed, the
-// cloud admits nothing: Acquire/Reserve/Retarget-onto refuse, Free and
-// Headroom read zero, Probe fails. Total capacity is kept so federation-wide
-// "could this ever fit" checks still count the cloud as coming back.
+// account is marked failed — all in one step under the ledger's lock, so no
+// probe can observe a half-dead cloud. While failed, the cloud admits
+// nothing: Acquire/Reserve/Retarget-onto refuse, Free and Headroom read
+// zero, Probe fails. Total capacity is kept so federation-wide "could this
+// ever fit" checks still count the cloud as coming back.
 // Idempotent: failing a failed cloud does nothing and returns 0. Returns the
 // cores lost (lease + committed), for the caller's outage accounting.
 func (l *Ledger) FailCloud(name string) (int, error) {
@@ -743,7 +724,6 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 	a.failed = true
 	l.jrec(Rec{Op: OpFail, Cloud: name})
 	l.m.cloudFailures.Inc()
-	l.gen.Add(1)
 	return lost, nil
 }
 
@@ -762,7 +742,6 @@ func (l *Ledger) RestoreCloud(name string) error {
 	a.failed = false
 	l.jrec(Rec{Op: OpRestore, Cloud: name})
 	l.m.cloudRestores.Inc()
-	l.gen.Add(1)
 	return nil
 }
 
@@ -779,10 +758,9 @@ func (l *Ledger) String() string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	out := ""
-	for _, name := range l.order {
-		a := l.accounts[name]
+	for _, a := range l.orderAccts {
 		out += fmt.Sprintf("%s: total=%d committed=%d held=%d reserved=%d free=%d\n",
-			name, a.total, a.committed, a.held, a.reserved, a.total-a.committed-a.held)
+			a.name, a.total, a.committed, a.held, a.reserved, a.total-a.committed-a.held)
 	}
 	return out
 }

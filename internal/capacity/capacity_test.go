@@ -73,34 +73,6 @@ func modelHeadroom(total, committed int, leases []*Lease, at sim.Time) int {
 	return max(head, 0)
 }
 
-// TestGeneration: the generation counter moves exactly on cloud-set or
-// total-capacity changes — the invalidation signal for cached capacity
-// views (the scheduler's federation-wide gang-slot cache).
-func TestGeneration(t *testing.T) {
-	l := New()
-	g0 := l.Generation()
-	l.AddCloud("a", 8)
-	if l.Generation() == g0 {
-		t.Fatal("AddCloud did not bump the generation")
-	}
-	g1 := l.Generation()
-	l.AddCloud("a", 8) // re-add with the same total: no capacity change
-	if l.Generation() != g1 {
-		t.Fatal("re-adding an identical cloud bumped the generation")
-	}
-	l.SetTotal("a", 16)
-	if l.Generation() == g1 {
-		t.Fatal("SetTotal resize did not bump the generation")
-	}
-	g2 := l.Generation()
-	le, _ := l.Acquire("a", 4)
-	l.Reserve("a", 2, 100*sim.Second)
-	le.Release()
-	if l.Generation() != g2 {
-		t.Fatal("lease churn bumped the generation (only totals should)")
-	}
-}
-
 func TestAcquireRespectsCapacity(t *testing.T) {
 	l := ledger2()
 	le, err := l.Acquire("a", 6)
@@ -250,13 +222,9 @@ func TestCommitReservationChecksCapacity(t *testing.T) {
 func TestEvictLease(t *testing.T) {
 	l := ledger2()
 	victim, _ := l.AcquireUntil("a", 6, 500*sim.Second)
-	g := l.Generation()
 	shield, err := l.Evict(victim, 100*sim.Second)
 	if err != nil || shield == nil {
 		t.Fatalf("evict: shield=%v err=%v", shield, err)
-	}
-	if l.Generation() == g {
-		t.Fatal("evict did not bump the generation")
 	}
 	if l.Held("a") != 0 || l.Free("a") != 8 || l.Reserved("a") != 6 {
 		t.Fatalf("held=%d free=%d reserved=%d after evict", l.Held("a"), l.Free("a"), l.Reserved("a"))
@@ -671,7 +639,6 @@ func TestLedgerConcurrentSmoke(t *testing.T) {
 				case 3:
 					l.Probe(c, rng.Intn(16), sim.Time(rng.Intn(1000))*sim.Second)
 					l.Headroom(c, 0)
-					l.Generation()
 				case 4:
 					if len(mine) > 0 && rng.Intn(4) == 0 {
 						k := rng.Intn(len(mine))

@@ -44,12 +44,11 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 	reg.AddCollector(func() {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		for _, name := range l.order {
-			a := l.accounts[name]
-			cores.With(name, "committed").SetInt(int64(a.committed))
-			cores.With(name, "held").SetInt(int64(a.held))
-			cores.With(name, "reserved").SetInt(int64(a.reserved))
-			cores.With(name, "free").SetInt(int64(a.total - a.committed - a.held))
+		for _, a := range l.orderAccts {
+			cores.With(a.name, "committed").SetInt(int64(a.committed))
+			cores.With(a.name, "held").SetInt(int64(a.held))
+			cores.With(a.name, "reserved").SetInt(int64(a.reserved))
+			cores.With(a.name, "free").SetInt(int64(a.total - a.committed - a.held))
 		}
 	})
 }

@@ -265,9 +265,8 @@ func (vc *VirtualCluster) WireSpotKill(cloud string) {
 		panic("core: unknown cloud " + cloud)
 	}
 	c.Spot.OnRevoke = func(v *vm.VM) {
-		vc.f.SpotKills++
 		vc.mr.RemoveWorker(v.Name)
-		vc.f.releaseVM(v)
+		vc.f.killSpot(v)
 	}
 }
 
@@ -281,25 +280,13 @@ func (vc *VirtualCluster) WireSpotMigration(cloud string) {
 		panic("core: unknown cloud " + cloud)
 	}
 	c.Spot.OnRevoke = func(v *vm.VM) {
-		target := ""
-		best := -1.0
-		for _, other := range vc.f.Clouds() {
-			if other == c || other.FreeCores() < v.Cores {
-				continue
-			}
-			p := vc.f.PriceOf(other.Name)
-			if best < 0 || p < best {
-				best, target = p, other.Name
-			}
-		}
+		target := vc.f.spotTarget(c, v)
 		if target == "" {
-			vc.f.SpotKills++
 			vc.mr.RemoveWorker(v.Name)
-			vc.f.releaseVM(v)
+			vc.f.killSpot(v)
 			return
 		}
-		vc.f.SpotMigrations++
-		vc.f.MigrateVM(v.Name, target, DefaultMigrate(), func(_ migration.Result, err error) {
+		vc.f.migrateSpot(v, target, func(_ migration.Result, err error) {
 			if err != nil {
 				return
 			}

@@ -321,6 +321,50 @@ func TestMigratableSpotFallsBackToKill(t *testing.T) {
 
 const time30 = 30 * sim.Second
 
+// TestSpotHooksCountInRegistry: every spot hook records a kill or a
+// migration in the federation's field and in its registry counter alike —
+// the cluster hooks (E9, examples/spot-migration, skyctl -spot) as well as
+// the federation-wide one.
+func TestSpotHooksCountInRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		wire              func(f *Federation, vc *VirtualCluster)
+		kills, migrations int
+	}{
+		{name: "cluster kill", wire: func(_ *Federation, vc *VirtualCluster) { vc.WireSpotKill("g5k") }, kills: 2},
+		{name: "cluster migrate", wire: func(_ *Federation, vc *VirtualCluster) { vc.WireSpotMigration("g5k") }, migrations: 2},
+		{name: "federation migrate", wire: func(f *Federation, _ *VirtualCluster) { f.EnableMigratableSpot("g5k") }, migrations: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fed(t)
+			var vc *VirtualCluster
+			f.CreateCluster("spot", ClusterSpec{
+				Image: "debian", Cores: 2, MemPages: 4096, CoW: true,
+				Spot: true, Bid: 0.05, Distribution: map[string]int{"g5k": 2},
+			}, func(c *VirtualCluster, e error) {
+				if e != nil {
+					t.Fatal(e)
+				}
+				vc = c
+			})
+			f.K.RunUntil(2 * sim.Minute)
+			tc.wire(f, vc)
+			f.Cloud("g5k").Spot.ForcePrice(0.50)
+			f.K.RunUntil(10 * sim.Minute)
+			if f.SpotKills != tc.kills || f.SpotMigrations != tc.migrations {
+				t.Fatalf("fields: kills=%d migrations=%d, want %d and %d",
+					f.SpotKills, f.SpotMigrations, tc.kills, tc.migrations)
+			}
+			kills := f.Obs.Value("sky_core_spot_kills_total")
+			migrations := f.Obs.Value("sky_core_spot_migrations_total")
+			if kills != float64(tc.kills) || migrations != float64(tc.migrations) {
+				t.Fatalf("registry: kills=%v migrations=%v, want %d and %d",
+					kills, migrations, tc.kills, tc.migrations)
+			}
+		})
+	}
+}
+
 func TestAutonomicCostAdaptation(t *testing.T) {
 	f := fed(t)
 	vc := makeCluster(t, f, map[string]int{"futuregrid": 3}) // expensive cloud

@@ -400,27 +400,48 @@ func (f *Federation) EnableMigratableSpot(cloud string) {
 		panic("core: unknown cloud " + cloud)
 	}
 	c.Spot.OnRevoke = func(v *vm.VM) {
-		target := ""
-		best := -1.0
-		for _, other := range f.Clouds() {
-			if other == c || other.FreeCores() < v.Cores {
-				continue
-			}
-			p := f.PriceOf(other.Name)
-			if best < 0 || p < best {
-				best, target = p, other.Name
-			}
-		}
+		target := f.spotTarget(c, v)
 		if target == "" {
-			f.SpotKills++
-			f.m.spotKills.Inc()
-			f.releaseVM(v)
+			f.killSpot(v)
 			return
 		}
-		f.SpotMigrations++
-		f.m.spotMigrations.Inc()
-		f.MigrateVM(v.Name, target, DefaultMigrate(), nil)
+		f.migrateSpot(v, target, nil)
 	}
+}
+
+// spotTarget is the migratable-spot target rule: the cheapest cloud other
+// than from with free cores for v (ties keep the first by name), or "" when
+// none has room.
+func (f *Federation) spotTarget(from *nimbus.Cloud, v *vm.VM) string {
+	target := ""
+	best := -1.0
+	for _, other := range f.Clouds() {
+		if other == from || other.FreeCores() < v.Cores {
+			continue
+		}
+		p := f.PriceOf(other.Name)
+		if best < 0 || p < best {
+			best, target = p, other.Name
+		}
+	}
+	return target
+}
+
+// killSpot terminates an out-bid spot VM and counts it in SpotKills and
+// sky_core_spot_kills_total. Every spot hook kills through it.
+func (f *Federation) killSpot(v *vm.VM) {
+	f.SpotKills++
+	f.m.spotKills.Inc()
+	f.releaseVM(v)
+}
+
+// migrateSpot live-migrates an out-bid spot VM to target and counts it in
+// SpotMigrations and sky_core_spot_migrations_total. Every spot hook
+// migrates through it; onDone is MigrateVM's.
+func (f *Federation) migrateSpot(v *vm.VM, target string, onDone func(migration.Result, error)) {
+	f.SpotMigrations++
+	f.m.spotMigrations.Inc()
+	f.MigrateVM(v.Name, target, DefaultMigrate(), onDone)
 }
 
 // AttachMonitor installs the passive traffic monitor used by the autonomic

@@ -530,16 +530,14 @@ func (f *Federation) WireSchedulerSpot(cloud string) {
 	}
 	b := f.schedBackend
 	c.Spot.OnRevoke = func(v *vm.VM) {
-		f.SpotKills++
-		f.m.spotKills.Inc()
 		if lj := b.owner[v.Name]; lj != nil && lj.vc != nil {
 			lj.vc.mr.RemoveWorker(v.Name)
 			delete(b.owner, v.Name)
-			f.releaseVM(v)
+			f.killSpot(v)
 			b.s.Notify(sched.Event{Kind: sched.EventSpotRevoked, Job: lj.id, Cloud: cloud})
 			return
 		}
-		f.releaseVM(v)
+		f.killSpot(v)
 	}
 }
 

@@ -53,9 +53,9 @@ func (s *Scheduler) holdReservation(r *reservation, cpw int, shade bool) {
 		pr.shaded == shade && (!shade || len(pr.leases) == len(r.plan.Members)) &&
 		slices.Equal(pr.plan.Members, r.plan.Members) {
 		// Identical claim to the one the previous cycle held: adopt its
-		// live ledger leases. Reserve/Release never move the ledger
-		// generation or the free vector, so the only observable difference
-		// from a release-and-re-reserve round trip is the op count.
+		// live ledger leases. Reserve/Release never move a cloud's total or
+		// free cores, so the only observable difference from a
+		// release-and-re-reserve round trip is the op count.
 		r.leases, r.shaded = pr.leases, pr.shaded
 		pr.leases = nil
 		s.prevResv = nil
@@ -156,7 +156,7 @@ func (s *Scheduler) releaseIdx(at sim.Time, seq int) int {
 // so it adds none: its capacity is caller-owned and never returns to the
 // pool.
 func (s *Scheduler) insertReleases(j *Job) {
-	eta := j.Started + j.estDuration
+	eta := j.Started + j.estDuration()
 	cpw := j.coresPerWorker()
 	i := s.releaseIdx(eta, j.seq)
 	for _, m := range j.Plan.Members {
@@ -168,7 +168,7 @@ func (s *Scheduler) insertReleases(j *Job) {
 
 // removeReleases drops the job's entries when it completes or requeues.
 func (s *Scheduler) removeReleases(j *Job) {
-	eta := j.Started + j.estDuration
+	eta := j.Started + j.estDuration()
 	i := s.releaseIdx(eta, j.seq)
 	n := i
 	for n < len(s.releases) && s.releases[n].at == eta && s.releases[n].seq == j.seq {

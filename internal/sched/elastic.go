@@ -44,7 +44,7 @@ func (s *Scheduler) elasticTick() {
 		// clouds the reserved plan never touches frees nothing the head can
 		// use, so such jobs run on (see feedsReservation).
 		if s.cfg.EnablePreemption && s.resv != nil && preemptible(j) &&
-			float64(s.K.Now()-j.Started) > preemptOverrunFactor*float64(j.estDuration) &&
+			float64(s.K.Now()-j.Started) > preemptOverrunFactor*float64(j.estDuration()) &&
 			s.feedsReservation(j) {
 			var price float64
 			if s.tr != nil { // pricing walks every tenant; price only feeds the trace
@@ -131,7 +131,7 @@ func (s *Scheduler) growOne(j *Job, counter *int) {
 func (s *Scheduler) predictETA(j *Job, md, mt, rd, rt int) sim.Time {
 	done, total := md+rd, mt+rt
 	if total <= 0 || done <= 0 {
-		return j.Started + j.estDuration
+		return j.Started + j.estDuration()
 	}
 	elapsed := s.K.Now() - j.Started
 	return j.Started + sim.Time(float64(elapsed)*float64(total)/float64(done))

@@ -10,12 +10,12 @@ import (
 
 // Degraded-mode scheduling: the scheduler's half of the fault-tolerance
 // story. The capacity ledger's FailCloud transition already evicted the dead
-// cloud's leases and zeroed its committed cores in one generation-bumped
-// step; what remains is policy — which running gangs to requeue and with how
-// much progress credit, what to do with a head reservation now claiming a
-// dead cloud, and when a cloud that keeps crashing should be quarantined
-// behind a jittered exponential backoff instead of being trusted the moment
-// it reports healthy.
+// cloud's leases and zeroed its committed cores in one step; what remains
+// is policy — which running gangs to requeue and with how much progress
+// credit, what to do with a head reservation now claiming a dead cloud, and
+// when a cloud that keeps crashing should be quarantined behind a jittered
+// exponential backoff instead of being trusted the moment it reports
+// healthy.
 //
 // Everything here is pay-for-what-you-use: a run with no fault events
 // allocates no fault state, draws nothing from the kernel RNG (the jitter

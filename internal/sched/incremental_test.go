@@ -211,7 +211,7 @@ func oracleSteps(s *Scheduler, v *CloudView) []releaseStep {
 		if j.State != Running || j.Spec.External() {
 			continue
 		}
-		eta := j.Started + j.estDuration
+		eta := j.Started + j.estDuration()
 		if eta <= now {
 			eta = now + sim.Second
 		}
@@ -272,7 +272,7 @@ func checkReleaseReaders(t *testing.T, s *Scheduler) (instants, overdue int) {
 		}
 	}
 	for _, j := range s.running {
-		if j.Started+j.estDuration <= now {
+		if j.Started+j.estDuration() <= now {
 			overdue++
 		}
 	}
@@ -338,7 +338,7 @@ func TestSnapshotReleasesOverdueMerge(t *testing.T) {
 			t.Fatalf("test job id %q must be J<seq>", id)
 		}
 		j := &Job{ID: id, seq: seq, Spec: JobSpec{Tenant: "t", Workers: 1}, State: Running,
-			Started: started, estDuration: est, dispatched: true,
+			Started: started, estSecs: est.Seconds(), dispatched: true,
 			Plan: Plan{Members: members}}
 		for len(s.jobs) < seq {
 			s.jobs = append(s.jobs, nil)
@@ -407,9 +407,9 @@ func TestReleaseSnapshotRefreshAfterFailedReserve(t *testing.T) {
 	}
 }
 
-// TestFitsFederationCacheInvalidation: the cached federation-wide gang
-// slots must follow cloud resizes — a job that no longer fits is rejected,
-// and added capacity admits wider jobs.
+// TestFitsFederationCacheInvalidation: Submit's federation-wide gang slots
+// must follow cloud resizes — a job that no longer fits is rejected, and
+// added capacity admits wider jobs.
 func TestFitsFederationCacheInvalidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)

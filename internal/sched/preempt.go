@@ -64,7 +64,7 @@ func preemptible(j *Job) bool {
 // ordered by remaining work even at extreme surpluses. It reads the shares
 // the last computeShares call left on the tenant.
 func evictPrice(j *Job, now sim.Time) float64 {
-	remaining := (j.Started + j.estDuration - now).Seconds()
+	remaining := (j.Started + j.estDuration() - now).Seconds()
 	if remaining < 0 {
 		remaining = 0
 	}

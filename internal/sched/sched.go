@@ -136,11 +136,13 @@ type Job struct {
 	seq int
 	// tref is the owning tenant, resolved once at Submit so hot placement
 	// paths read the tenant's pattern-boost flag without a map lookup.
-	tref        *Tenant
-	handle      Handle
-	charged     float64  // core-seconds charged at dispatch (estimate)
-	estDuration sim.Time // estimate at the chosen plan's speed
-	dispatched  bool
+	tref    *Tenant
+	handle  Handle
+	charged float64 // core-seconds charged at dispatch (estimate)
+	// estSecs is planEstimateSeconds for the dispatched plan: the
+	// scheduler's runtime estimate, and SimBackend's runtime before overrun.
+	estSecs    float64
+	dispatched bool
 	// Delivered-capacity integration: coresNow is the core count the job
 	// holds right now; accrued is core-seconds banked at resize events
 	// (grow/shrink/revocation), so Shares attributes elapsed time at the
@@ -191,6 +193,9 @@ func (j *Job) workers() int {
 
 // Cores returns the job's core demand (workers x cores each).
 func (j *Job) Cores() int { return j.workers() * j.coresPerWorker() }
+
+// estDuration returns the dispatch estimate as a virtual duration.
+func (j *Job) estDuration() sim.Time { return sim.FromSeconds(j.estSecs) }
 
 // resize banks the core-seconds accrued at the current size and applies a
 // delta (elastic growth, shrink, or spot revocation) — the resize-event
@@ -252,11 +257,10 @@ func (j *Job) estimate() float64 {
 // member holds, plus the cross-site shuffle bottleneck time — backfill
 // reservations would otherwise systematically undershoot remote-input and
 // spanning jobs' runtimes. The scheduler's dispatch estimates and backfill
-// gate and SimBackend's runtimes all come from it, so the synthetic
-// backend's runtimes agree with the reservations made against them. Only
-// static cloud attributes (name, speed) are read from the view — never the
-// working free vector — so backends may pass a view whose free cores are
-// stale.
+// gate all come from it, and SimBackend runs a job for the estimate that
+// dispatch records, so the synthetic backend's runtimes agree with the
+// reservations made against them. Only static cloud attributes (name,
+// speed) are read from the view, never the working free vector.
 func planEstimateSeconds(b Backend, j *Job, plan Plan, v *CloudView) float64 {
 	speed := 1.0
 	for i, m := range plan.Members {
@@ -604,15 +608,6 @@ type Scheduler struct {
 	// kernel thread submit and poll through it under -race stress.
 	extMu sync.Mutex
 
-	// fitsFederation cache: federation-wide per-cloud totals keyed on the
-	// capacity ledger's generation, so Submit stops snapshotting the
-	// backend per call (invalidated on cloud add/resize). slotsSnap is the
-	// refresh's own snapshot buffer.
-	slotsGen    uint64
-	slotsTotals []int
-	slotsOK     bool
-	slotsSnap   []CloudInfo
-
 	// Fault state (faults.go), allocated lazily on the first fault event so
 	// fault-free runs carry only nil pointers: downClouds tracks outages in
 	// progress, quarUntil readmission quarantines, failStreak/lastFail the
@@ -777,25 +772,17 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 }
 
 // fitsFederation checks the job's demand against the federation-wide gang
-// capacity: the slot sum of the clouds' total cores (a spanning plan can
-// use them all). Jobs wider than any single cloud are accepted — under a
-// single-cloud policy they simply stay queued. The per-cloud totals are
-// cached keyed on the capacity ledger's generation (every cloud add or
-// resize bumps it), so per-submission checks stop snapshotting the backend.
+// capacity: the slot sum of the clouds' total cores in the backend's ledger
+// (a spanning plan can use them all). Jobs wider than any single cloud are
+// accepted — under a single-cloud policy they simply stay queued.
 func (s *Scheduler) fitsFederation(j *Job) (bool, int) {
-	if gen := s.B.Ledger().Generation(); !s.slotsOK || gen != s.slotsGen {
-		// Own snapshot buffer, not snapScratch: a refresh can be
-		// triggered mid-cycle (reserve failure) and must not clobber the
-		// snapshot buffer the cycle's view aliases.
-		s.slotsSnap = s.B.AppendClouds(s.slotsSnap[:0])
-		s.slotsTotals = s.slotsTotals[:0]
-		for _, c := range s.slotsSnap {
-			s.slotsTotals = append(s.slotsTotals, c.TotalCores)
-		}
-		s.slotsGen, s.slotsOK = gen, true
-	}
 	cpw := j.coresPerWorker()
-	slots := slotSum(s.slotsTotals, cpw)
+	slots := 0
+	s.B.Ledger().FreeTotals(func(_ string, _, total int) {
+		if total > 0 {
+			slots += total / cpw
+		}
+	})
 	return slots >= j.workers(), slots * cpw
 }
 
@@ -835,8 +822,8 @@ func (s *Scheduler) kick() {
 // cannot take the reserved cores; each cycle drops and recomputes it
 // against fresh estimates.
 //
-// The pass runs over the per-cycle CloudView (one indexed snapshot shared
-// by every score, price, and estimate) and the maintained release list.
+// The pass runs over the per-cycle CloudView (one snapshot shared by every
+// score, price, and estimate) and the maintained release list.
 // Behind the reservation, a tenant whose queue summary shows that no entry
 // can fit is skipped in one comparison (queueUnfit). In the other queues,
 // entries whose gang fails the slot test, or that the backfill bound proves
@@ -1110,7 +1097,7 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	j.Started = now
 	j.dispatched = true
 	j.Backfilled = backfilled
-	j.estDuration = sim.FromSeconds(est)
+	j.estSecs = est
 	j.coresNow = j.Cores()
 	j.resizeAt = now
 	s.charge(t, j, est)

@@ -13,14 +13,15 @@ import (
 
 // SimBackend is a lightweight synthetic Backend for unit tests and
 // benchmarks: clouds are bare capacity-ledger accounts, a launched job
-// completes after its estimate (scaled by the plan's slowest member, plus
-// streaming time for uncovered input and cross-site shuffle time for
-// spanning plans), and grow/shrink only move ledger leases. It exercises
-// every scheduler code path — including gang placement and
-// reservation-aware growth — without the nimbus/migration stack
-// underneath. All core accounting flows through the same internal/capacity
-// ledger the federation backend uses: running jobs hold leases with
-// estimated ends, so probes at future instants see their hand-back.
+// completes after the plan-level estimate the scheduler recorded at
+// dispatch (planEstimateSeconds: the plan's slowest member, plus streaming
+// time for uncovered input and cross-site shuffle time for spanning plans),
+// and grow/shrink only move ledger leases. It exercises every scheduler
+// code path — including gang placement and reservation-aware growth —
+// without the nimbus/migration stack underneath. All core accounting flows
+// through the same internal/capacity ledger the federation backend uses:
+// running jobs hold leases with estimated ends, so probes at future instants
+// see their hand-back.
 type SimBackend struct {
 	k      *sim.Kernel
 	ledger *capacity.Ledger
@@ -46,13 +47,6 @@ type SimBackend struct {
 	// while positive, a Launch whose plan touches the cloud consumes one
 	// strike and fails with ErrTransientLaunch (see FailNextLaunches).
 	failNext map[string]int
-
-	// Launch-time estimate view, rebuilt only when the cloud set changes:
-	// planEstimateSeconds reads nothing but static attributes (name, speed)
-	// from it, so the free cores it carries are allowed to go stale.
-	view        CloudView
-	snapScratch []CloudInfo
-	viewClouds  int // cloud count the view was built against
 }
 
 // SimCloud is one synthetic cloud. Resize mid-run with SetTotal (tests
@@ -113,11 +107,11 @@ func (b *SimBackend) UseLogNormalOverrun(mu, sigma float64) {
 }
 
 // FailCloud crashes a synthetic cloud: the ledger's outage transition closes
-// every lease and committed core there in one generation-bumped step and
-// refuses new admissions until RestoreCloud. Returns the cores lost. The
-// caller (replay driver, test) follows up with a Notify(EventCloudFailed) so
-// the scheduler requeues the affected gangs — the ledger transition must come
-// first, which is why the backend does not notify itself.
+// every lease and committed core there in one step and refuses new
+// admissions until RestoreCloud. Returns the cores lost. The caller (replay
+// driver, test) follows up with a Notify(EventCloudFailed) so the scheduler
+// requeues the affected gangs — the ledger transition must come first, which
+// is why the backend does not notify itself.
 func (b *SimBackend) FailCloud(name string) (int, error) {
 	return b.ledger.FailCloud(name)
 }
@@ -387,8 +381,9 @@ func (h *SimHandle) rollback() {
 
 // Launch implements Backend: acquire a lease on every member cloud
 // (estimated end at the job's ETA, so future probes see the hand-back),
-// run for the plan-level estimate (slowest member speed + uncovered-input
-// streaming + cross-site shuffle), release everything at completion.
+// run for the plan-level estimate dispatch recorded on the job (slowest
+// member speed + uncovered-input streaming + cross-site shuffle), release
+// everything at completion.
 func (b *SimBackend) Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error) {
 	if len(b.failNext) > 0 {
 		for _, m := range plan.Members {
@@ -402,12 +397,7 @@ func (b *SimBackend) Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Hand
 		}
 	}
 	per := j.coresPerWorker()
-	if b.viewClouds != len(b.clouds) {
-		b.snapScratch = b.AppendClouds(b.snapScratch[:0])
-		b.view.Reset(b.snapScratch)
-		b.viewClouds = len(b.clouds)
-	}
-	secs := planEstimateSeconds(b, j, plan, &b.view)
+	secs := j.estSecs
 	h := &SimHandle{b: b, j: j, plan: plan, started: b.k.Now(), duration: sim.FromSeconds(secs)}
 	if n := len(plan.Members); n <= len(h.baseBuf) {
 		h.base = h.baseBuf[:0]
