@@ -30,18 +30,16 @@
 // closing, so the walk costs less overall than an index those hot
 // transitions would have to maintain.
 //
-// The ledger is safe for concurrent use: every public method takes a
-// reader/writer lock. The scheduler drives the ledger from its single
-// kernel thread, so the lock is uncontended there; it exists so an external
-// surface (a metrics scrape, a daemon API) can read concurrently without
-// corrupting anything.
+// The ledger takes no lock. Every caller runs on the simulation kernel's
+// one thread; the only other goroutine that reads it is a live /metrics
+// scrape, whose collector runs under the registry's scrape lock, which the
+// kernel loop holds while it steps (obs.Registry.SetScrapeLock).
 package capacity
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -93,11 +91,7 @@ type Lease struct {
 
 // Active reports whether the lease still claims cores (not yet committed or
 // released).
-func (le *Lease) Active() bool {
-	le.l.mu.RLock()
-	defer le.l.mu.RUnlock()
-	return !le.closed
-}
+func (le *Lease) Active() bool { return !le.closed }
 
 // account is one cloud's ledger entry. held and reserved cache the active
 // lease cores per kind (maintained at lease create/commit/release), so the
@@ -153,14 +147,11 @@ func (a *account) unlink(le *Lease) {
 // without a federation (SimBackend, standalone nimbus clouds) own private
 // instances with identical semantics.
 type Ledger struct {
-	// mu guards every account and counter below.
-	mu sync.RWMutex
-
 	seq      int
 	accounts map[string]*account
 	// orderAccts lists the accounts in name order, so the bulk reads
-	// (Clouds, FreeTotals, String, the gauge collector) walk a slice
-	// instead of hashing every name.
+	// (FreeTotals, String, the gauge collector) walk a slice instead of
+	// hashing every name.
 	orderAccts []*account
 
 	// Evictions and Retargets count forced transitions, for stats surfaces.
@@ -185,13 +176,6 @@ func New() *Ledger {
 // AddCloud registers a cloud's total core capacity. Re-adding an existing
 // cloud only updates its total.
 func (l *Ledger) AddCloud(name string, totalCores int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.addCloud(name, totalCores)
-}
-
-// addCloud is AddCloud without the lock.
-func (l *Ledger) addCloud(name string, totalCores int) {
 	if a, ok := l.accounts[name]; ok {
 		if a.total != totalCores {
 			a.total = totalCores
@@ -209,21 +193,8 @@ func (l *Ledger) addCloud(name string, totalCores int) {
 // SetTotal updates a cloud's capacity (backends whose clouds resize).
 func (l *Ledger) SetTotal(name string, totalCores int) { l.AddCloud(name, totalCores) }
 
-// Clouds returns the registered cloud names, sorted.
-func (l *Ledger) Clouds() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	names := make([]string, len(l.orderAccts))
-	for i, a := range l.orderAccts {
-		names[i] = a.name
-	}
-	return names
-}
-
 // Total returns a cloud's core capacity (0 for unknown clouds).
 func (l *Ledger) Total(cloud string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if a := l.accounts[cloud]; a != nil {
 		return a.total
 	}
@@ -232,8 +203,6 @@ func (l *Ledger) Total(cloud string) int {
 
 // Committed returns the cores of placed VMs on a cloud.
 func (l *Ledger) Committed(cloud string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if a := l.accounts[cloud]; a != nil {
 		return a.committed
 	}
@@ -242,8 +211,6 @@ func (l *Ledger) Committed(cloud string) int {
 
 // Held returns the cores of active held leases on a cloud.
 func (l *Ledger) Held(cloud string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if a := l.accounts[cloud]; a != nil {
 		return a.held
 	}
@@ -252,8 +219,6 @@ func (l *Ledger) Held(cloud string) int {
 
 // Reserved returns the cores of active future reservations on a cloud.
 func (l *Ledger) Reserved(cloud string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if a := l.accounts[cloud]; a != nil {
 		return a.reserved
 	}
@@ -264,13 +229,6 @@ func (l *Ledger) Reserved(cloud string) int {
 // held. Future reservations do not reduce Free — they gate policy decisions
 // through Probe, not physical admission.
 func (l *Ledger) Free(cloud string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.free(cloud)
-}
-
-// free is Free without the lock.
-func (l *Ledger) free(cloud string) int {
 	a := l.accounts[cloud]
 	if a == nil || a.failed {
 		return 0
@@ -279,11 +237,9 @@ func (l *Ledger) free(cloud string) int {
 }
 
 // FreeTotals calls fn(name, free, total) for every registered cloud in name
-// order under a single read lock — the bulk form of Free+Total for per-cycle
-// snapshots, which would otherwise pay two lock round-trips per cloud.
+// order — the bulk form of Free+Total for per-cycle snapshots and the
+// federation fit check, one walk of the account list with no name lookups.
 func (l *Ledger) FreeTotals(fn func(name string, free, total int)) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for _, a := range l.orderAccts {
 		free := a.total - a.committed - a.held
 		if a.failed {
@@ -297,13 +253,6 @@ func (l *Ledger) FreeTotals(fn func(name string, free, total int)) {
 // `at` without ever oversubscribing the cloud — the largest n for which
 // Probe(cloud, n, at) holds. Growers rank spill targets by it.
 func (l *Ledger) Headroom(cloud string, at sim.Time) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.headroom(cloud, at)
-}
-
-// headroom is Headroom without the lock.
-func (l *Ledger) headroom(cloud string, at sim.Time) int {
 	a := l.accounts[cloud]
 	if a == nil || a.failed {
 		return 0
@@ -340,21 +289,19 @@ func (l *Ledger) headroom(cloud string, at sim.Time) int {
 // (nil when the caller acquires incrementally). Returns "" when no cloud
 // qualifies.
 func (l *Ledger) PickGrowTarget(members, spill []string, cores int, at sim.Time, alloc map[string]int) string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for _, m := range members {
 		need := alloc[m] + cores
-		if l.free(m) >= need && l.probe(m, need, at) {
+		if l.Free(m) >= need && l.Probe(m, need, at) {
 			return m
 		}
 	}
 	best, bestHead := "", 0
 	for _, c := range spill {
 		need := alloc[c] + cores
-		if l.free(c) < need {
+		if l.Free(c) < need {
 			continue
 		}
-		head := l.headroom(c, at) - alloc[c]
+		head := l.Headroom(c, at) - alloc[c]
 		if head < cores {
 			continue
 		}
@@ -393,13 +340,6 @@ func (a *account) loadAt(t sim.Time) int {
 // leases once per future reservation start; the scheduler's elastic pass is
 // its only frequent caller.
 func (l *Ledger) Probe(cloud string, cores int, at sim.Time) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.probe(cloud, cores, at)
-}
-
-// probe is Probe without the lock.
-func (l *Ledger) probe(cloud string, cores int, at sim.Time) bool {
 	l.m.probes.Inc()
 	if l.accounts[cloud] == nil {
 		return false
@@ -407,7 +347,7 @@ func (l *Ledger) probe(cloud string, cores int, at sim.Time) bool {
 	if cores <= 0 {
 		return true
 	}
-	return l.headroom(cloud, at) >= cores
+	return l.Headroom(cloud, at) >= cores
 }
 
 // Acquire claims cores held from now — the admission gate. Fails when the
@@ -422,13 +362,6 @@ func (l *Ledger) Acquire(cloud string, cores int) (*Lease, error) {
 // AcquireUntil is Acquire with an estimated release instant (0 = unknown),
 // letting future probes see the hand-back.
 func (l *Ledger) AcquireUntil(cloud string, cores int, end sim.Time) (*Lease, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acquireUntil(cloud, cores, end)
-}
-
-// acquireUntil is AcquireUntil without the lock.
-func (l *Ledger) acquireUntil(cloud string, cores int, end sim.Time) (*Lease, error) {
 	a := l.accounts[cloud]
 	if a == nil {
 		return nil, fmt.Errorf("capacity: unknown cloud %q", cloud)
@@ -439,7 +372,7 @@ func (l *Ledger) acquireUntil(cloud string, cores int, end sim.Time) (*Lease, er
 	if a.failed {
 		return nil, fmt.Errorf("capacity: acquiring on failed cloud %q", cloud)
 	}
-	if free := l.free(cloud); free < cores {
+	if free := l.Free(cloud); free < cores {
 		return nil, fmt.Errorf("capacity: %s has %d free cores, need %d", cloud, free, cores)
 	}
 	l.m.acquires.Inc()
@@ -452,13 +385,6 @@ func (l *Ledger) acquireUntil(cloud string, cores int, end sim.Time) (*Lease, er
 // first-class ledger state: Probe charges them to every overlapping
 // indefinite claim until the holder commits or releases.
 func (l *Ledger) Reserve(cloud string, cores int, at sim.Time) (*Lease, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reserve(cloud, cores, at)
-}
-
-// reserve is Reserve without the lock.
-func (l *Ledger) reserve(cloud string, cores int, at sim.Time) (*Lease, error) {
 	a := l.accounts[cloud]
 	if a == nil {
 		return nil, fmt.Errorf("capacity: unknown cloud %q", cloud)
@@ -488,19 +414,12 @@ func (l *Ledger) newLease(a *account, cores int, k Kind, at, end sim.Time) *Leas
 // cores move from advisory to held-equivalent); committing a held lease
 // cannot fail. Commit on a closed lease is a no-op.
 func (le *Lease) Commit() error {
-	le.l.mu.Lock()
-	defer le.l.mu.Unlock()
-	return le.commit()
-}
-
-// commit is Commit without the lock.
-func (le *Lease) commit() error {
 	if le.closed {
 		return nil
 	}
 	a := le.acct
 	if le.Kind == Reserved {
-		if free := le.l.free(le.Cloud); free < le.Cores {
+		if free := le.l.Free(le.Cloud); free < le.Cores {
 			return fmt.Errorf("capacity: committing reservation of %d cores on %s with %d free",
 				le.Cores, le.Cloud, free)
 		}
@@ -515,13 +434,6 @@ func (le *Lease) commit() error {
 // already-released lease does nothing (the committed cores are returned
 // through Ledger.Uncommit when their VMs terminate).
 func (le *Lease) Release() {
-	le.l.mu.Lock()
-	defer le.l.mu.Unlock()
-	le.release()
-}
-
-// release is Release without the lock.
-func (le *Lease) release() {
 	if le.closed {
 		return
 	}
@@ -533,8 +445,6 @@ func (le *Lease) release() {
 // revocation, migration away). Clamps at zero rather than going negative so
 // double releases cannot mint capacity.
 func (l *Ledger) Uncommit(cloud string, cores int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	a := l.accounts[cloud]
 	if a == nil {
 		return
@@ -549,13 +459,11 @@ func (l *Ledger) Uncommit(cloud string, cores int) {
 // CommitNow acquires and immediately commits cores — single-step admission
 // for placements with no in-flight window (an inbound migrated VM).
 func (l *Ledger) CommitNow(cloud string, cores int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	le, err := l.acquireUntil(cloud, cores, 0)
+	le, err := l.Acquire(cloud, cores)
 	if err != nil {
 		return err
 	}
-	return le.commit()
+	return le.Commit()
 }
 
 // Evict is the preemption transition for leased claims: the victim lease
@@ -567,8 +475,6 @@ func (l *Ledger) CommitNow(cloud string, cores int) error {
 // acquisition lands. Idempotent: evicting an already-closed lease is a
 // no-op returning (nil, nil).
 func (l *Ledger) Evict(victim *Lease, at sim.Time) (*Lease, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if victim == nil || victim.closed {
 		return nil, nil
 	}
@@ -576,8 +482,8 @@ func (l *Ledger) Evict(victim *Lease, at sim.Time) (*Lease, error) {
 		return nil, fmt.Errorf("capacity: lease belongs to another ledger")
 	}
 	cloud, cores := victim.Cloud, victim.Cores
-	victim.release()
-	shield, err := l.reserve(cloud, cores, at)
+	victim.Release()
+	shield, err := l.Reserve(cloud, cores, at)
 	if err != nil {
 		return nil, err
 	}
@@ -594,8 +500,6 @@ func (l *Ledger) Evict(victim *Lease, at sim.Time) (*Lease, error) {
 // ledger side of the eviction already happened here. Evicting more than is
 // committed fails without touching anything.
 func (l *Ledger) EvictCommitted(cloud string, cores int, at sim.Time) (*Lease, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	a := l.accounts[cloud]
 	if a == nil {
 		return nil, fmt.Errorf("capacity: unknown cloud %q", cloud)
@@ -616,12 +520,10 @@ func (l *Ledger) EvictCommitted(cloud string, cores int, at sim.Time) (*Lease, e
 // transition for placed VMs. The destination's physical invariant is
 // checked before the source account is touched, then the cores move
 // committed→committed with no free instant in between, so a migration
-// cannot lose its capacity to a concurrent acquire the way a
+// cannot lose its capacity to an acquire in between the way a
 // release-then-adopt sequence could. Host-level bookkeeping moves through
 // the ledger-skipping paths (nimbus ReleaseLedgered/AdoptLedgered).
 func (l *Ledger) Retarget(from, to string, cores int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	src, dst := l.accounts[from], l.accounts[to]
 	if src == nil {
 		return fmt.Errorf("capacity: unknown cloud %q", from)
@@ -633,7 +535,7 @@ func (l *Ledger) Retarget(from, to string, cores int) error {
 		return fmt.Errorf("capacity: retargeting %d committed cores from %s with %d committed",
 			cores, from, src.committed)
 	}
-	if free := l.free(to); free < cores {
+	if free := l.Free(to); free < cores {
 		return fmt.Errorf("capacity: %s has %d free cores, retarget needs %d", to, free, cores)
 	}
 	src.committed -= cores
@@ -655,8 +557,6 @@ func (l *Ledger) Retarget(from, to string, cores int) error {
 // account when the destination lacks room or the lease is closed.
 func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 	l := le.l
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if le.closed {
 		return nil, fmt.Errorf("capacity: retargeting a closed lease")
 	}
@@ -674,12 +574,12 @@ func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 		return nil, fmt.Errorf("capacity: retargeting onto failed cloud %q", to)
 	}
 	if le.Kind == Held {
-		if free := l.free(to); free < cores {
+		if free := l.Free(to); free < cores {
 			return nil, fmt.Errorf("capacity: %s has %d free cores, retarget needs %d", to, free, cores)
 		}
 	}
 	if cores == le.Cores {
-		le.release()
+		le.Release()
 	} else {
 		le.Cores -= cores
 		*le.acct.kindCores(le.Kind) -= cores
@@ -693,16 +593,14 @@ func (le *Lease) Retarget(to string, cores int) (*Lease, error) {
 
 // FailCloud is the outage transition: the cloud's every active lease (held
 // and reserved) closes, its committed cores return to the pool, and the
-// account is marked failed — all in one step under the ledger's lock, so no
-// probe can observe a half-dead cloud. While failed, the cloud admits
-// nothing: Acquire/Reserve/Retarget-onto refuse, Free and Headroom read
-// zero, Probe fails. Total capacity is kept so federation-wide "could this
-// ever fit" checks still count the cloud as coming back.
+// account is marked failed — all in one call, so no probe can observe a
+// half-dead cloud. While failed, the cloud admits nothing:
+// Acquire/Reserve/Retarget-onto refuse, Free and Headroom read zero, Probe
+// fails. Total capacity is kept so federation-wide "could this ever fit"
+// checks still count the cloud as coming back.
 // Idempotent: failing a failed cloud does nothing and returns 0. Returns the
 // cores lost (lease + committed), for the caller's outage accounting.
 func (l *Ledger) FailCloud(name string) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	a := l.accounts[name]
 	if a == nil {
 		return 0, fmt.Errorf("capacity: unknown cloud %q", name)
@@ -714,7 +612,7 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 	for len(a.leases) > 0 {
 		le := a.leases[0]
 		lost += le.Cores
-		le.release()
+		le.Release()
 	}
 	if a.committed > 0 {
 		lost += a.committed
@@ -730,8 +628,6 @@ func (l *Ledger) FailCloud(name string) (int, error) {
 // RestoreCloud clears a cloud's failed mark: its full capacity is free
 // again (everything on it was evicted at failure). Idempotent.
 func (l *Ledger) RestoreCloud(name string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	a := l.accounts[name]
 	if a == nil {
 		return fmt.Errorf("capacity: unknown cloud %q", name)
@@ -747,16 +643,12 @@ func (l *Ledger) RestoreCloud(name string) error {
 
 // Failed reports whether the cloud is in a FailCloud outage.
 func (l *Ledger) Failed(name string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	a := l.accounts[name]
 	return a != nil && a.failed
 }
 
 // String renders one line per cloud for debugging and logs.
 func (l *Ledger) String() string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	out := ""
 	for _, a := range l.orderAccts {
 		out += fmt.Sprintf("%s: total=%d committed=%d held=%d reserved=%d free=%d\n",

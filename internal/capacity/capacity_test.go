@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -604,62 +603,5 @@ func TestProbeUnknownCloud(t *testing.T) {
 	}
 	if _, err := l.Reserve("ghost", 1, 0); err == nil {
 		t.Fatal("reserve on an unknown cloud succeeded")
-	}
-}
-
-// TestLedgerConcurrentSmoke hammers the ledger from many goroutines under
-// -race: mixed acquires/releases/probes/evictions on shared clouds. The
-// assertions are the ledger's own invariants at the end; the point is that
-// the ledger's lock makes interleavings safe at all.
-func TestLedgerConcurrentSmoke(t *testing.T) {
-	l := New()
-	l.AddCloud("x", 256)
-	l.AddCloud("y", 256)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			clouds := []string{"x", "y"}
-			var mine []*Lease
-			for i := 0; i < 500; i++ {
-				c := clouds[rng.Intn(2)]
-				switch rng.Intn(5) {
-				case 0, 1:
-					if le, err := l.AcquireUntil(c, 1+rng.Intn(4), sim.Time(rng.Intn(1000))*sim.Second); err == nil {
-						mine = append(mine, le)
-					}
-				case 2:
-					if len(mine) > 0 {
-						k := rng.Intn(len(mine))
-						mine[k].Release()
-						mine = append(mine[:k], mine[k+1:]...)
-					}
-				case 3:
-					l.Probe(c, rng.Intn(16), sim.Time(rng.Intn(1000))*sim.Second)
-					l.Headroom(c, 0)
-				case 4:
-					if len(mine) > 0 && rng.Intn(4) == 0 {
-						k := rng.Intn(len(mine))
-						if sh, err := l.Evict(mine[k], sim.Time(1000)*sim.Second); err == nil && sh != nil {
-							mine[k] = sh
-						}
-					}
-				}
-			}
-			for _, le := range mine {
-				le.Release()
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-	for _, c := range []string{"x", "y"} {
-		if l.Held(c) != 0 || l.Reserved(c) != 0 {
-			t.Fatalf("%s: held=%d reserved=%d after all releases", c, l.Held(c), l.Reserved(c))
-		}
-		if l.Free(c) != 256-l.Committed(c) {
-			t.Fatalf("%s: free=%d committed=%d total=256", c, l.Free(c), l.Committed(c))
-		}
 	}
 }

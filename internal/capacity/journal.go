@@ -12,9 +12,9 @@ import (
 
 // The ledger journal is the crash-recovery substrate ROADMAP item 1
 // (skyschedd) inherits: an append-only record of every primitive state
-// transition the ledger performs, written under the same write lock that
-// performs it, so replaying the records into a fresh ledger rebuilds the
-// live ledger's capacity state byte-identically (see Snapshot). Records are
+// transition the ledger performs, written by the call that performs it, so
+// replaying the records into a fresh ledger rebuilds the live ledger's
+// capacity state byte-identically (see Snapshot). Records are
 // primitive on purpose — composite transitions (Evict, FailCloud,
 // Lease.Retarget) decompose into the lease create/close/shrink and
 // committed-core moves they are made of, so Replay needs no knowledge of
@@ -60,10 +60,9 @@ type Rec struct {
 	End   int64  `json:"end,omitempty"`
 }
 
-// Journal accumulates ledger transition records. Appends happen under the
-// owning ledger's write lock (the ledger is the only writer), so the
-// journal needs no lock of its own; read it only after detaching or once
-// the writers are quiet.
+// Journal accumulates ledger transition records. The owning ledger is its
+// only writer, on the kernel thread, so the journal takes no lock; read it
+// from that thread or after the run.
 type Journal struct {
 	recs []Rec
 	enc  *json.Encoder
@@ -93,12 +92,10 @@ func (j *Journal) append(r Rec) {
 // Attach before the first transition: the journal must observe every
 // mutation from the empty ledger onward for Replay to reconstruct state.
 func (l *Ledger) Journal(j *Journal) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.jrn = j
 }
 
-// jrec appends a record when a journal is attached. Callers hold l.mu.
+// jrec appends a record when a journal is attached.
 func (l *Ledger) jrec(r Rec) {
 	if l.jrn != nil {
 		l.jrn.append(r)
@@ -160,14 +157,12 @@ func (l *Ledger) lease(id int) *Lease {
 
 // apply replays one record.
 func (l *Ledger) apply(r Rec) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if r.Cores < 0 {
 		return fmt.Errorf("negative cores %d", r.Cores)
 	}
 	switch r.Op {
 	case OpCloud:
-		l.addCloud(r.Cloud, r.Cores)
+		l.AddCloud(r.Cloud, r.Cores)
 	case OpLease:
 		a := l.accounts[r.Cloud]
 		if a == nil {
@@ -180,7 +175,7 @@ func (l *Ledger) apply(r Rec) error {
 		if k != Held && k != Reserved {
 			return fmt.Errorf("unknown lease kind %d", r.Kind)
 		}
-		if free := l.free(r.Cloud); k == Held && free < r.Cores {
+		if free := l.Free(r.Cloud); k == Held && free < r.Cores {
 			return fmt.Errorf("held lease of %d cores on %s with %d free", r.Cores, r.Cloud, free)
 		}
 		l.seq = r.ID - 1 // newLease increments to exactly r.ID
@@ -190,13 +185,13 @@ func (l *Ledger) apply(r Rec) error {
 		if le == nil {
 			return fmt.Errorf("unknown lease %d", r.ID)
 		}
-		return le.commit()
+		return le.Commit()
 	case OpRelease:
 		le := l.lease(r.ID)
 		if le == nil {
 			return fmt.Errorf("unknown lease %d", r.ID)
 		}
-		le.release()
+		le.Release()
 	case OpShrink:
 		le := l.lease(r.ID)
 		if le == nil {
@@ -224,7 +219,7 @@ func (l *Ledger) apply(r Rec) error {
 		if r.Cores > src.committed {
 			return fmt.Errorf("moving %d committed cores from %s with %d committed", r.Cores, r.Cloud, src.committed)
 		}
-		if free := l.free(r.To); free < r.Cores {
+		if free := l.Free(r.To); free < r.Cores {
 			return fmt.Errorf("moving %d committed cores onto %s with %d free", r.Cores, r.To, free)
 		}
 		src.committed -= r.Cores
@@ -253,8 +248,6 @@ func (l *Ledger) apply(r Rec) error {
 // equivalent for every capacity decision — the equality the kill-and-recover
 // tests assert between a live ledger and its journal replay.
 func (l *Ledger) Snapshot() []byte {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	var b bytes.Buffer
 	for _, a := range l.orderAccts {
 		fmt.Fprintf(&b, "%s total=%d committed=%d held=%d reserved=%d failed=%t\n",

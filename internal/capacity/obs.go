@@ -25,7 +25,8 @@ type ledgerMetrics struct {
 // reg. The gauges are collector-driven: each scrape walks the (sorted)
 // account list and publishes committed/held/reserved/free cores per cloud,
 // so the exposition always reflects the live ledger without per-transition
-// gauge writes.
+// gauge writes. A scrape from another goroutine reads the accounts only
+// under the registry's scrape lock (see the package doc).
 func (l *Ledger) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -42,8 +43,6 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 	cores := reg.GaugeVec("sky_capacity_cores",
 		"Cores per cloud by claim kind.", "cloud", "kind")
 	reg.AddCollector(func() {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
 		for _, a := range l.orderAccts {
 			cores.With(a.name, "committed").SetInt(int64(a.committed))
 			cores.With(a.name, "held").SetInt(int64(a.held))

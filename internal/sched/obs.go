@@ -6,9 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// The scheduler's observability plumbing: the former block of plain public
-// int stats lives on registry counters now (atomic, so the elastic loop
-// goroutine and stat readers no longer race), the queue and running-set
+// The scheduler's observability plumbing. The scheduler runs on the
+// kernel's one thread (the elastic pass is a kernel ticker, not a
+// goroutine); its stats live on atomic registry counters, so another
+// goroutine can read them while the kernel runs. The queue and running-set
 // sizes are gauges, and each cycle's wall-clock cost is split into phase
 // histograms. Decision tracing (dispatch, reserve, block once per queued
 // stay, preemption, consolidation) goes through the optional obs.Tracer in

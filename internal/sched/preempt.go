@@ -236,7 +236,7 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	// Leaving Running banks the work actually delivered and backs out the
 	// unused remainder of the dispatch-time charge — the same true-up a
 	// completion performs.
-	s.setState(s.tenants[j.Spec.Tenant], j, Queued)
+	s.setState(j.tref, j, Queued)
 	j.handle = nil
 	j.dispatched = false
 	j.Backfilled = false

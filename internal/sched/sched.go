@@ -31,7 +31,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/capacity"
 	"repro/internal/mapreduce"
@@ -134,8 +133,9 @@ type Job struct {
 	Outcome     Outcome
 
 	seq int
-	// tref is the owning tenant, resolved once at Submit so hot placement
-	// paths read the tenant's pattern-boost flag without a map lookup.
+	// tref is the owning tenant, resolved once at Submit (AddTenant never
+	// replaces a *Tenant) so hot paths (placement, completion, requeue)
+	// reach it without a map lookup.
 	tref    *Tenant
 	handle  Handle
 	charged float64 // core-seconds charged at dispatch (estimate)
@@ -347,6 +347,8 @@ type Backend interface {
 	// returns it (free cores must account for in-flight provisioning the
 	// backend has committed to). Taking the buffer lets the scheduler reuse
 	// one snapshot slice across cycles instead of allocating per cycle.
+	// Only cycles with queued work or a pending quarantine call it, plus an
+	// eviction's mid-cycle re-snapshot.
 	AppendClouds(dst []CloudInfo) []CloudInfo
 	// Bandwidth returns the bottleneck inter-site bandwidth in bytes/sec
 	// between two clouds (used by the placement score).
@@ -604,10 +606,6 @@ type Scheduler struct {
 	// held reservation (see cycle); no decision reads it.
 	tenantSkips int
 
-	// extMu serializes external drivers (Sync): goroutines outside the
-	// kernel thread submit and poll through it under -race stress.
-	extMu sync.Mutex
-
 	// Fault state (faults.go), allocated lazily on the first fault event so
 	// fault-free runs carry only nil pointers: downClouds tracks outages in
 	// progress, quarUntil readmission quarantines, failStreak/lastFail the
@@ -661,17 +659,6 @@ func New(b Backend, cfg Config) *Scheduler {
 		s.memoable = true
 	}
 	return s
-}
-
-// Sync runs fn under the scheduler's external-driver mutex. The scheduler's
-// own kernel-thread pipeline needs no locking; Sync exists for drivers that
-// call Submit/Poll/stat accessors from multiple goroutines — serialize every
-// such access through it and the race detector stays quiet without putting
-// a lock on the hot path.
-func (s *Scheduler) Sync(fn func()) {
-	s.extMu.Lock()
-	defer s.extMu.Unlock()
-	fn()
 }
 
 // jobByID looks a job up by ID, whatever its state. An ID is "J" and the
@@ -823,7 +810,8 @@ func (s *Scheduler) kick() {
 // against fresh estimates.
 //
 // The pass runs over the per-cycle CloudView (one snapshot shared by every
-// score, price, and estimate) and the maintained release list.
+// score, price, and estimate) and the maintained release list. A cycle with
+// nothing queued and no quarantine pending takes no snapshot.
 // Behind the reservation, a tenant whose queue summary shows that no entry
 // can fit is skipped in one comparison (queueUnfit). In the other queues,
 // entries whose gang fails the slot test, or that the backfill bound proves
@@ -844,7 +832,11 @@ func (s *Scheduler) cycle() {
 	s.prevResv, s.resv = s.resv, nil
 	s.dropShields()
 	v := &s.view
-	s.refreshView(v)
+	if s.nQueued > 0 || len(s.quarUntil) > 0 {
+		// With nothing queued nextTenant returns nil before anything reads
+		// the view, but a lapsed quarantine still owes its readmission.
+		s.refreshView(v)
+	}
 	traced := s.tr != nil
 	var t *Tenant // the tenant being served; nil asks nextTenant for one
 	for {
@@ -1252,7 +1244,7 @@ func (s *Scheduler) complete(j *Job, out Outcome) {
 		s.retryLaunch(j)
 		return
 	}
-	s.finish(s.tenants[j.Spec.Tenant], j, out)
+	s.finish(j.tref, j, out)
 	s.kick()
 }
 

@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -501,57 +499,66 @@ func TestPatternBiasesPlacement(t *testing.T) {
 	}
 }
 
-// TestExternalDriverRace is the -race stress for external drivers: the
-// kernel steps and all external Submit/Poll/Shares traffic serialize
-// through Sync, while raw stat reads (atomic counters) hammer from another
-// goroutine without it. Any scheduler state an external read touches
-// outside Sync, or any stat accessor that is not an atomic read, surfaces
-// here under -race.
-func TestExternalDriverRace(t *testing.T) {
-	k := sim.NewKernel(9)
-	b := NewSimBackend(k)
-	for c := 0; c < 20; c++ {
-		b.AddCloud(fmt.Sprintf("c%02d", c), 16, 1, 0.10)
-	}
+// snapCounter is a SimBackend that counts the cloud snapshots it serves.
+type snapCounter struct {
+	*SimBackend
+	snaps int
+}
+
+func (b *snapCounter) AppendClouds(dst []CloudInfo) []CloudInfo {
+	b.snaps++
+	return b.SimBackend.AppendClouds(dst)
+}
+
+// TestIdleCycleTakesNoSnapshot: the cycle that the job's completion kicks
+// has nothing queued, so it takes no snapshot, yet it still counts itself
+// and releases what the previous cycle held.
+func TestIdleCycleTakesNoSnapshot(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := &snapCounter{SimBackend: NewSimBackend(k)}
+	b.AddCloud("a", 8, 1, 0.10)
+	b.AddCloud("b", 8, 1, 0.10)
 	s := New(b, Config{})
-	var ids []string
-	s.Sync(func() {
-		for ti := 0; ti < 300; ti++ {
-			name := fmt.Sprintf("t%03d", ti)
-			s.AddTenant(name, 1)
-			ids = append(ids, submitN(t, s, name, 2,
-				JobSpec{Workers: 2, CoresPerWorker: 2, EstimateSeconds: float64(30 + ti%40)})...)
-		}
-	})
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // external driver: polls and share reads, serialized via Sync
-		defer wg.Done()
-		i := 0
-		for !stop.Load() {
-			s.Sync(func() {
-				s.Poll(ids[i%len(ids)])
-				s.Shares()
-			})
-			i++
-		}
-	}()
-	go func() { // atomic stat reads need no Sync
-		defer wg.Done()
-		sink := 0
-		for !stop.Load() {
-			sink += s.Cycles() + s.Dispatched() + s.Completed() + s.Preemptions()
-		}
-		_ = sink
-	}()
-	for at := sim.Time(0); at < 4000*sim.Second; at += 50 * sim.Second {
-		end := at + 50*sim.Second
-		s.Sync(func() { k.RunUntil(end) })
+	id := submitN(t, s, "t", 1, JobSpec{Workers: 2, CoresPerWorker: 2, EstimateSeconds: 30})[0]
+	k.Run()
+	if ji, _ := s.Poll(id); ji.State != Done {
+		t.Fatalf("job state %v, want done", ji.State)
 	}
-	stop.Store(true)
-	wg.Wait()
-	if got := s.Completed(); got != 600 {
-		t.Fatalf("completed %d of 600 jobs", got)
+	if s.Cycles() != 2 || b.snaps != 1 {
+		t.Fatalf("%d cycles and %d snapshots, want 2 and 1", s.Cycles(), b.snaps)
+	}
+	l := b.Ledger()
+	for _, c := range []string{"a", "b"} {
+		if l.Reserved(c) != 0 || l.Free(c) != l.Total(c) {
+			t.Errorf("%s: reserved=%d free=%d of %d after the drain", c, l.Reserved(c), l.Free(c), l.Total(c))
+		}
+	}
+}
+
+// TestIdleCycleReadmitsQuarantine: with nothing ever queued, a cloud that
+// flaps into quarantine is still readmitted, with its flap streak reset, by
+// the cycle that the quarantine's lapse kicks.
+func TestIdleCycleReadmitsQuarantine(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := &snapCounter{SimBackend: NewSimBackend(k)}
+	b.AddCloud("a", 16, 1, 0.10)
+	b.AddCloud("b", 16, 1, 0.08)
+	s := New(b, Config{})
+	// Two crash/restore cycles on b inside the 10-minute flap window: the
+	// second restore quarantines it for 30–90 s.
+	failAt(t, k, b.SimBackend, s, "b", 10*sim.Second, 20*sim.Second)
+	failAt(t, k, b.SimBackend, s, "b", 60*sim.Second, 20*sim.Second)
+	k.Run()
+	if s.Quarantines() != 1 {
+		t.Fatalf("Quarantines=%d, want 1", s.Quarantines())
+	}
+	if got := s.Obs().Value("sky_faults_readmissions_total"); got != 1 {
+		t.Errorf("sky_faults_readmissions_total=%v, want 1", got)
+	}
+	if s.failStreak["b"] != 0 {
+		t.Errorf("failStreak[b]=%d after readmission, want 0", s.failStreak["b"])
+	}
+	if s.Quarantined("b") {
+		t.Error("b still quarantined after the lapse")
 	}
 }

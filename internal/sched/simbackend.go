@@ -148,9 +148,9 @@ func (b *SimBackend) Kernel() *sim.Kernel { return b.k }
 func (b *SimBackend) Ledger() *capacity.Ledger { return b.ledger }
 
 // AppendClouds implements Backend. The free/total reads come from the
-// ledger's bulk walk — one lock round-trip per snapshot instead of two per
-// cloud. b.clouds and the ledger keep name-sorted cloud sets populated in
-// pairs by AddCloud, so the two walk in lockstep.
+// ledger's bulk walk, one pass over its accounts with no name lookups.
+// b.clouds and the ledger keep name-sorted cloud sets populated in pairs by
+// AddCloud, so the two walk in lockstep.
 func (b *SimBackend) AppendClouds(dst []CloudInfo) []CloudInfo {
 	i := 0
 	b.ledger.FreeTotals(func(name string, free, total int) {
